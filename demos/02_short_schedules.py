@@ -20,7 +20,7 @@ print("1. STEP, linear: every tenth of the original schedule.")
 print(format_schedule_dump(inspect_schedule(DESCRIPTOR, "step", "linear", 10)))
 
 print("\n2. STEP, quadratic: early steps cluster near the data end.")
-fast = build_step_schedule(schedule, level_map, 10, "quadratic")
+fast = build_step_schedule(schedule, 10, "quadratic")
 print(f"   tau = {fast.taus.tolist()}")
 print(f"   telescoping identity gamma_bar_s = alpha_bar(tau_s): "
       f"{step_as_var_equivalence(fast, schedule)}")

@@ -38,7 +38,7 @@ print(f"   frechet = {frechet_of(full):.5f} "
 print("\n2. Shortened chains trade model calls for quality.")
 print(f"   {'S':>4} {'ancestral':>12} {'implicit k=0':>14}")
 for s in (5, 10, 20, 50):
-    fast = build_step_schedule(schedule, level_map, s, "linear")
+    fast = build_step_schedule(schedule, s, "linear")
     ddpm = fast_ddpm_reverse(fast, model,
                              SamplerConfig(dim=2, batch=BATCH, seed=0))
     ddim = fast_ddim_reverse(fast, model,
@@ -47,7 +47,7 @@ for s in (5, 10, 20, 50):
     print(f"   {s:>4} {frechet_of(ddpm):>12.5f} {frechet_of(ddim):>14.5f}")
 
 print("\n3. kappa interpolates between implicit (0) and ancestral (1).")
-fast = build_step_schedule(schedule, level_map, 10, "linear")
+fast = build_step_schedule(schedule, 10, "linear")
 for kappa in (0.0, 0.2, 0.5, 1.0):
     out = fast_ddim_reverse(fast, model,
                             SamplerConfig(dim=2, batch=BATCH, seed=0,

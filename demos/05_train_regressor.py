@@ -39,7 +39,7 @@ floor = denoising_objective(oracle, mixture, level_map,
 print(f"analytic-oracle objective on the same task: {floor:.3f}")
 
 print("\nsample quality at S = 50, ancestral reverse, 5000 chains:")
-fast = build_step_schedule(schedule, level_map, 50, "linear")
+fast = build_step_schedule(schedule, 50, "linear")
 mean_ref, cov_ref = mixture.moments()
 for name, m in (("analytic oracle", oracle), ("trained model", model)):
     out = fast_ddpm_reverse(fast, m, SamplerConfig(dim=2, batch=5000, seed=5))

@@ -30,7 +30,7 @@ from .regressor import (ToyRegressor, TrainingParams, denoising_objective,
 from .rng import NoiseStream, chain_streams, substream
 from .samplers import (EpsilonModel, SampleBatch, SamplerConfig,
                        ZeroEpsilonModel, ddpm_reverse, fast_ddim_reverse,
-                       fast_ddpm_reverse, forward_jump)
+                       fast_ddpm_reverse, forward_jump, run_sampler)
 from .schedule import NoiseLevelMap, VarianceSchedule, alpha_bar_product
 from .storage import load_samples, samples_to_csv, save_samples
 
@@ -47,7 +47,7 @@ __all__ = [
     "ddpm_reverse", "denoising_objective", "fast_ddim_reverse",
     "fast_ddpm_reverse", "forward_jump", "frechet_distance",
     "frechet_gaussian", "inception_score", "load_samples",
-    "posterior_classifier", "sample_moments", "samples_to_csv",
-    "save_samples", "step_as_var_equivalence", "step_subset", "substream",
-    "train_toy_regressor",
+    "posterior_classifier", "run_sampler", "sample_moments",
+    "samples_to_csv", "save_samples", "step_as_var_equivalence",
+    "step_subset", "substream", "train_toy_regressor",
 ]

@@ -20,27 +20,31 @@ import json
 import os
 import sys
 
-from .errors import ValidationError
-from .experiment import (ExperimentConfig, builtin_presets,
-                         build_fast_schedule, format_schedule_dump,
-                         inspect_schedule, run_sweep, CSV_SCHEMA_VERSION)
+from .errors import ConstructionError, ValidationError
+from .experiment import (ExperimentConfig, csv_value, format_schedule_dump,
+                         inspect_schedule, load_mixture, load_run, run_sweep,
+                         CSV_SCHEMA_VERSION)
 from .metrics import MetricReport, frechet_distance, inception_score
-from .mixture import AnalyticEpsilonModel, GaussianMixture, posterior_classifier
-from .regressor import ToyRegressor
+from .mixture import posterior_classifier
 from .rng import NoiseStream
-from .samplers import SamplerConfig, ddpm_reverse, fast_ddim_reverse, \
-    fast_ddpm_reverse
-from .schedule import NoiseLevelMap, VarianceSchedule
+# The three reverse samplers stay importable for perfbench's call tracer.
+from .samplers import (ddpm_reverse, fast_ddim_reverse,  # noqa: F401
+                       fast_ddpm_reverse, run_sampler)
 from .storage import ensure_dir, load_samples, samples_to_csv, save_samples
 
 ENV_OUT = "FASTDIFF_OUT"
 
 
-def _load_config(path) -> dict:
-    if path is None:
+def _load_config(args) -> dict:
+    """The --config JSON, with `data` replaced by --preset when given."""
+    if args.config is None:
         raise ValidationError("--config is required for this verb")
-    with open(path) as fh:
-        return json.load(fh)
+    with open(args.config) as fh:
+        raw = json.load(fh)
+    if args.preset is not None:
+        raw.setdefault("data", {})["preset"] = args.preset
+        raw["data"].pop("path", None)
+    return raw
 
 
 def _resolve_out(args) -> str:
@@ -51,31 +55,13 @@ def _resolve_out(args) -> str:
     return ensure_dir(out)
 
 
-def _mixture_from(raw: dict, preset: str | None) -> GaussianMixture:
-    if preset is not None:
-        presets = builtin_presets()
-        if preset not in presets:
-            raise ValidationError(
-                f"unknown preset {preset!r}; available: {sorted(presets)}")
-        return presets[preset]
-    data = raw.get("data", {})
-    if "preset" in data:
-        return _mixture_from(raw, data["preset"])
-    if "path" in data:
-        return GaussianMixture.from_json(data["path"])
-    raise ValidationError("config needs data.preset or data.path (or --preset)")
-
-
 def _cmd_inspect(args):
-    raw = _load_config(args.config)
+    raw = _load_config(args)
     run = raw.get("run", {})
     kind = args.kind or run.get("kind")
     variant = args.variant or run.get("variant")
     num_steps = args.num_steps or run.get("S")
-    if not all([kind, variant, num_steps]):
-        raise ValidationError(
-            "inspect needs kind/variant/S (config 'run' section or flags)")
-    dump = inspect_schedule(raw["schedule"], kind, variant, int(num_steps))
+    dump = inspect_schedule(raw.get("schedule"), kind, variant, num_steps)
     if args.json:
         print(json.dumps(dump, indent=2))
     else:
@@ -83,53 +69,27 @@ def _cmd_inspect(args):
     return 0
 
 
-def _build_model(raw, mixture, level_map):
-    model_spec = raw.get("model", {"kind": "analytic"})
-    if model_spec.get("kind", "analytic") == "trained":
-        return ToyRegressor.load(model_spec["path"])
-    return AnalyticEpsilonModel(mixture, level_map)
-
-
 def _cmd_sample(args):
-    raw = _load_config(args.config)
-    run = raw.get("run")
-    if not run:
-        raise ValidationError("sample needs a 'run' section in the config")
-    schedule = VarianceSchedule.from_descriptor(raw["schedule"])
-    level_map = NoiseLevelMap(schedule)
-    mixture = _mixture_from(raw, args.preset)
-    model = _build_model(raw, mixture, level_map)
-    seed = args.seed if args.seed is not None else int(run.get("seed", 0))
-    config = SamplerConfig(
-        dim=mixture.dim, batch=int(run.get("batch", 1000)), seed=seed,
-        kappa=float(run.get("kappa", 0.0)),
-        final_step_noise=run.get("final_step_noise", "zero"))
-    kind = run.get("kind", "step")
-    if kind == "full":
-        batch = ddpm_reverse(schedule, model, config)
-    else:
-        fast = build_fast_schedule(schedule, level_map, kind,
-                                   run.get("variant", "linear"),
-                                   int(run["S"]))
-        if run.get("sampler", "ddpm") == "ddim":
-            batch = fast_ddim_reverse(fast, model, config)
-        else:
-            batch = fast_ddpm_reverse(fast, model, config)
+    raw = _load_config(args)
+    if args.seed is not None and raw.get("run"):
+        raw["run"]["seed"] = args.seed
+    fast, model, config, sampler = load_run(raw)
+    batch = run_sampler(fast, model, config, sampler)
     out = _resolve_out(args)
     prefix = os.path.join(out, "samples")
     save_samples(batch, prefix)
-    if mixture.dim <= 16:
+    if config.dim <= 16:
         samples_to_csv(batch, prefix + ".csv")
     print(f"wrote {batch.samples.shape[0]} samples to {prefix}.bin")
     return 0
 
 
 def _cmd_evaluate(args):
-    raw = _load_config(args.config)
+    raw = _load_config(args)
     if args.samples is None:
         raise ValidationError("evaluate needs --samples <prefix>")
     batch = load_samples(args.samples)
-    mixture = _mixture_from(raw, args.preset)
+    mixture = load_mixture(raw)
     seed = args.seed if args.seed is not None else 0
     reference = mixture.sample(NoiseStream.from_seed(seed),
                                max(batch.samples.shape[0], mixture.dim + 1))
@@ -156,22 +116,17 @@ def _cmd_evaluate(args):
     with open(os.path.join(out, "report.csv"), "w", newline="") as fh:
         fh.write("schedule_kind,S,sampler,kappa,seed,frechet,"
                  "inception_score,accuracy\n")
-        fh.write(",".join("" if v is None else (repr(v) if isinstance(v, float)
-                                                else str(v))
-                          for v in (cfg["schedule_kind"], cfg["S"],
-                                    cfg["sampler"], cfg["kappa"], cfg["seed"],
-                                    report.frechet, report.inception_score,
-                                    report.accuracy)) + "\n")
+        fh.write(",".join(csv_value(v) for v in (
+            cfg["schedule_kind"], cfg["S"], cfg["sampler"], cfg["kappa"],
+            cfg["seed"], report.frechet, report.inception_score,
+            report.accuracy)) + "\n")
     print(f"frechet={report.frechet:.6f}"
           + (f" inception_score={score:.4f}" if score is not None else ""))
     return 0
 
 
 def _cmd_sweep(args):
-    raw = _load_config(args.config)
-    if args.preset is not None:
-        raw.setdefault("data", {})["preset"] = args.preset
-        raw["data"].pop("path", None)
+    raw = _load_config(args)
     if args.seed is not None:
         raw["seeds"] = [args.seed]
     config = ExperimentConfig(raw)
@@ -222,7 +177,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError) as err:
+    except (ValidationError, ConstructionError, OSError,
+            json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -25,8 +25,10 @@ from .errors import ValidationError
 from .metrics import frechet_distance, inception_score, accuracy
 from .mixture import AnalyticEpsilonModel, GaussianMixture, posterior_classifier
 from .regressor import ToyRegressor
-from .rng import NoiseStream
-from .samplers import (SamplerConfig, fast_ddim_reverse, fast_ddpm_reverse)
+from .rng import substream
+# fast_ddpm_reverse and fast_ddim_reverse stay for perfbench's call tracer.
+from .samplers import (SamplerConfig, fast_ddim_reverse,  # noqa: F401
+                       fast_ddpm_reverse, run_sampler)
 from .schedule import NoiseLevelMap, VarianceSchedule
 from .storage import ensure_dir
 
@@ -61,36 +63,21 @@ class ExperimentConfig:
 
     def __init__(self, raw: dict):
         self.raw = raw
-        try:
-            self.schedule = VarianceSchedule.from_descriptor(raw["schedule"])
-        except KeyError:
-            raise ValidationError("config needs a 'schedule' descriptor")
-        self.mixture = self._load_mixture(raw.get("data", {}))
-        model = raw.get("model", {"kind": "analytic"})
-        self.model_kind = model.get("kind", "analytic")
-        if self.model_kind not in ("analytic", "trained"):
-            raise ValidationError(f"unknown model kind {self.model_kind!r}")
-        self.model_path = model.get("path")
-        if self.model_kind == "trained" and not self.model_path:
-            raise ValidationError("trained model requires a 'path'")
+        self.schedule = load_schedule(raw.get("schedule"))
+        self.level_map = NoiseLevelMap(self.schedule)
+        self.mixture = load_mixture(raw)
+        self.model = build_model(raw, self.mixture, self.level_map)
 
         sweep = raw.get("sweep")
         if not sweep:
             raise ValidationError("config needs a non-empty 'sweep' section")
         self.kinds = self._listed(sweep, "kinds", _KINDS)
         self.variants = self._listed(sweep, "variants", _VARIANTS)
-        self.num_steps_list = list(sweep.get("num_steps", []))
-        if not self.num_steps_list:
-            raise ValidationError("sweep.num_steps must be non-empty")
-        for s in self.num_steps_list:
-            if not 1 <= int(s) <= self.schedule.num_steps:
-                raise ValidationError(
-                    f"sweep num_steps {s} outside [1, {self.schedule.num_steps}]")
+        self.num_steps_list = self._listed(
+            sweep, "num_steps", range(1, self.schedule.num_steps + 1))
         self.samplers = []
         for spec in sweep.get("samplers", []):
-            name = spec.get("name")
-            if name not in _SAMPLERS:
-                raise ValidationError(f"unknown sampler {name!r}")
+            name = _checked("sweep sampler", spec.get("name"), _SAMPLERS)
             kappa = float(spec.get("kappa", 0.0))
             if not 0.0 <= kappa <= 1.0:
                 raise ValidationError(f"kappa {kappa} outside [0, 1]")
@@ -109,14 +96,13 @@ class ExperimentConfig:
         self.conditional = bool(raw.get("conditional", False))
         if self.conditional and self.mixture.labels is None:
             raise ValidationError("conditional sweep needs a labelled mixture")
-        if self.conditional and self.model_kind != "analytic":
+        if self.conditional and not isinstance(self.model,
+                                               AnalyticEpsilonModel):
             raise ValidationError(
                 "conditional sweep supports the analytic model only")
-        self.final_step_noise = raw.get("final_step_noise", "zero")
-        if self.final_step_noise not in ("zero", "literal"):
-            raise ValidationError(
-                f"final_step_noise must be 'zero' or 'literal', "
-                f"got {self.final_step_noise!r}")
+        self.final_step_noise = _checked(
+            "final_step_noise", raw.get("final_step_noise", "zero"),
+            ("zero", "literal"))
 
     @staticmethod
     def _listed(sweep, key, allowed):
@@ -124,27 +110,8 @@ class ExperimentConfig:
         if not values:
             raise ValidationError(f"sweep.{key} must be non-empty")
         for v in values:
-            if v not in allowed:
-                raise ValidationError(f"sweep.{key} entry {v!r} not in {allowed}")
+            _checked(f"sweep.{key} entry", v, allowed)
         return values
-
-    @staticmethod
-    def _load_mixture(data: dict) -> GaussianMixture:
-        if "preset" in data:
-            presets = builtin_presets()
-            if data["preset"] not in presets:
-                raise ValidationError(
-                    f"unknown preset {data['preset']!r}; "
-                    f"available: {sorted(presets)}")
-            return presets[data["preset"]]
-        if "path" in data:
-            return GaussianMixture.from_json(data["path"])
-        raise ValidationError("data section needs 'preset' or 'path'")
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls(json.load(fh))
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.raw, sort_keys=True,
@@ -170,9 +137,76 @@ def _cell_seed(seed: int, index: int) -> int:
                .generate_state(1, dtype=np.uint64)[0])
 
 
+def _checked(name, value, allowed):
+    if value not in allowed:
+        raise ValidationError(
+            f"{name} must be one of {allowed}, got {value!r}")
+    return value
+
+
+def load_schedule(descriptor) -> VarianceSchedule:
+    """The variance schedule of a config's `schedule` descriptor."""
+    if descriptor is None:
+        raise ValidationError("config needs a 'schedule' descriptor")
+    return VarianceSchedule.from_descriptor(descriptor)
+
+
+def load_mixture(raw: dict) -> GaussianMixture:
+    """The data distribution of a config: `data.preset` or `data.path`."""
+    data = raw.get("data", {})
+    if "preset" in data:
+        presets = builtin_presets()
+        if data["preset"] not in presets:
+            raise ValidationError(
+                f"unknown preset {data['preset']!r}; "
+                f"available: {sorted(presets)}")
+        return presets[data["preset"]]
+    if "path" in data:
+        return GaussianMixture.from_json(data["path"])
+    raise ValidationError(
+        "config needs data.preset or data.path (or --preset)")
+
+
+def build_model(raw: dict, mixture: GaussianMixture, level_map: NoiseLevelMap):
+    """The config's noise model: analytic (default) or trained."""
+    spec = raw.get("model", {})
+    kind = _checked("model.kind", spec.get("kind", "analytic"),
+                    ("analytic", "trained"))
+    if kind == "analytic":
+        return AnalyticEpsilonModel(mixture, level_map)
+    if not spec.get("path"):
+        raise ValidationError("trained model requires a 'path'")
+    return ToyRegressor.load(spec["path"])
+
+
+def load_run(raw: dict):
+    """The `run` section of a sample config, checked as a sweep's cells are;
+    returns (fast schedule, model, sampler config, sampler name)."""
+    run = raw.get("run")
+    if not run:
+        raise ValidationError("sample needs a 'run' section in the config")
+    schedule = load_schedule(raw.get("schedule"))
+    level_map = NoiseLevelMap(schedule)
+    mixture = load_mixture(raw)
+    model = build_model(raw, mixture, level_map)
+    kind = _checked("run.kind", run.get("kind", "step"), _KINDS + ("full",))
+    variant = _checked("run.variant", run.get("variant", "linear"), _VARIANTS)
+    sampler = _checked("run.sampler", run.get("sampler", "ddpm"), _SAMPLERS)
+    config = SamplerConfig(
+        dim=mixture.dim, batch=int(run.get("batch", 1000)),
+        seed=int(run.get("seed", 0)), kappa=float(run.get("kappa", 0.0)),
+        final_step_noise=run.get("final_step_noise", "zero"))
+    if kind != "full":
+        _checked("run.S", run.get("S"), range(1, schedule.num_steps + 1))
+    fast = build_fast_schedule(schedule, level_map, kind, variant, run.get("S"))
+    return fast, model, config, sampler
+
+
 def build_fast_schedule(schedule, level_map, kind, variant, num_steps):
+    if kind == "full":
+        return fs.FastSchedule.full(schedule)
     if kind == "step":
-        return fs.build_step_schedule(schedule, level_map, num_steps, variant)
+        return fs.build_step_schedule(schedule, num_steps, variant)
     return fs.build_var_schedule(schedule, level_map, num_steps, variant)
 
 
@@ -180,12 +214,10 @@ def _generate(config, model, fast, sampler, kappa, batch, seed):
     sampler_config = SamplerConfig(
         dim=config.mixture.dim, batch=batch, seed=seed, kappa=kappa,
         final_step_noise=config.final_step_noise)
-    if sampler == "ddpm":
-        return fast_ddpm_reverse(fast, model, sampler_config)
-    return fast_ddim_reverse(fast, model, sampler_config)
+    return run_sampler(fast, model, sampler_config, sampler)
 
 
-def _conditional_generate(config, level_map, fast, sampler, kappa, seed):
+def _conditional_generate(config, fast, sampler, kappa, seed):
     """Round-robin class-conditional generation via per-class restricted
     mixtures; returns (samples, specified label indices)."""
     classes = config.mixture.class_labels()
@@ -193,14 +225,10 @@ def _conditional_generate(config, level_map, fast, sampler, kappa, seed):
     per_class[:config.samples_per_cell % classes.size] += 1
     chunks, labels, provenance = [], [], None
     for j, label in enumerate(classes):
-        sub = config.mixture.restrict(int(label))
-        model = AnalyticEpsilonModel(sub, level_map)
-        sampler_config = SamplerConfig(
-            dim=sub.dim, batch=int(per_class[j]),
-            seed=_cell_seed(seed, j + 1), kappa=kappa,
-            final_step_noise=config.final_step_noise)
-        runner = fast_ddpm_reverse if sampler == "ddpm" else fast_ddim_reverse
-        batch = runner(fast, model, sampler_config)
+        model = AnalyticEpsilonModel(config.mixture.restrict(int(label)),
+                                     config.level_map)
+        batch = _generate(config, model, fast, sampler, kappa,
+                          int(per_class[j]), _cell_seed(seed, j + 1))
         chunks.append(batch.samples)
         labels.append(np.full(int(per_class[j]), j))
         provenance = batch.provenance
@@ -214,11 +242,6 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     on; only config validation aborts the whole run (and it happens before
     this function is reachable).
     """
-    level_map = NoiseLevelMap(config.schedule)
-    if config.model_kind == "trained":
-        model = ToyRegressor.load(config.model_path)
-    else:
-        model = AnalyticEpsilonModel(config.mixture, level_map)
     grid = config.grid()
     cells_per_seed = len(grid) // len(config.seeds)
     rows, timings = [], []
@@ -226,10 +249,8 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     for index, (seed, kind, variant, s, sampler, kappa) in enumerate(grid):
         cell = index % cells_per_seed  # index within this seed's grid
         if seed not in references:
-            ref_stream = NoiseStream(
-                np.random.SeedSequence(seed, spawn_key=(_REFERENCE_KEY,)))
             references[seed] = config.mixture.sample(
-                ref_stream, config.samples_per_cell)
+                substream(seed, _REFERENCE_KEY), config.samples_per_cell)
         row = {"seed": seed, "kind": kind, "variant": variant, "S": s,
                "sampler": sampler, "kappa": kappa, "frechet": None,
                "inception_score": None, "accuracy": None,
@@ -237,14 +258,13 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
                "status": "ok", "error": ""}
         started = time.perf_counter()
         try:
-            fast = build_fast_schedule(config.schedule, level_map, kind,
-                                       variant, s)
+            fast = build_fast_schedule(config.schedule, config.level_map,
+                                       kind, variant, s)
             if config.conditional:
                 samples, label_idx, provenance = _conditional_generate(
-                    config, level_map, fast, sampler, kappa,
-                    _cell_seed(seed, cell))
+                    config, fast, sampler, kappa, _cell_seed(seed, cell))
             else:
-                batch = _generate(config, model, fast, sampler, kappa,
+                batch = _generate(config, config.model, fast, sampler, kappa,
                                   config.samples_per_cell,
                                   _cell_seed(seed, cell))
                 samples, label_idx, provenance = batch.samples, None, \
@@ -276,7 +296,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     return rows
 
 
-def _csv_value(value) -> str:
+def csv_value(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
@@ -290,20 +310,17 @@ def write_rows_csv(rows, path, config_hash: str) -> None:
                  f"config={config_hash}\n")
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
-            fh.write(",".join(_csv_value(row[c]) for c in CSV_COLUMNS) + "\n")
+            fh.write(",".join(csv_value(row[c]) for c in CSV_COLUMNS) + "\n")
 
 
 def inspect_schedule(descriptor: dict, kind: str, variant: str,
                      num_steps: int) -> dict:
     """Machine-readable dump of a shortened schedule, with diagnostics."""
-    if kind not in _KINDS:
-        raise ValidationError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if variant not in _VARIANTS:
-        raise ValidationError(
-            f"variant must be one of {_VARIANTS}, got {variant!r}")
-    schedule = VarianceSchedule.from_descriptor(descriptor)
-    level_map = NoiseLevelMap(schedule)
-    fast = build_fast_schedule(schedule, level_map, kind, variant, num_steps)
+    schedule = load_schedule(descriptor)
+    fast = build_fast_schedule(
+        schedule, NoiseLevelMap(schedule), _checked("kind", kind, _KINDS),
+        _checked("variant", variant, _VARIANTS),
+        _checked("S", num_steps, range(1, schedule.num_steps + 1)))
     out = fast.to_dict()
     out["eta_tilde"] = fast.eta_tildes.tolist()
     if fast.is_step_kind:

@@ -15,6 +15,8 @@ gamma_bar_s telescopes to alpha_bar(tau_s) and cont_step_s = tau_s exactly.
 VAR instead prescribes the variances eta_s directly on a linear or quadratic
 ramp, scaled so the terminal noise level matches the original schedule:
 prod(1 - eta_s) = alpha_bar(T).
+`FastSchedule.full` is STEP over every step: eta_s = beta_s, so gamma_bar_s =
+alpha_bar_s and eta_tilde_s = beta_tilde_s.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ STEP_LINEAR = "step_linear"
 STEP_QUADRATIC = "step_quadratic"
 VAR_LINEAR = "var_linear"
 VAR_QUADRATIC = "var_quadratic"
+FULL = "full"
 
-KINDS = (STEP_LINEAR, STEP_QUADRATIC, VAR_LINEAR, VAR_QUADRATIC)
+KINDS = (STEP_LINEAR, STEP_QUADRATIC, VAR_LINEAR, VAR_QUADRATIC, FULL)
 
 # Largest admissible per-step variance when solving for the VAR ramp slope.
 _ETA_CAP = 1.0 - 1e-6
@@ -41,8 +44,8 @@ _ROOT_TOL = 1e-13
 
 
 class FastSchedule:
-    """Immutable S-step schedule; build via `build_step_schedule` /
-    `build_var_schedule` rather than directly."""
+    """Immutable S-step schedule; build via `build_step_schedule`,
+    `build_var_schedule` or `full` (which keeps its `source` schedule)."""
 
     def __init__(self, kind: str, etas: np.ndarray, cont_steps: np.ndarray,
                  taus: np.ndarray | None = None):
@@ -75,9 +78,17 @@ class FastSchedule:
         for a in arrays:
             a.flags.writeable = False
 
+    @classmethod
+    def full(cls, schedule: VarianceSchedule) -> "FastSchedule":
+        """The full T-step chain: eta = beta, steps 1..T."""
+        steps = np.arange(1, schedule.num_steps + 1)
+        fast = cls(FULL, schedule.betas, steps.astype(float), steps)
+        fast.source = schedule
+        return fast
+
     @property
     def is_step_kind(self) -> bool:
-        return self.kind in (STEP_LINEAR, STEP_QUADRATIC)
+        return self.kind in (STEP_LINEAR, STEP_QUADRATIC, FULL)
 
     # -- serialization -------------------------------------------------------
 
@@ -132,8 +143,8 @@ def step_subset(num_steps_full: int, num_steps: int, variant: str) -> np.ndarray
     return unique
 
 
-def build_step_schedule(schedule: VarianceSchedule, level_map: NoiseLevelMap,
-                        num_steps: int, variant: str) -> FastSchedule:
+def build_step_schedule(schedule: VarianceSchedule, num_steps: int,
+                        variant: str) -> FastSchedule:
     """Shortened schedule from a subset of the original discrete steps."""
     if not 1 <= num_steps <= schedule.num_steps:
         raise ValueError(

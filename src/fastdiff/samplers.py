@@ -6,9 +6,9 @@ marginal
 
     x_t = sqrt(alpha_bar_t) x_0 + sqrt(1 - alpha_bar_t) eps.
 
-Three reverse samplers are provided:
+Three reverse samplers are provided; `run_sampler` picks one by name:
 
-* `ddpm_reverse`       - the full T-step ancestral chain,
+* `ddpm_reverse`       - the full T-step ancestral chain (`FastSchedule.full`),
   x_{t-1} = (x_t - beta_t / sqrt(1 - alpha_bar_t) eps_theta) / sqrt(alpha_t)
             + sqrt(beta_tilde_t) z.
 * `fast_ddpm_reverse`  - the same recursion over a shortened S-step schedule,
@@ -29,8 +29,8 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import ConstructionError, NumericError
-from .fast_schedule import FastSchedule
+from .errors import ConstructionError, NumericError, ValidationError
+from .fast_schedule import FULL, FastSchedule
 from .rng import NoiseStream, chain_streams
 from .schedule import VarianceSchedule
 
@@ -71,13 +71,14 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise ValidationError("dim must be >= 1")
         if self.batch < 1:
-            raise ValueError("batch must be >= 1")
+            raise ValidationError("batch must be >= 1")
         if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError(f"kappa must lie in [0, 1], got {self.kappa}")
+            raise ValidationError(
+                f"kappa must lie in [0, 1], got {self.kappa}")
         if self.final_step_noise not in (FINAL_STEP_ZERO, FINAL_STEP_LITERAL):
-            raise ValueError(
+            raise ValidationError(
                 f"final_step_noise must be 'zero' or 'literal', "
                 f"got {self.final_step_noise!r}")
 
@@ -125,21 +126,17 @@ def _check_finite(x, step):
         raise NumericError(f"non-finite state at reverse step {step}", step=step)
 
 
-def _reverse_chain(etas, gamma_bars, cont_steps, model, config, provenance,
-                   initial, kappa_mode):
+def _reverse_chain(fast, model, config, provenance, initial, kappa_mode):
     """Shared driver for the ancestral and implicit reverse recursions.
 
     kappa_mode is None for the DDPM update and a float kappa for the DDIM
     update; the two consume identical noise streams for kappa > 0, which is
     what makes the kappa = 1 equivalence testable draw for draw.
     """
-    etas = np.asarray(etas, dtype=float)
-    gamma_bars = np.asarray(gamma_bars, dtype=float)
-    gammas = 1.0 - etas
+    etas, gammas, gamma_bars = fast.etas, fast.gammas, fast.gamma_bars
+    eta_tildes, cont_steps = fast.eta_tildes, fast.cont_steps
     prev_bars = np.concatenate([[1.0], gamma_bars[:-1]])
-    eta_tildes = (1.0 - prev_bars) / (1.0 - gamma_bars) * etas
-    eta_tildes[0] = etas[0]
-    num_steps = etas.size
+    num_steps = fast.num_steps
 
     deterministic = kappa_mode is not None and kappa_mode == 0.0
     literal = config.final_step_noise == FINAL_STEP_LITERAL
@@ -196,10 +193,9 @@ def ddpm_reverse(schedule: VarianceSchedule, model: EpsilonModel,
                  config: SamplerConfig, initial: np.ndarray | None = None
                  ) -> SampleBatch:
     """Full-length ancestral sampling over all num_steps reverse steps."""
-    cont_steps = np.arange(1, schedule.num_steps + 1, dtype=float)
     provenance = {"sampler": "ddpm_full", "schedule": schedule.to_descriptor()}
-    return _reverse_chain(schedule.betas, schedule.alpha_bars, cont_steps,
-                          model, config, provenance, initial, None)
+    return _reverse_chain(FastSchedule.full(schedule), model, config,
+                          provenance, initial, None)
 
 
 def fast_ddpm_reverse(fast: FastSchedule, model: EpsilonModel,
@@ -207,8 +203,7 @@ def fast_ddpm_reverse(fast: FastSchedule, model: EpsilonModel,
                       initial: np.ndarray | None = None) -> SampleBatch:
     """Ancestral sampling over a shortened schedule."""
     provenance = {"sampler": "ddpm", "fast_schedule": fast.to_dict()}
-    return _reverse_chain(fast.etas, fast.gamma_bars, fast.cont_steps,
-                          model, config, provenance, initial, None)
+    return _reverse_chain(fast, model, config, provenance, initial, None)
 
 
 def fast_ddim_reverse(fast: FastSchedule, model: EpsilonModel,
@@ -222,5 +217,19 @@ def fast_ddim_reverse(fast: FastSchedule, model: EpsilonModel,
     """
     provenance = {"sampler": "ddim", "kappa": config.kappa,
                   "fast_schedule": fast.to_dict()}
-    return _reverse_chain(fast.etas, fast.gamma_bars, fast.cont_steps,
-                          model, config, provenance, initial, config.kappa)
+    return _reverse_chain(fast, model, config, provenance, initial,
+                          config.kappa)
+
+
+def run_sampler(fast: FastSchedule, model: EpsilonModel,
+                config: SamplerConfig, sampler: str) -> SampleBatch:
+    """Run the named sampler, "ddpm" or "ddim", over `fast`; DDPM over a
+    full schedule is `ddpm_reverse`, whose provenance names the variance
+    schedule."""
+    if sampler == "ddim":
+        return fast_ddim_reverse(fast, model, config)
+    if sampler != "ddpm":
+        raise ValidationError(f"unknown sampler {sampler!r}")
+    if fast.kind == FULL:
+        return ddpm_reverse(fast.source, model, config)
+    return fast_ddpm_reverse(fast, model, config)

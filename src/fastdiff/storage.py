@@ -13,6 +13,7 @@ import os
 
 import numpy as np
 
+from .errors import ValidationError
 from .samplers import SampleBatch
 
 _CSV_DIM_LIMIT = 16
@@ -30,8 +31,12 @@ def save_samples(batch: SampleBatch, prefix: str) -> None:
 def load_samples(prefix: str) -> SampleBatch:
     with open(f"{prefix}.json") as fh:
         sidecar = json.load(fh)
-    flat = np.fromfile(f"{prefix}.bin", dtype=sidecar["dtype"])
-    samples = flat.reshape(sidecar["shape"])
+    size = int(np.prod(sidecar["shape"])) * np.dtype(sidecar["dtype"]).itemsize
+    if os.path.getsize(f"{prefix}.bin") != size:
+        raise ValidationError(f"{prefix}.bin does not hold {size} bytes, the "
+                              f"shape {sidecar['shape']} its sidecar gives")
+    samples = np.fromfile(f"{prefix}.bin",
+                          dtype=sidecar["dtype"]).reshape(sidecar["shape"])
     return SampleBatch(samples=samples, provenance=sidecar["provenance"])
 
 

@@ -10,11 +10,11 @@ import pytest
 
 from fastdiff import (AnalyticEpsilonModel, GaussianMixture, NoiseLevelMap,
                       NoiseStream, SamplerConfig, TrainingParams,
-                      VarianceSchedule, build_step_schedule,
-                      build_var_schedule, ddpm_reverse, fast_ddim_reverse,
-                      fast_ddpm_reverse, forward_jump, frechet_gaussian,
-                      inception_score, sample_moments,
+                      VarianceSchedule, build_step_schedule, ddpm_reverse,
+                      fast_ddim_reverse, fast_ddpm_reverse, forward_jump,
+                      frechet_gaussian, inception_score, sample_moments,
                       step_as_var_equivalence, train_toy_regressor)
+from fastdiff.experiment import build_fast_schedule
 
 REFERENCE_SCHEDULES = {
     200: VarianceSchedule(1e-4, 0.02, 200),
@@ -74,8 +74,7 @@ def test_criterion_3_step_as_var_identity():
     worst = 0.0
     for num_steps, s, variant in cases:
         schedule = REFERENCE_SCHEDULES[num_steps]
-        fast = build_step_schedule(schedule, REFERENCE_MAPS[num_steps], s,
-                                   variant)
+        fast = build_step_schedule(schedule, s, variant)
         assert step_as_var_equivalence(fast, schedule)
         reference = schedule.alpha_bars[fast.taus - 1]
         worst = max(worst, float(np.max(
@@ -97,8 +96,7 @@ def test_criterion_4_kappa_one_equivalence():
         kind = rng.choice(["step", "var"])
         variant = rng.choice(["linear", "quadratic"])
         s = int(rng.integers(2, 51))
-        builder = build_step_schedule if kind == "step" else build_var_schedule
-        fast = builder(schedule, level_map, s, variant)
+        fast = build_fast_schedule(schedule, level_map, kind, variant, s)
         config = SamplerConfig(
             dim=2, batch=4, seed=int(rng.integers(0, 2**32)), kappa=1.0,
             final_step_noise=str(rng.choice(["zero", "literal"])),
@@ -152,9 +150,8 @@ def test_criterion_6_oracle_end_to_end():
     fd_full = frechet_gaussian(mean, cov, np.zeros(2), np.eye(2))
 
     fd_fast = {}
-    for kind, builder in (("step", build_step_schedule),
-                          ("var", build_var_schedule)):
-        fast = builder(schedule, level_map, 50, "linear")
+    for kind in ("step", "var"):
+        fast = build_fast_schedule(schedule, level_map, kind, "linear", 50)
         out = fast_ddpm_reverse(fast, model, config)
         mean, cov = sample_moments(out.samples)
         fd_fast[kind] = frechet_gaussian(mean, cov, np.zeros(2), np.eye(2))
@@ -175,11 +172,10 @@ def test_criterion_7_quality_improves_with_length():
     model = oracle_model(gm, 200)
     mean_ref, cov_ref = gm.moments()
     passed, details = True, []
-    for kind, builder in (("step", build_step_schedule),
-                          ("var", build_var_schedule)):
+    for kind in ("step", "var"):
         averages = []
         for s in (5, 10, 50):
-            fast = builder(schedule, level_map, s, "linear")
+            fast = build_fast_schedule(schedule, level_map, kind, "linear", s)
             values = []
             for seed in range(5):
                 config = SamplerConfig(dim=2, batch=2000, seed=1000 + seed)
@@ -223,7 +219,7 @@ def test_criterion_9_model_call_counts():
     config = SamplerConfig(dim=2, batch=8, seed=0)
 
     counter = CountingModel(oracle_model(gm, 200))
-    fast = build_step_schedule(schedule, level_map, 10, "linear")
+    fast = build_step_schedule(schedule, 10, "linear")
     short = fast_ddpm_reverse(fast, counter, config)
     short_calls = counter.calls
 
@@ -251,7 +247,7 @@ def test_criterion_10_toy_training():
     initial_ok = abs(model.loss_trace[0] - dim) <= 0.15 * dim
     holdout_ok = model.holdout_loss <= 0.3 * dim
 
-    fast = build_step_schedule(schedule, level_map, 50, "linear")
+    fast = build_step_schedule(schedule, 50, "linear")
     mean_ref, cov_ref = gm.moments()
     scores = {}
     for name, m in (("analytic", oracle_model(gm, 1000)), ("trained", model)):

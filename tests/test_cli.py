@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import fastdiff.cli
 from fastdiff.cli import main
 
 SCHEDULE = {"beta_1": 1e-4, "beta_T": 0.02, "T": 200}
@@ -99,6 +100,21 @@ class TestSample:
         sidecar = json.loads((out / "samples.json").read_text())
         assert sidecar["provenance"]["model_calls_per_chain"] == 50
 
+    def test_full_chain_with_ddim_runs_the_implicit_sampler(self, tmp_path):
+        config = write_config(tmp_path, "full.json", {
+            "schedule": {"beta_1": 1e-4, "beta_T": 0.02, "T": 50},
+            "data": {"preset": "std_normal_2d"},
+            "run": {"kind": "full", "sampler": "ddim", "kappa": 0.0,
+                    "batch": 20}})
+        out = tmp_path / "out"
+        assert main(["sample", "--config", config, "--out", str(out)]) == 0
+        provenance = json.loads((out / "samples.json").read_text())[
+            "provenance"]
+        assert provenance["sampler"] == "ddim"
+        assert provenance["fast_schedule"]["kind"] == "full"
+        assert provenance["model_calls_per_chain"] == 50
+        assert provenance["normals_per_chain"] == 2  # dim: the initial state
+
 
 class TestEvaluate:
     def test_reports_metrics(self, sample_config, tmp_path, capsys):
@@ -118,6 +134,16 @@ class TestEvaluate:
     def test_requires_samples_flag(self, sample_config, tmp_path):
         assert main(["evaluate", "--config", sample_config,
                      "--out", str(tmp_path)]) == 1
+
+    def test_truncated_samples_exit_1(self, sample_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["sample", "--config", sample_config, "--out", str(out)])
+        data = (out / "samples.bin").read_bytes()
+        (out / "samples.bin").write_bytes(data[:len(data) // 2])
+        assert main(["evaluate", "--config", sample_config,
+                     "--samples", str(out / "samples"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSweepVerb:
@@ -160,3 +186,73 @@ class TestSweepVerb:
                                       capsys):
         monkeypatch.delenv("FASTDIFF_OUT", raising=False)
         assert main(["sweep", "--config", sweep_config]) == 1
+
+
+def config_with(run=(), sweep=(), **top):
+    """A config that every verb accepts, with entries of `run`, `sweep` and
+    the top level replaced; a None value drops the entry."""
+    raw = {"schedule": SCHEDULE, "data": {"preset": "std_normal_2d"},
+           "model": {"kind": "analytic"},
+           "run": {"kind": "step", "variant": "linear", "S": 5,
+                   "sampler": "ddpm", "batch": 20},
+           "sweep": {"kinds": ["step"], "variants": ["linear"],
+                     "num_steps": [5], "samplers": [{"name": "ddpm"}]},
+           "samples_per_cell": 50, "seeds": [0]}
+    raw["run"].update(run)
+    raw["sweep"].update(sweep)
+    raw.update(top)
+    for section in (raw, raw["run"], raw["sweep"]):
+        for key in [k for k, v in section.items() if v is None]:
+            del section[key]
+    return raw
+
+
+ALL_VERBS = ("sample", "inspect", "sweep")
+BAD_INPUTS = [
+    ("malformed_json", ALL_VERBS, '{"schedule": '),
+    ("no_schedule", ALL_VERBS, config_with(schedule=None)),
+    ("run_without_S", ("sample", "inspect"), config_with(run={"S": None})),
+    ("beta_1_above_beta_T", ALL_VERBS, config_with(
+        schedule={"beta_1": 0.02, "beta_T": 1e-4, "T": 200})),
+    ("S_above_T", ALL_VERBS, config_with(run={"S": 500},
+                                         sweep={"num_steps": [500]})),
+    ("cubic_variant", ALL_VERBS, config_with(run={"variant": "cubic"},
+                                             sweep={"variants": ["cubic"]})),
+    ("bogus_kind", ALL_VERBS, config_with(run={"kind": "bogus"},
+                                          sweep={"kinds": ["bogus"]})),
+    ("dimm_sampler", ("sample", "sweep"), config_with(
+        run={"sampler": "dimm"}, sweep={"samplers": [{"name": "dimm"}]})),
+    ("bogus_model", ("sample", "sweep"), config_with(model={"kind": "bogus"})),
+]
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("verb", ALL_VERBS)
+    def test_base_config_is_valid(self, tmp_path, verb):
+        config = write_config(tmp_path, "ok.json", config_with())
+        assert main([verb, "--config", config,
+                     "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("verb,payload", [
+        pytest.param(verb, payload, id=f"{verb}-{name}")
+        for name, verbs, payload in BAD_INPUTS for verb in verbs])
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, verb,
+                                         payload):
+        path = tmp_path / "bad.json"
+        path.write_text(payload if isinstance(payload, str)
+                        else json.dumps(payload))
+        code = main([verb, "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_programming_error_still_raises(self, sample_config, tmp_path,
+                                            monkeypatch):
+        def broken(*args):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(fastdiff.cli, "run_sampler", broken)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            main(["sample", "--config", sample_config,
+                  "--out", str(tmp_path / "out")])

@@ -1,39 +1,42 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fastdiff import (ConstructionError, FastSchedule, VarianceSchedule,
-                      NoiseLevelMap, build_step_schedule, build_var_schedule,
+from fastdiff import (AnalyticEpsilonModel, ConstructionError, FastSchedule,
+                      GaussianMixture, NoiseLevelMap, SamplerConfig,
+                      VarianceSchedule, build_step_schedule,
+                      build_var_schedule, ddpm_reverse, fast_ddpm_reverse,
                       step_as_var_equivalence, step_subset)
+from fastdiff.experiment import build_fast_schedule
 
 ALL_BUILDS = [("step", "linear"), ("step", "quadratic"),
               ("var", "linear"), ("var", "quadratic")]
 
 
 def build(kind, schedule, level_map, num_steps, variant):
-    builder = build_step_schedule if kind == "step" else build_var_schedule
-    return builder(schedule, level_map, num_steps, variant)
+    return build_fast_schedule(schedule, level_map, kind, variant, num_steps)
 
 
 class TestStepSubsets:
     def test_linear_exact_division(self, sched_1000, map_1000):
-        fast = build_step_schedule(sched_1000, map_1000, 10, "linear")
+        fast = build_step_schedule(sched_1000, 10, "linear")
         assert fast.taus.tolist() == [100, 200, 300, 400, 500,
                                       600, 700, 800, 900, 1000]
 
     def test_quadratic_hand_values(self, sched_1000, map_1000):
         # floor(0.8 * (1000 / 100) * s^2) for s = 1..10
-        fast = build_step_schedule(sched_1000, map_1000, 10, "quadratic")
+        fast = build_step_schedule(sched_1000, 10, "quadratic")
         assert fast.taus.tolist() == [8, 32, 72, 128, 200,
                                       288, 392, 512, 648, 800]
 
     def test_identity_subset_recovers_original(self, sched_200, map_200):
-        fast = build_step_schedule(sched_200, map_200, 200, "linear")
+        fast = build_step_schedule(sched_200, 200, "linear")
         assert fast.taus.tolist() == list(range(1, 201))
         np.testing.assert_allclose(fast.etas, sched_200.betas,
                                    rtol=0.0, atol=1e-15)
 
     def test_integer_steps_map_to_themselves(self, sched_200, map_200):
-        fast = build_step_schedule(sched_200, map_200, 10, "quadratic")
+        fast = build_step_schedule(sched_200, 10, "quadratic")
         assert np.array_equal(fast.cont_steps, fast.taus.astype(float))
         # and the bijection agrees with that convention
         inverted = [map_200.step_of_noise_level(r) for r in fast.noise_levels]
@@ -41,7 +44,7 @@ class TestStepSubsets:
 
     def test_collision_dedup_warns_and_shrinks(self, map_200, sched_200):
         with pytest.warns(UserWarning, match="collapsed"):
-            fast = build_step_schedule(sched_200, map_200, 150, "quadratic")
+            fast = build_step_schedule(sched_200, 150, "quadratic")
         assert fast.num_steps < 150
         assert np.all(np.diff(fast.taus) > 0)
         assert fast.taus[0] >= 1
@@ -49,7 +52,7 @@ class TestStepSubsets:
     @pytest.mark.parametrize("bad", [0, -1, 201])
     def test_rejects_bad_length(self, sched_200, map_200, bad):
         with pytest.raises(ValueError):
-            build_step_schedule(sched_200, map_200, bad, "linear")
+            build_step_schedule(sched_200, bad, "linear")
 
     def test_step_subset_unknown_variant(self):
         with pytest.raises(ConstructionError):
@@ -130,12 +133,11 @@ class TestStepAsVar:
     ])
     def test_identity_holds(self, request, num_steps, variant, fixture):
         schedule = request.getfixturevalue(fixture)
-        level_map = NoiseLevelMap(schedule)
-        fast = build_step_schedule(schedule, level_map, num_steps, variant)
+        fast = build_step_schedule(schedule, num_steps, variant)
         assert step_as_var_equivalence(fast, schedule)
 
     def test_perturbation_breaks_identity(self, sched_1000, map_1000):
-        fast = build_step_schedule(sched_1000, map_1000, 10, "linear")
+        fast = build_step_schedule(sched_1000, 10, "linear")
         etas = fast.etas.copy()
         etas[3] *= 1.0 + 1e-6
         broken = FastSchedule(fast.kind, etas, fast.cont_steps, fast.taus)
@@ -158,7 +160,7 @@ class TestSerialization:
         assert np.array_equal(again.cont_steps, fast.cont_steps)
 
     def test_json_file(self, sched_200, map_200, tmp_path):
-        fast = build_step_schedule(sched_200, map_200, 5, "linear")
+        fast = build_step_schedule(sched_200, 5, "linear")
         path = tmp_path / "fast.json"
         fast.to_json(path)
         import json
@@ -172,3 +174,45 @@ class TestSerialization:
                          np.array([1.0, 2.0]))
         with pytest.raises(ConstructionError):
             FastSchedule("bogus", np.array([0.1]), np.array([1.0]))
+
+
+# Any beta_T <= 0.05 keeps the Gamma extension's domain beyond T.
+schedules = st.builds(VarianceSchedule, st.floats(1e-5, 1e-3),
+                      st.floats(2e-3, 0.05), st.integers(2, 300))
+
+
+class TestFullChain:
+    @settings(max_examples=30, deadline=None)
+    @given(schedules)
+    def test_reproduces_the_schedule_exactly(self, schedule):
+        full = FastSchedule.full(schedule)
+        assert full.kind == "full" and full.num_steps == schedule.num_steps
+        assert np.array_equal(full.etas, schedule.betas)
+        assert np.array_equal(full.gamma_bars, schedule.alpha_bars)
+        assert np.array_equal(full.eta_tildes, schedule.beta_tildes)
+        assert full.taus.tolist() == list(range(1, schedule.num_steps + 1))
+        assert step_as_var_equivalence(full, schedule)
+
+    @settings(max_examples=15, deadline=None)
+    @given(schedules, st.integers(0, 2**32 - 1))
+    def test_ddpm_reverse_is_the_fast_sampler_on_it(self, schedule, seed):
+        gm = GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)])
+        model = AnalyticEpsilonModel(gm, NoiseLevelMap(schedule))
+        config = SamplerConfig(dim=2, batch=3, seed=seed)
+        full = ddpm_reverse(schedule, model, config)
+        fast = fast_ddpm_reverse(FastSchedule.full(schedule), model, config)
+        assert np.array_equal(full.samples, fast.samples)
+        assert full.provenance["sampler"] == "ddpm_full"
+        assert full.provenance["normals_per_chain"] \
+            == fast.provenance["normals_per_chain"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(schedules)
+    def test_dict_roundtrip_bitwise(self, schedule):
+        full = FastSchedule.full(schedule)
+        again = FastSchedule.from_dict(full.to_dict())
+        assert again.kind == "full"
+        assert np.array_equal(again.etas, full.etas)
+        assert np.array_equal(again.gamma_bars, full.gamma_bars)
+        assert np.array_equal(again.cont_steps, full.cont_steps)
+        assert np.array_equal(again.taus, full.taus)

@@ -6,6 +6,7 @@ from fastdiff import (AnalyticEpsilonModel, NoiseLevelMap, NoiseStream,
                       build_step_schedule, build_var_schedule, ddpm_reverse,
                       fast_ddim_reverse, fast_ddpm_reverse, forward_jump,
                       sample_moments)
+from fastdiff.experiment import build_fast_schedule
 
 
 class CountingModel:
@@ -127,21 +128,21 @@ class TestFastReverse:
     def test_full_length_step_schedule_matches_full_sampler(
             self, sched_200, oracle_200):
         model, level_map = oracle_200
-        fast = build_step_schedule(sched_200, level_map, 200, "linear")
+        fast = build_step_schedule(sched_200, 200, "linear")
         config = SamplerConfig(dim=2, batch=4, seed=31, record_trace=True)
         full = ddpm_reverse(sched_200, model, config)
         short = fast_ddpm_reverse(fast, model, config)
         for a, b in zip(full.step_trace, short.step_trace):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
-    @pytest.mark.parametrize("builder,variant", [
-        (build_step_schedule, "quadratic"),
-        (build_var_schedule, "linear"),
+    @pytest.mark.parametrize("kind,variant", [
+        pytest.param("step", "quadratic", id="build_step_schedule-quadratic"),
+        pytest.param("var", "linear", id="build_var_schedule-linear"),
     ])
-    def test_kappa_one_equals_ddpm(self, sched_200, oracle_200, builder,
+    def test_kappa_one_equals_ddpm(self, sched_200, oracle_200, kind,
                                    variant):
         model, level_map = oracle_200
-        fast = builder(sched_200, level_map, 12, variant)
+        fast = build_fast_schedule(sched_200, level_map, kind, variant, 12)
         config = SamplerConfig(dim=2, batch=4, seed=17, kappa=1.0,
                                record_trace=True)
         ddpm = fast_ddpm_reverse(fast, model, config)
@@ -160,7 +161,7 @@ class TestFastReverse:
 
     def test_kappa_zero_is_deterministic_map(self, sched_200, oracle_200):
         model, level_map = oracle_200
-        fast = build_step_schedule(sched_200, level_map, 10, "linear")
+        fast = build_step_schedule(sched_200, 10, "linear")
         start = np.array([[0.3, -1.1], [2.0, 0.4]])
         config = SamplerConfig(dim=2, batch=2, seed=5, kappa=0.0)
         a = fast_ddim_reverse(fast, model, config, initial=start)
@@ -180,7 +181,7 @@ class TestFastReverse:
 
     def test_literal_final_step_adds_noise(self, sched_200, oracle_200):
         model, level_map = oracle_200
-        fast = build_step_schedule(sched_200, level_map, 5, "linear")
+        fast = build_step_schedule(sched_200, 5, "linear")
         zero = fast_ddpm_reverse(fast, model,
                                  SamplerConfig(dim=2, batch=3, seed=6))
         literal = fast_ddpm_reverse(
@@ -193,7 +194,7 @@ class TestFastReverse:
 
     def test_call_count_is_schedule_length(self, sched_200, oracle_200):
         model, level_map = oracle_200
-        fast = build_step_schedule(sched_200, level_map, 10, "linear")
+        fast = build_step_schedule(sched_200, 10, "linear")
         counter = CountingModel(model)
         out = fast_ddpm_reverse(fast, counter,
                                 SamplerConfig(dim=2, batch=5, seed=1))
@@ -202,7 +203,7 @@ class TestFastReverse:
 
     def test_bad_initial_shape(self, sched_200, oracle_200):
         model, level_map = oracle_200
-        fast = build_step_schedule(sched_200, level_map, 5, "linear")
+        fast = build_step_schedule(sched_200, 5, "linear")
         with pytest.raises(ValueError):
             fast_ddpm_reverse(fast, model,
                               SamplerConfig(dim=2, batch=2, seed=0),
@@ -228,7 +229,7 @@ class TestQualityTrends:
         model, level_map = oracle_200
         scores = []
         for s in (2, 5, 10, 50):
-            fast = build_step_schedule(sched_200, level_map, s, "linear")
+            fast = build_step_schedule(sched_200, s, "linear")
             scores.append(mean_frechet_to_standard_normal(
                 fast_ddim_reverse, fast, model, 5, 2000, kappa=0.0))
         assert all(a >= b for a, b in zip(scores, scores[1:]))

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from fastdiff import SampleBatch, load_samples, samples_to_csv, save_samples
+from fastdiff import (SampleBatch, ValidationError, load_samples,
+                      samples_to_csv, save_samples)
 
 
 @pytest.fixture
@@ -30,6 +31,15 @@ def test_sidecar_contents(batch, tmp_path):
     assert sidecar["provenance"]["sampler"] == "ddpm"
     raw = (tmp_path / "run.bin").read_bytes()
     assert len(raw) == 20 * 2 * 8  # little-endian float64, row-major
+
+
+def test_truncated_binary_is_rejected(batch, tmp_path):
+    prefix = str(tmp_path / "run")
+    save_samples(batch, prefix)
+    raw = (tmp_path / "run.bin").read_bytes()
+    (tmp_path / "run.bin").write_bytes(raw[:-8])
+    with pytest.raises(ValidationError, match="sidecar"):
+        load_samples(prefix)
 
 
 def test_csv_export(batch, tmp_path):
