@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import fast_schedule as fs
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .metrics import frechet_distance, inception_score, accuracy
 from .mixture import AnalyticEpsilonModel, GaussianMixture, posterior_classifier
 from .regressor import ToyRegressor
@@ -43,6 +43,8 @@ _SAMPLERS = ("ddpm", "ddim")
 # spawn key reserved for the per-seed reference sample set (cells use their
 # grid index)
 _REFERENCE_KEY = 0x5EED
+_NUMBER = (int, float)
+_TYPE_NAMES = {dict: "an object", str: "a string", _NUMBER: "a number"}
 
 
 def builtin_presets() -> dict[str, GaussianMixture]:
@@ -144,25 +146,38 @@ def _checked(name, value, allowed):
     return value
 
 
+def _typed(name, value, kind):
+    """`value` if it is an instance of `kind` (a key of _TYPE_NAMES)."""
+    if not isinstance(value, kind):
+        raise ValidationError(
+            f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def load_schedule(descriptor) -> VarianceSchedule:
     """The variance schedule of a config's `schedule` descriptor."""
     if descriptor is None:
         raise ValidationError("config needs a 'schedule' descriptor")
+    _typed("schedule", descriptor, dict)
+    for key in ("beta_1", "beta_T", "T"):
+        if key in descriptor:
+            _typed(f"schedule.{key}", descriptor[key], _NUMBER)
     return VarianceSchedule.from_descriptor(descriptor)
 
 
 def load_mixture(raw: dict) -> GaussianMixture:
     """The data distribution of a config: `data.preset` or `data.path`."""
-    data = raw.get("data", {})
+    data = _typed("data", raw.get("data", {}), dict)
     if "preset" in data:
         presets = builtin_presets()
-        if data["preset"] not in presets:
+        if _typed("data.preset", data["preset"], str) not in presets:
             raise ValidationError(
                 f"unknown preset {data['preset']!r}; "
                 f"available: {sorted(presets)}")
         return presets[data["preset"]]
     if "path" in data:
-        return GaussianMixture.from_json(data["path"])
+        return GaussianMixture.from_json(
+            _typed("data.path", data["path"], str))
     raise ValidationError(
         "config needs data.preset or data.path (or --preset)")
 
@@ -185,6 +200,7 @@ def load_run(raw: dict):
     run = raw.get("run")
     if not run:
         raise ValidationError("sample needs a 'run' section in the config")
+    _typed("run", run, dict)
     schedule = load_schedule(raw.get("schedule"))
     level_map = NoiseLevelMap(schedule)
     mixture = load_mixture(raw)
@@ -193,8 +209,10 @@ def load_run(raw: dict):
     variant = _checked("run.variant", run.get("variant", "linear"), _VARIANTS)
     sampler = _checked("run.sampler", run.get("sampler", "ddpm"), _SAMPLERS)
     config = SamplerConfig(
-        dim=mixture.dim, batch=int(run.get("batch", 1000)),
-        seed=int(run.get("seed", 0)), kappa=float(run.get("kappa", 0.0)),
+        dim=mixture.dim,
+        batch=int(_typed("run.batch", run.get("batch", 1000), _NUMBER)),
+        seed=int(_typed("run.seed", run.get("seed", 0), _NUMBER)),
+        kappa=float(_typed("run.kappa", run.get("kappa", 0.0), _NUMBER)),
         final_step_noise=run.get("final_step_noise", "zero"))
     if kind != "full":
         _checked("run.S", run.get("S"), range(1, schedule.num_steps + 1))
@@ -238,9 +256,11 @@ def _conditional_generate(config, fast, sampler, kappa, seed):
 def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     """Run every cell of the grid; returns the result rows.
 
-    Per-cell numeric failures mark the row as failed and the sweep moves
-    on; only config validation aborts the whole run (and it happens before
-    this function is reachable).
+    A cell that fails with a library error (a `ValueError`, including
+    numpy's `LinAlgError`, an `ArithmeticError` or a `ConvergenceError`)
+    marks its row as failed and the sweep moves on; any other exception is
+    a bug and propagates.  Config validation happens before this function
+    is reachable.
     """
     grid = config.grid()
     cells_per_seed = len(grid) // len(config.seeds)
@@ -277,7 +297,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
                 row["inception_score"] = inception_score(probs)
                 if label_idx is not None:
                     row["accuracy"] = accuracy(probs, label_idx)
-        except Exception as err:  # per-cell isolation, by design
+        except (ValueError, ArithmeticError, ConvergenceError) as err:
             row["status"] = "failed"
             row["error"] = f"{type(err).__name__}: {err}"
         timings.append({"cell": index, "seconds": time.perf_counter() - started})

@@ -15,9 +15,10 @@ form.  These serve as exact reference models for the samplers: a sampler
 driven by `AnalyticEpsilonModel` should reproduce the mixture's moments as
 the number of reverse steps grows.
 
-Responsibilities are computed in the log domain; per-component Cholesky
-factors are cached keyed by alpha_bar, since samplers query only a handful
-of distinct steps.
+The log density, the score and the label posterior come from one pass per
+query: one Cholesky solve per component and one log-sum-exp over the
+log-domain component densities.  A mixture is immutable once built and
+holds no cache, so its methods are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -31,16 +32,18 @@ from .errors import ConstructionError, NumericError
 from .schedule import NoiseLevelMap
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-_CACHE_LIMIT = 1024
 
 
 class GaussianMixture:
     """Weighted Gaussian mixture; optionally labelled per component."""
 
     def __init__(self, weights, means, covariances, labels=None):
-        self.weights = np.asarray(weights, dtype=float)
-        self.means = np.atleast_2d(np.asarray(means, dtype=float))
-        self.covariances = np.asarray(covariances, dtype=float)
+        try:
+            self.weights = np.asarray(weights, dtype=float)
+            self.means = np.atleast_2d(np.asarray(means, dtype=float))
+            self.covariances = np.asarray(covariances, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise ConstructionError(f"mixture arrays must hold numbers: {err}")
         if self.covariances.ndim == 2:
             self.covariances = self.covariances[None, :, :]
         k, d = self.means.shape
@@ -67,7 +70,6 @@ class GaussianMixture:
         self.dim = d
         for a in (self.weights, self.means, self.covariances):
             a.flags.writeable = False
-        self._noisy_cache: dict[float, list] = {}
 
     # -- basic facts ---------------------------------------------------------
 
@@ -106,10 +108,6 @@ class GaussianMixture:
 
     def _noisy_factors(self, alpha_bar: float):
         """Means and Cholesky factorizations of the marginal at alpha_bar."""
-        key = float(alpha_bar)
-        hit = self._noisy_cache.get(key)
-        if hit is not None:
-            return hit
         eye = np.eye(self.dim)
         factors = []
         for mu, sig in zip(self.means, self.covariances):
@@ -121,42 +119,38 @@ class GaussianMixture:
                     f"singular marginal covariance at alpha_bar={alpha_bar}")
             logdet = 2.0 * np.sum(np.log(np.diag(cf[0])))
             factors.append((np.sqrt(alpha_bar) * mu, cf, logdet))
-        if len(self._noisy_cache) >= _CACHE_LIMIT:
-            self._noisy_cache.clear()
-        self._noisy_cache[key] = factors
         return factors
 
-    def _component_log_density(self, x: np.ndarray, alpha_bar: float):
-        """log w_k + log N(x; ...) for each component; x is (n, d)."""
-        factors = self._noisy_factors(alpha_bar)
-        out = np.empty((x.shape[0], self.num_components))
-        for k, (mean, cf, logdet) in enumerate(factors):
+    def _marginal(self, x: np.ndarray, alpha_bar: float):
+        """One pass over the components of the marginal at alpha_bar for x
+        of shape (n, d): returns log q(x) (n,), the responsibilities (n, K)
+        and, per component k, C_k^-1 (x - m_k) (n, d)."""
+        logs = np.empty((x.shape[0], self.num_components))
+        solved = []
+        for k, (mean, cf, logdet) in enumerate(self._noisy_factors(alpha_bar)):
             diff = x - mean
-            solved = cho_solve(cf, diff.T).T
-            maha = np.sum(diff * solved, axis=1)
-            out[:, k] = (np.log(self.weights[k])
-                         - 0.5 * (self.dim * _LOG_2PI + logdet + maha))
-        return out
+            solved.append(cho_solve(cf, diff.T).T)
+            maha = np.sum(diff * solved[k], axis=1)
+            logs[:, k] = (np.log(self.weights[k])
+                          - 0.5 * (self.dim * _LOG_2PI + logdet + maha))
+        peak = np.max(logs, axis=1, keepdims=True)
+        resp = np.exp(logs - peak)
+        total = np.sum(resp, axis=1, keepdims=True)
+        resp /= total
+        return (peak + np.log(total)).ravel(), resp, solved
 
     def log_density(self, x: np.ndarray, alpha_bar: float = 1.0) -> np.ndarray:
         """log q(x) of the marginal at signal fraction alpha_bar; (n,)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        logs = self._component_log_density(x, alpha_bar)
-        peak = np.max(logs, axis=1, keepdims=True)
-        return (peak + np.log(np.sum(np.exp(logs - peak), axis=1,
-                                     keepdims=True))).ravel()
+        return self._marginal(x, alpha_bar)[0]
 
     def score(self, x: np.ndarray, alpha_bar: float = 1.0) -> np.ndarray:
         """grad_x log q(x) of the marginal at alpha_bar; (n, d)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        logs = self._component_log_density(x, alpha_bar)
-        peak = np.max(logs, axis=1, keepdims=True)
-        resp = np.exp(logs - peak)
-        resp /= np.sum(resp, axis=1, keepdims=True)
-        factors = self._noisy_factors(alpha_bar)
+        _, resp, solved = self._marginal(x, alpha_bar)
         grad = np.zeros_like(x)
-        for k, (mean, cf, _) in enumerate(factors):
-            grad -= resp[:, k:k + 1] * cho_solve(cf, (x - mean).T).T
+        for k in range(self.num_components):
+            grad -= resp[:, k:k + 1] * solved[k]
         return grad
 
     # -- serialization -------------------------------------------------------
@@ -197,10 +191,7 @@ def posterior_classifier(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     if gm.labels is None:
         raise ValueError("posterior_classifier requires a labelled mixture")
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    logs = gm._component_log_density(x, 1.0)
-    peak = np.max(logs, axis=1, keepdims=True)
-    resp = np.exp(logs - peak)
-    resp /= np.sum(resp, axis=1, keepdims=True)
+    _, resp, _ = gm._marginal(x, 1.0)
     classes = gm.class_labels()
     probs = np.empty((x.shape[0], classes.size))
     for j, label in enumerate(classes):

@@ -74,11 +74,6 @@ class VarianceSchedule:
                   self.sqrt_alpha_bars):
             a.flags.writeable = False
 
-    def beta(self, t: int) -> float:
-        """beta at integer step t in [1, num_steps]."""
-        self._check_step(t)
-        return float(self.betas[t - 1])
-
     def alpha_bar(self, t: int) -> float:
         """Tabulated alpha_bar at integer step t (cumulative product)."""
         self._check_step(t)

@@ -208,6 +208,8 @@ def config_with(run=(), sweep=(), **top):
 
 
 ALL_VERBS = ("sample", "inspect", "sweep")
+# written as mixture.json next to each bad config; read through data.path
+BAD_MIXTURE = {"weights": [1.0], "means": "x", "covariances": [[[1.0]]]}
 BAD_INPUTS = [
     ("malformed_json", ALL_VERBS, '{"schedule": '),
     ("no_schedule", ALL_VERBS, config_with(schedule=None)),
@@ -223,6 +225,12 @@ BAD_INPUTS = [
     ("dimm_sampler", ("sample", "sweep"), config_with(
         run={"sampler": "dimm"}, sweep={"samplers": [{"name": "dimm"}]})),
     ("bogus_model", ("sample", "sweep"), config_with(model={"kind": "bogus"})),
+    ("string_T", ALL_VERBS, config_with(schedule=dict(SCHEDULE, T="abc"))),
+    ("number_data", ("sample", "sweep"), config_with(data=5)),
+    ("list_schedule", ALL_VERBS, config_with(schedule=[1, 2])),
+    ("string_batch", ("sample",), config_with(run={"batch": "x"})),
+    ("string_mixture_means", ("sample", "sweep"),
+     config_with(data={"path": "mixture.json"})),
 ]
 
 
@@ -236,8 +244,10 @@ class TestErrorBoundary:
     @pytest.mark.parametrize("verb,payload", [
         pytest.param(verb, payload, id=f"{verb}-{name}")
         for name, verbs, payload in BAD_INPUTS for verb in verbs])
-    def test_bad_input_is_one_error_line(self, tmp_path, capsys, verb,
-                                         payload):
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                         verb, payload):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mixture.json").write_text(json.dumps(BAD_MIXTURE))
         path = tmp_path / "bad.json"
         path.write_text(payload if isinstance(payload, str)
                         else json.dumps(payload))

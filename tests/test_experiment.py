@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from fastdiff import ValidationError
+from fastdiff import ConvergenceError, ValidationError
 from fastdiff.experiment import (ExperimentConfig, builtin_presets,
                                  format_schedule_dump, inspect_schedule,
                                  run_sweep)
@@ -135,7 +135,7 @@ class TestSweep:
 
         def flaky(schedule, level_map, kind, variant, num_steps):
             if kind == "var" and num_steps == 10:
-                raise RuntimeError("synthetic cell failure")
+                raise ConvergenceError("synthetic cell failure")
             return real(schedule, level_map, kind, variant, num_steps)
 
         monkeypatch.setattr(exp, "build_fast_schedule", flaky)
@@ -144,6 +144,16 @@ class TestSweep:
         assert len(failed) == 2  # ddpm + ddim at (var, 10)
         assert all("synthetic cell failure" in r["error"] for r in failed)
         assert sum(r["status"] == "ok" for r in rows) == 10
+
+    def test_programming_error_in_cell_raises(self, monkeypatch):
+        import fastdiff.experiment as exp
+
+        def broken(*args):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(exp, "build_fast_schedule", broken)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_sweep(ExperimentConfig(copy.deepcopy(BASE_CONFIG)))
 
     def test_conditional_sweep_scores_accuracy(self):
         raw = config_with(data={"preset": "two_blob_2d"}, conditional=True,

@@ -1,5 +1,11 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
 from fastdiff import (AnalyticEpsilonModel, ConstructionError,
                       GaussianMixture, NoiseStream, analytic_epsilon,
@@ -135,6 +141,24 @@ class TestAnalyticEpsilon:
         assert np.array_equal(a, b)
         assert a.shape == x.shape
 
+    def test_shared_model_is_safe_across_threads(self, map_200):
+        model = AnalyticEpsilonModel(
+            random_mixture(np.random.default_rng(5), 3, 2), map_200)
+        x = np.random.default_rng(6).normal(scale=2.0, size=(64, 2))
+        steps = np.linspace(1.0, 199.0, 32)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda t: model.predict(x, t), steps,
+                                         timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        fresh = AnalyticEpsilonModel(
+            random_mixture(np.random.default_rng(5), 3, 2), map_200)
+        for t, got in zip(steps, threaded):
+            assert np.array_equal(got, fresh.predict(x, t))
+
 
 class TestPosteriorClassifier:
     def test_mass_at_component_mean(self, two_blob_2d):
@@ -162,3 +186,23 @@ class TestPosteriorClassifier:
         probs = posterior_classifier(gm, np.array([[-3.0], [3.0]]))
         assert probs.shape == (2, 2)
         assert probs[0, 0] > 0.99 and probs[1, 0] > 0.99
+
+
+class TestOnePassProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 4),
+           st.floats(0.0, 1.0, exclude_min=True))
+    def test_matches_per_component_scipy(self, seed, k, d, alpha_bar):
+        rng = np.random.default_rng(seed)
+        gm = random_mixture(rng, k, d, labelled=True)
+        x = rng.normal(scale=2.0, size=(6, d))
+        per_component = [
+            np.log(w) + multivariate_normal.logpdf(
+                x, np.sqrt(alpha_bar) * mu,
+                alpha_bar * sig + (1.0 - alpha_bar) * np.eye(d))
+            for w, mu, sig in zip(gm.weights, gm.means, gm.covariances)]
+        np.testing.assert_allclose(gm.log_density(x, alpha_bar),
+                                   logsumexp(per_component, axis=0),
+                                   rtol=0.0, atol=1e-10)
+        probs = posterior_classifier(gm, x)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
