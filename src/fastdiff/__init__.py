@@ -27,7 +27,7 @@ from .mixture import (AnalyticEpsilonModel, GaussianMixture, analytic_epsilon,
                       posterior_classifier)
 from .regressor import (ToyRegressor, TrainingParams, denoising_objective,
                         train_toy_regressor)
-from .rng import NoiseStream, chain_streams, substream
+from .rng import NoiseStream, chain_normals, chain_streams, substream
 from .samplers import (EpsilonModel, SampleBatch, SamplerConfig,
                        ZeroEpsilonModel, ddpm_reverse, fast_ddim_reverse,
                        fast_ddpm_reverse, forward_jump, run_sampler)
@@ -43,7 +43,8 @@ __all__ = [
     "NumericError", "SampleBatch", "SamplerConfig", "ToyRegressor",
     "TrainingError", "TrainingParams", "ValidationError", "VarianceSchedule",
     "ZeroEpsilonModel", "accuracy", "alpha_bar_product", "analytic_epsilon",
-    "build_step_schedule", "build_var_schedule", "chain_streams",
+    "build_step_schedule", "build_var_schedule", "chain_normals",
+    "chain_streams",
     "ddpm_reverse", "denoising_objective", "fast_ddim_reverse",
     "fast_ddpm_reverse", "forward_jump", "frechet_distance",
     "frechet_gaussian", "inception_score", "load_samples",

@@ -41,6 +41,8 @@ def _load_config(args) -> dict:
         raise ValidationError("--config is required for this verb")
     with open(args.config) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValidationError("config must be a JSON object")
     if args.preset is not None:
         raw.setdefault("data", {})["preset"] = args.preset
         raw["data"].pop("path", None)

@@ -44,7 +44,8 @@ _SAMPLERS = ("ddpm", "ddim")
 # grid index)
 _REFERENCE_KEY = 0x5EED
 _NUMBER = (int, float)
-_TYPE_NAMES = {dict: "an object", str: "a string", _NUMBER: "a number"}
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
+               _NUMBER: "a number"}
 
 
 def builtin_presets() -> dict[str, GaussianMixture]:
@@ -73,24 +74,29 @@ class ExperimentConfig:
         sweep = raw.get("sweep")
         if not sweep:
             raise ValidationError("config needs a non-empty 'sweep' section")
+        _typed("sweep", sweep, dict)
         self.kinds = self._listed(sweep, "kinds", _KINDS)
         self.variants = self._listed(sweep, "variants", _VARIANTS)
         self.num_steps_list = self._listed(
             sweep, "num_steps", range(1, self.schedule.num_steps + 1))
         self.samplers = []
-        for spec in sweep.get("samplers", []):
+        for spec in _typed("sweep.samplers", sweep.get("samplers", []), list):
+            _typed("sweep.samplers entry", spec, dict)
             name = _checked("sweep sampler", spec.get("name"), _SAMPLERS)
-            kappa = float(spec.get("kappa", 0.0))
+            kappa = float(_typed("sweep sampler kappa", spec.get("kappa", 0.0),
+                                 _NUMBER))
             if not 0.0 <= kappa <= 1.0:
                 raise ValidationError(f"kappa {kappa} outside [0, 1]")
             self.samplers.append((name, kappa))
         if not self.samplers:
             raise ValidationError("sweep.samplers must be non-empty")
 
-        self.seeds = [int(s) for s in raw.get("seeds", [])]
+        self.seeds = [int(_typed("seeds entry", s, _NUMBER))
+                      for s in _typed("seeds", raw.get("seeds", []), list)]
         if not self.seeds:
             raise ValidationError("config needs a non-empty 'seeds' list")
-        self.samples_per_cell = int(raw.get("samples_per_cell", 2000))
+        self.samples_per_cell = int(_typed(
+            "samples_per_cell", raw.get("samples_per_cell", 2000), _NUMBER))
         if self.samples_per_cell < self.mixture.dim + 1:
             raise ValidationError(
                 f"samples_per_cell must be at least dim + 1 "
@@ -108,7 +114,7 @@ class ExperimentConfig:
 
     @staticmethod
     def _listed(sweep, key, allowed):
-        values = list(sweep.get(key, []))
+        values = _typed(f"sweep.{key}", sweep.get(key, []), list)
         if not values:
             raise ValidationError(f"sweep.{key} must be non-empty")
         for v in values:

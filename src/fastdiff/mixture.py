@@ -42,6 +42,8 @@ class GaussianMixture:
             self.weights = np.asarray(weights, dtype=float)
             self.means = np.atleast_2d(np.asarray(means, dtype=float))
             self.covariances = np.asarray(covariances, dtype=float)
+            self.labels = None if labels is None \
+                else np.asarray(labels, dtype=int)
         except (TypeError, ValueError) as err:
             raise ConstructionError(f"mixture arrays must hold numbers: {err}")
         if self.covariances.ndim == 2:
@@ -63,7 +65,6 @@ class GaussianMixture:
             except np.linalg.LinAlgError:
                 raise ConstructionError(
                     f"covariance {i} is not positive definite")
-        self.labels = None if labels is None else np.asarray(labels, dtype=int)
         if self.labels is not None and self.labels.shape != (k,):
             raise ConstructionError("labels must give one class per component")
         self.num_components = k
@@ -164,6 +165,12 @@ class GaussianMixture:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GaussianMixture":
+        if not isinstance(data, dict):
+            raise ConstructionError(
+                f"a mixture must be an object, got {type(data).__name__}")
+        for key in ("weights", "means", "covariances"):
+            if key not in data:
+                raise ConstructionError(f"mixture has no {key!r} entry")
         return cls(data["weights"], data["means"], data["covariances"],
                    data.get("labels"))
 

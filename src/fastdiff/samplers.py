@@ -18,8 +18,11 @@ Three reverse samplers are provided; `run_sampler` picks one by name:
   sample, and kappa = 1 reproduces `fast_ddpm_reverse` step for step.
 
 Samplers are pure functions of (schedule, model, config): a fixed seed gives
-bitwise-identical output, and chains use independent noise streams keyed by
-(seed, chain index) so results do not depend on batch size.
+bitwise-identical output.  Each chain draws all of its normals in one block
+from the Philox stream keyed by (seed, chain index) (`rng.chain_normals`):
+the initial state first, then one row per noisy step.  So results do not
+depend on batch size, and the `normals_per_chain` provenance entry is
+computed from the schedule rather than counted.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ import numpy as np
 
 from .errors import ConstructionError, NumericError, ValidationError
 from .fast_schedule import FULL, FastSchedule
-from .rng import NoiseStream, chain_streams
+# chain_streams is unused here but stays importable: perfbench's call
+# tracer patches samplers.chain_streams by name.
+from .rng import NoiseStream, chain_normals, chain_streams  # noqa: F401
 from .schedule import VarianceSchedule
 
 
@@ -102,25 +107,6 @@ def forward_jump(schedule: VarianceSchedule, x0: np.ndarray, t: int,
     return np.sqrt(alpha_bar) * x0 + np.sqrt(1.0 - alpha_bar) * eps
 
 
-def _init_state(streams, config, initial):
-    if initial is not None:
-        x = np.array(initial, dtype=float)
-        if x.shape != (config.batch, config.dim):
-            raise ValueError(
-                f"initial state must have shape {(config.batch, config.dim)}")
-        return x
-    return np.stack([s.standard_normal(config.dim) for s in streams])
-
-
-def _noise_blocks(streams, num_rows, dim):
-    """Per-chain noise, pre-drawn in one call per chain.  Chunked draws from
-    a numpy Generator equal the same draws made one row at a time, so this
-    matches a lazy per-step schedule of the same stream."""
-    if num_rows == 0:
-        return None
-    return np.stack([s.standard_normal((num_rows, dim)) for s in streams])
-
-
 def _check_finite(x, step):
     if not np.all(np.isfinite(x)):
         raise NumericError(f"non-finite state at reverse step {step}", step=step)
@@ -153,9 +139,20 @@ def _reverse_chain(fast, model, config, provenance, initial, kappa_mode):
                 f"step {bad}; kappa={kappa_mode} is inadmissible here")
         radicands = np.maximum(radicands, 0.0)
 
-    streams = chain_streams(config.seed, config.batch)
-    x = _init_state(streams, config, initial)
-    blocks = _noise_blocks(streams, noisy_steps, config.dim)
+    # One block of normals per chain: row 0 is the initial state (unless
+    # given), then one row per noisy step in reverse-step order.
+    rows = noisy_steps + (initial is None)
+    normals = chain_normals(config.seed, config.batch,
+                            rows * config.dim).reshape(
+                                config.batch, rows, config.dim)
+    if initial is None:
+        x = np.ascontiguousarray(normals[:, 0, :])
+    else:
+        x = np.array(initial, dtype=float)
+        if x.shape != (config.batch, config.dim):
+            raise ValueError(
+                f"initial state must have shape {(config.batch, config.dim)}")
+    noise = normals[:, rows - noisy_steps:, :]
     trace = [] if config.record_trace else None
 
     for s in range(num_steps, 0, -1):
@@ -172,7 +169,7 @@ def _reverse_chain(fast, model, config, provenance, initial, kappa_mode):
         if not deterministic and (s > 1 or literal):
             scale = eta_tildes[i] if kappa_mode is None \
                 else kappa_mode**2 * eta_tildes[i]
-            x = x + np.sqrt(scale) * blocks[:, num_steps - s, :]
+            x = x + np.sqrt(scale) * noise[:, num_steps - s, :]
         _check_finite(x, s)
         if trace is not None:
             trace.append(x.copy())
@@ -184,7 +181,7 @@ def _reverse_chain(fast, model, config, provenance, initial, kappa_mode):
         "seed": config.seed,
         "final_step_noise": config.final_step_noise,
         "model_calls_per_chain": num_steps,
-        "normals_per_chain": int(streams[0].normals_drawn),
+        "normals_per_chain": rows * config.dim,
     })
     return SampleBatch(samples=x, provenance=provenance, step_trace=trace)
 

@@ -208,8 +208,15 @@ def config_with(run=(), sweep=(), **top):
 
 
 ALL_VERBS = ("sample", "inspect", "sweep")
-# written as mixture.json next to each bad config; read through data.path
-BAD_MIXTURE = {"weights": [1.0], "means": "x", "covariances": [[[1.0]]]}
+# written next to each bad config; read through data.path
+BAD_MIXTURES = {
+    "mixture.json": {"weights": [1.0], "means": "x",
+                     "covariances": [[[1.0]]]},
+    "no_covariances.json": {"weights": [1.0], "means": [[0.0]]},
+    "list_mixture.json": [[1.0], [[0.0]], [[[1.0]]]],
+    "string_labels.json": {"weights": [1.0], "means": [[0.0]],
+                           "covariances": [[[1.0]]], "labels": ["x"]},
+}
 BAD_INPUTS = [
     ("malformed_json", ALL_VERBS, '{"schedule": '),
     ("no_schedule", ALL_VERBS, config_with(schedule=None)),
@@ -231,6 +238,23 @@ BAD_INPUTS = [
     ("string_batch", ("sample",), config_with(run={"batch": "x"})),
     ("string_mixture_means", ("sample", "sweep"),
      config_with(data={"path": "mixture.json"})),
+    ("mixture_without_covariances", ("sample", "sweep"),
+     config_with(data={"path": "no_covariances.json"})),
+    ("list_mixture", ("sample", "sweep"),
+     config_with(data={"path": "list_mixture.json"})),
+    ("string_mixture_labels", ("sample", "sweep"),
+     config_with(data={"path": "string_labels.json"})),
+    ("list_config", ALL_VERBS, "[1]"),
+    ("list_sweep", ("sweep",), dict(config_with(), sweep=[1])),
+    ("string_sweep_sampler", ("sweep",), config_with(
+        sweep={"samplers": ["ddpm"]})),
+    ("string_kappa", ("sweep",), config_with(
+        sweep={"samplers": [{"name": "ddim", "kappa": "x"}]})),
+    ("number_kinds", ("sweep",), config_with(sweep={"kinds": 5})),
+    ("number_seeds", ("sweep",), config_with(seeds=5)),
+    ("string_seed", ("sweep",), config_with(seeds=["x"])),
+    ("string_samples_per_cell", ("sweep",),
+     config_with(samples_per_cell="300")),
 ]
 
 
@@ -247,7 +271,8 @@ class TestErrorBoundary:
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, monkeypatch,
                                          verb, payload):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "mixture.json").write_text(json.dumps(BAD_MIXTURE))
+        for name, mixture in BAD_MIXTURES.items():
+            (tmp_path / name).write_text(json.dumps(mixture))
         path = tmp_path / "bad.json"
         path.write_text(payload if isinstance(payload, str)
                         else json.dumps(payload))

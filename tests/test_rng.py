@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.random import SeedSequence
 
-from fastdiff import NoiseStream, chain_streams, substream
+from fastdiff import NoiseStream, chain_normals, chain_streams, rng, substream
 
 
 def test_same_seed_same_draws():
@@ -49,3 +52,41 @@ def test_golden_values_pin_the_generation_method():
         [-0.937167027552873, -0.14051519304034668,
          0.8312710253346679, 0.1684353656770324],
         rtol=0, atol=1e-15)
+
+
+# Seeds on both sides of the 32-bit word boundaries that change how many
+# entropy words SeedSequence mixes: four fill its pool, more are mixed in.
+SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**96, 2**128 - 1, 2**128,
+                     2**160, 2**200 - 1]),
+    st.integers(0, 2**200 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(1, 40), st.integers(0, 50))
+def test_chain_normals_rows_equal_substreams(seed, num_chains, count):
+    got = chain_normals(seed, num_chains, count)
+    assert got.shape == (num_chains, count)
+    for i, row in enumerate(got):
+        assert np.array_equal(row, substream(seed, i).standard_normal(count))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(1, 40))
+def test_derived_keys_equal_numpy_spawn_keys(seed, num_chains):
+    want = [child.generate_state(2, np.uint64)
+            for child in SeedSequence(seed).spawn(num_chains)]
+    assert np.array_equal(rng._chain_keys(seed, num_chains), want)
+
+
+def test_key_mismatch_raises(monkeypatch):
+    derive = rng._chain_keys
+
+    def flipped(seed, num_chains):
+        keys = derive(seed, num_chains)
+        keys[0, 0] ^= np.uint64(1)
+        return keys
+
+    monkeypatch.setattr(rng, "_chain_keys", flipped)
+    with pytest.raises(RuntimeError, match="chain 0"):
+        chain_normals(3, 2, 4)

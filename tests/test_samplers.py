@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastdiff import (AnalyticEpsilonModel, NoiseLevelMap, NoiseStream,
                       NumericError, SamplerConfig, ZeroEpsilonModel,
                       build_step_schedule, build_var_schedule, ddpm_reverse,
                       fast_ddim_reverse, fast_ddpm_reverse, forward_jump,
-                      sample_moments)
+                      sample_moments, substream)
 from fastdiff.experiment import build_fast_schedule
 
 
@@ -208,6 +209,87 @@ class TestFastReverse:
             fast_ddpm_reverse(fast, model,
                               SamplerConfig(dim=2, batch=2, seed=0),
                               initial=np.zeros((3, 2)))
+
+
+class ScaledModel:
+    """Elementwise noise model, so one chain's arithmetic is the same
+    whether it runs alone or in a batch."""
+
+    def predict(self, x, t):
+        return (0.1 + 1e-3 * t) * x
+
+
+def reference_reverse(fast, config, initial, kappa):
+    """The reverse recursion one chain at a time, each chain drawing one
+    step's noise at a time from its own `substream`; kappa None is DDPM."""
+    model = ScaledModel()
+    prev_bars = np.concatenate([[1.0], fast.gamma_bars[:-1]])
+    rows = []
+    for chain in range(config.batch):
+        stream = substream(config.seed, chain)
+        x = initial[chain:chain + 1]
+        for s in range(fast.num_steps, 0, -1):
+            i = s - 1
+            eps_hat = model.predict(x, float(fast.cont_steps[i]))
+            if kappa is None:
+                x = (x - fast.etas[i] / np.sqrt(1.0 - fast.gamma_bars[i])
+                     * eps_hat) / np.sqrt(fast.gammas[i])
+                scale = fast.eta_tildes[i]
+            else:
+                x0_pred = (x - np.sqrt(1.0 - fast.gamma_bars[i]) * eps_hat) \
+                    / np.sqrt(fast.gamma_bars[i])
+                radicand = max(1.0 - prev_bars[i]
+                               - kappa**2 * fast.eta_tildes[i], 0.0)
+                x = np.sqrt(prev_bars[i]) * x0_pred \
+                    + np.sqrt(radicand) * eps_hat
+                scale = kappa**2 * fast.eta_tildes[i]
+            if s > 1:
+                x = x + np.sqrt(scale) * stream.standard_normal((1, 2))
+        rows.append(x)
+    return np.concatenate(rows)
+
+
+class TestNoiseDraws:
+    @pytest.mark.parametrize("kappa", [None, 0.4, 1.0])
+    def test_initial_runs_match_per_chain_reference(self, sched_200,
+                                                    map_200, kappa):
+        # kappa None runs DDPM; five noisy steps of dimension 2 per chain
+        fast = build_var_schedule(sched_200, map_200, 6, "quadratic")
+        initial = np.linspace(-2.0, 2.0, 10).reshape(5, 2)
+        config = SamplerConfig(dim=2, batch=5, seed=2**40 + 7,
+                               kappa=kappa or 0.0)
+        run = fast_ddpm_reverse if kappa is None else fast_ddim_reverse
+        out = run(fast, ScaledModel(), config, initial=initial)
+        want = reference_reverse(fast, config, initial, kappa)
+        assert np.array_equal(out.samples, want)
+        assert out.provenance["normals_per_chain"] == 5 * 2
+
+    def test_initial_deterministic_run_draws_nothing(self, sched_200,
+                                                     oracle_200):
+        model, _ = oracle_200
+        fast = build_step_schedule(sched_200, 5, "linear")
+        out = fast_ddim_reverse(fast, model,
+                                SamplerConfig(dim=2, batch=3, kappa=0.0),
+                                initial=np.ones((3, 2)))
+        assert out.provenance["normals_per_chain"] == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 12),
+           st.integers(0, 12), st.sampled_from([None, 0.0, 0.5]))
+    def test_batch_invariance(self, sched_200, oracle_200, seed, k, extra,
+                              kappa):
+        # the first k chains of a batch of k + extra equal a batch of k
+        model, _ = oracle_200
+        fast = build_step_schedule(sched_200, 8, "quadratic")
+
+        def run(batch):
+            config = SamplerConfig(dim=2, batch=batch, seed=seed,
+                                   kappa=kappa or 0.0)
+            if kappa is None:
+                return fast_ddpm_reverse(fast, model, config).samples
+            return fast_ddim_reverse(fast, model, config).samples
+
+        assert np.array_equal(run(k + extra)[:k], run(k))
 
 
 def mean_frechet_to_standard_normal(sampler, fast, model, num_seeds, batch,
