@@ -21,9 +21,9 @@ import os
 import sys
 
 from .errors import ConstructionError, ValidationError
-from .experiment import (ExperimentConfig, csv_value, format_schedule_dump,
-                         inspect_schedule, load_mixture, load_run, run_sweep,
-                         CSV_SCHEMA_VERSION)
+from .experiment import (ExperimentConfig, _seed, _typed, csv_value,
+                         format_schedule_dump, inspect_schedule, load_mixture,
+                         load_run, run_sweep, CSV_SCHEMA_VERSION)
 from .metrics import MetricReport, frechet_distance, inception_score
 from .mixture import posterior_classifier
 from .rng import NoiseStream
@@ -44,8 +44,9 @@ def _load_config(args) -> dict:
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
     if args.preset is not None:
-        raw.setdefault("data", {})["preset"] = args.preset
-        raw["data"].pop("path", None)
+        data = _typed("data", raw.setdefault("data", {}), dict)
+        data["preset"] = args.preset
+        data.pop("path", None)
     return raw
 
 
@@ -59,7 +60,7 @@ def _resolve_out(args) -> str:
 
 def _cmd_inspect(args):
     raw = _load_config(args)
-    run = raw.get("run", {})
+    run = _typed("run", raw.get("run", {}), dict)
     kind = args.kind or run.get("kind")
     variant = args.variant or run.get("variant")
     num_steps = args.num_steps or run.get("S")
@@ -73,8 +74,9 @@ def _cmd_inspect(args):
 
 def _cmd_sample(args):
     raw = _load_config(args)
-    if args.seed is not None and raw.get("run"):
-        raw["run"]["seed"] = args.seed
+    run = raw.get("run")
+    if args.seed is not None and isinstance(run, dict) and run:
+        run["seed"] = args.seed
     fast, model, config, sampler = load_run(raw)
     batch = run_sampler(fast, model, config, sampler)
     out = _resolve_out(args)
@@ -178,6 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            _seed("--seed", args.seed)
         return args.func(args)
     except (ValidationError, ConstructionError, OSError,
             json.JSONDecodeError) as err:

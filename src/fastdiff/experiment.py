@@ -45,7 +45,7 @@ _SAMPLERS = ("ddpm", "ddim")
 _REFERENCE_KEY = 0x5EED
 _NUMBER = (int, float)
 _TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
-               _NUMBER: "a number"}
+               _NUMBER: "a number", int: "an integer", bool: "a boolean"}
 
 
 def builtin_presets() -> dict[str, GaussianMixture]:
@@ -91,17 +91,18 @@ class ExperimentConfig:
         if not self.samplers:
             raise ValidationError("sweep.samplers must be non-empty")
 
-        self.seeds = [int(_typed("seeds entry", s, _NUMBER))
+        self.seeds = [_seed("seeds entry", s)
                       for s in _typed("seeds", raw.get("seeds", []), list)]
         if not self.seeds:
             raise ValidationError("config needs a non-empty 'seeds' list")
-        self.samples_per_cell = int(_typed(
-            "samples_per_cell", raw.get("samples_per_cell", 2000), _NUMBER))
+        self.samples_per_cell = _typed(
+            "samples_per_cell", raw.get("samples_per_cell", 2000), int)
         if self.samples_per_cell < self.mixture.dim + 1:
             raise ValidationError(
                 f"samples_per_cell must be at least dim + 1 "
                 f"= {self.mixture.dim + 1}")
-        self.conditional = bool(raw.get("conditional", False))
+        self.conditional = _typed("conditional",
+                                  raw.get("conditional", False), bool)
         if self.conditional and self.mixture.labels is None:
             raise ValidationError("conditional sweep needs a labelled mixture")
         if self.conditional and not isinstance(self.model,
@@ -135,7 +136,7 @@ class ExperimentConfig:
                 for variant in self.variants:
                     for s in self.num_steps_list:
                         for name, kappa in self.samplers:
-                            cells.append((seed, kind, variant, int(s),
+                            cells.append((seed, kind, variant, s,
                                           name, kappa))
         return cells
 
@@ -146,6 +147,9 @@ def _cell_seed(seed: int, index: int) -> int:
 
 
 def _checked(name, value, allowed):
+    """`value` if it is in `allowed`; a range admits integers only."""
+    if isinstance(allowed, range):
+        _typed(name, value, int)
     if value not in allowed:
         raise ValidationError(
             f"{name} must be one of {allowed}, got {value!r}")
@@ -153,10 +157,19 @@ def _checked(name, value, allowed):
 
 
 def _typed(name, value, kind):
-    """`value` if it is an instance of `kind` (a key of _TYPE_NAMES)."""
-    if not isinstance(value, kind):
+    """`value` if it is an instance of `kind` (a key of _TYPE_NAMES); a
+    boolean is not a number."""
+    if not isinstance(value, kind) or (isinstance(value, bool)
+                                       and kind is not bool):
         raise ValidationError(
             f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _seed(name, value):
+    """`value` if it is a non-negative integer."""
+    if _typed(name, value, int) < 0:
+        raise ValidationError(f"{name} must be >= 0, got {value!r}")
     return value
 
 
@@ -165,9 +178,9 @@ def load_schedule(descriptor) -> VarianceSchedule:
     if descriptor is None:
         raise ValidationError("config needs a 'schedule' descriptor")
     _typed("schedule", descriptor, dict)
-    for key in ("beta_1", "beta_T", "T"):
+    for key, kind in (("beta_1", _NUMBER), ("beta_T", _NUMBER), ("T", int)):
         if key in descriptor:
-            _typed(f"schedule.{key}", descriptor[key], _NUMBER)
+            _typed(f"schedule.{key}", descriptor[key], kind)
     return VarianceSchedule.from_descriptor(descriptor)
 
 
@@ -190,7 +203,7 @@ def load_mixture(raw: dict) -> GaussianMixture:
 
 def build_model(raw: dict, mixture: GaussianMixture, level_map: NoiseLevelMap):
     """The config's noise model: analytic (default) or trained."""
-    spec = raw.get("model", {})
+    spec = _typed("model", raw.get("model", {}), dict)
     kind = _checked("model.kind", spec.get("kind", "analytic"),
                     ("analytic", "trained"))
     if kind == "analytic":
@@ -216,8 +229,8 @@ def load_run(raw: dict):
     sampler = _checked("run.sampler", run.get("sampler", "ddpm"), _SAMPLERS)
     config = SamplerConfig(
         dim=mixture.dim,
-        batch=int(_typed("run.batch", run.get("batch", 1000), _NUMBER)),
-        seed=int(_typed("run.seed", run.get("seed", 0), _NUMBER)),
+        batch=_typed("run.batch", run.get("batch", 1000), int),
+        seed=_seed("run.seed", run.get("seed", 0)),
         kappa=float(_typed("run.kappa", run.get("kappa", 0.0), _NUMBER)),
         final_step_noise=run.get("final_step_noise", "zero"))
     if kind != "full":

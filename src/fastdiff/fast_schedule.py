@@ -196,7 +196,6 @@ def build_var_schedule(schedule: VarianceSchedule, level_map: NoiseLevelMap,
             f"no admissible ramp: S = {num_steps} is too short to reach "
             f"alpha_bar(T) with every eta below {_ETA_CAP}")
     lo, hi = 0.0, c_max
-    f_lo = log_product(lo) - target
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = log_product(mid) - target
@@ -204,7 +203,7 @@ def build_var_schedule(schedule: VarianceSchedule, level_map: NoiseLevelMap,
             lo = hi = mid
             break
         if f_mid > 0.0:
-            lo, f_lo = mid, f_mid
+            lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-16 * max(1.0, hi):
@@ -212,8 +211,7 @@ def build_var_schedule(schedule: VarianceSchedule, level_map: NoiseLevelMap,
     c = 0.5 * (lo + hi)
     etas = (1.0 + c * s) ** power * eta0
     noise_levels = np.exp(0.5 * np.cumsum(np.log1p(-etas)))
-    cont_steps = np.array(
-        [level_map.step_of_noise_level(r) for r in noise_levels])
+    cont_steps = level_map.invert(noise_levels)[0]
     # The terminal step lands on T up to the root-solve residual.
     cont_steps = np.minimum(cont_steps, float(schedule.num_steps))
     kind = VAR_LINEAR if variant == "linear" else VAR_QUADRATIC

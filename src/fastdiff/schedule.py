@@ -17,7 +17,9 @@ with d the beta increment and L = (1 - beta_1) / d, which extends alpha_bar
 (and the noise level r(t) = sqrt(alpha_bar_t)) to real-valued steps
 t in [0, L).  `NoiseLevelMap` evaluates this extension and inverts it, giving
 the bijection between continuous steps and noise levels that few-step
-samplers are built on.
+samplers are built on.  The inversion solves any number of levels in one
+Newton pass: log alpha_bar is concave and decreasing wherever it is
+negative, so Newton steps that start at or above a root never pass it.
 
 All arithmetic is double precision; Gamma factors are handled in the log
 domain throughout (Gamma(L + 1) itself overflows for typical schedules where
@@ -67,7 +69,8 @@ class VarianceSchedule:
         prev = np.concatenate([[1.0], self.alpha_bars[:-1]])
         self.beta_tildes = (1.0 - prev) / (1.0 - self.alpha_bars) * self.betas
         self.beta_tildes[0] = self.betas[0]
-        # sqrt(alpha_bar) with a leading 1.0 for step 0; used for bracketing.
+        # sqrt(alpha_bar) with a leading 1.0 for step 0; the inversion
+        # starts each level at the first entry at or below it.
         self.sqrt_alpha_bars = np.concatenate([[1.0], np.sqrt(self.alpha_bars)])
 
         for a in (self.betas, self.alphas, self.alpha_bars, self.beta_tildes,
@@ -120,9 +123,10 @@ class NoiseLevelMap:
     """Bijection between continuous diffusion steps and noise levels.
 
     ``noise_level(t)`` evaluates r(t) = sqrt(alpha_bar(t)) through the Gamma
-    extension; ``step_of_noise_level(r)`` inverts it by a bracketed search in
-    the 2*log r domain.  Both directions are pure functions of immutable
-    state.
+    extension; ``invert(r)`` solves log alpha_bar(t) = 2 log r for one level
+    or an array of levels by one monotone Newton pass, and
+    ``step_of_noise_level(r)`` is its scalar form.  Both directions are pure
+    functions of immutable state.
     """
 
     def __init__(self, schedule: VarianceSchedule, tolerance: float = 1e-12,
@@ -203,59 +207,39 @@ class NoiseLevelMap:
         """Continuous step t with r(t) = r, for r in [r(num_steps), 1]."""
         return self.invert(r)[0]
 
-    def invert(self, r: float) -> tuple[float, int]:
-        """Invert the noise level map; returns (step, iterations used).
+    def invert(self, r):
+        """Invert the noise level map for one level or an array of levels.
 
-        The bracket [t0, t0 + 1] comes from bisecting the tabulated
-        sqrt(alpha_bar) values; the search then mixes secant and midpoint
-        steps (secant when its proposal stays inside the bracket, midpoint
-        otherwise) until |log alpha_bar(t) - 2 log r| <= tolerance.
+        Returns (steps, iterations): a float for a scalar level, an array
+        for an array, and the number of Newton steps the slowest level
+        needed.  Each level starts at the first tabulated step whose level
+        is at or below it, so at or above its root, and takes Newton steps
+        t <- t - (log alpha_bar(t) - 2 log r) / log(d (L - t + 1/2)) until
+        every |log alpha_bar(t) - 2 log r| <= tolerance.  log alpha_bar is
+        concave with slope log d + digamma(L - t + 1), and
+        digamma(x) > log(x - 1/2), so the step's slope is the steeper one:
+        no step passes the root, and the iterates descend onto it.
         """
-        r = float(r)
-        table = self.schedule.sqrt_alpha_bars
-        r_min = table[-1]
-        if not (r_min <= r <= 1.0):
-            # Noise levels that miss the range by floating noise (e.g. a
-            # root-solve residual) are snapped to the nearest endpoint.
-            if r > 1.0 and r <= 1.0 + 1e-12:
-                r = 1.0
-            elif r < r_min and (r_min - r) <= 1e-9 * r_min:
-                return float(self.schedule.num_steps), 0
-            else:
-                raise ValueError(
-                    f"noise level {r!r} outside [{r_min!r}, 1.0]")
-        if r == 1.0:
-            return 0.0, 0
-        target = 2.0 * math.log(r)
-        # table is decreasing; locate t0 with table[t0] >= r >= table[t0+1]
-        t0 = int(np.searchsorted(-table, -r, side="right")) - 1
-        t0 = min(max(t0, 0), self.schedule.num_steps - 1)
-        lo, hi = float(t0), float(t0 + 1)
-        f_lo = self.log_alpha_bar(lo) - target
-        f_hi = self.log_alpha_bar(hi) - target
-        if abs(f_lo) <= self.tolerance:
-            return lo, 0
-        if abs(f_hi) <= self.tolerance:
-            return hi, 0
-        # log_alpha_bar is strictly decreasing: f_lo > 0 > f_hi
-        stuck = 0  # consecutive updates of the same endpoint (Illinois guard)
-        for iteration in range(1, self.max_iters + 1):
-            mid = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-            if not lo < mid < hi:
-                mid = 0.5 * (lo + hi)
-            f_mid = self.log_alpha_bar(mid) - target
-            if abs(f_mid) <= self.tolerance:
-                return mid, iteration
-            if f_mid > 0.0:
-                lo, f_lo = mid, f_mid
-                stuck = stuck + 1 if stuck > 0 else 1
-                if stuck >= 2:
-                    f_hi *= 0.5
-            else:
-                hi, f_hi = mid, f_mid
-                stuck = stuck - 1 if stuck < 0 else -1
-                if stuck <= -2:
-                    f_lo *= 0.5
+        s = self.schedule
+        r = np.asarray(r, dtype=float)
+        r_min = s.sqrt_alpha_bars[-1]
+        # Noise levels that miss the range by floating noise (e.g. a
+        # root-solve residual) are snapped to the nearest endpoint.
+        valid = (r <= 1.0 + 1e-12) & (r_min - r <= 1e-9 * r_min)
+        if not np.all(valid):
+            raise ValueError(f"noise level {float(r[~valid][0])!r} outside "
+                             f"[{r_min!r}, 1.0]")
+        terminal = r < r_min  # snapped to exactly num_steps
+        r = np.clip(r, r_min, 1.0)
+        t = np.searchsorted(-s.sqrt_alpha_bars, -r).astype(float)
+        target = 2.0 * np.log(r)
+        for iteration in range(self.max_iters + 1):
+            residual = self.log_alpha_bar(t) - target
+            done = terminal | (np.abs(residual) <= self.tolerance)
+            if np.all(done):
+                return (t if t.ndim else float(t)), iteration
+            slope = np.log1p(-(s.beta_start + (t - 0.5) * s.delta_beta))
+            t = np.where(done, t, t - residual / slope)
         raise ConvergenceError(
             f"noise level inversion did not reach {self.tolerance:g} within "
-            f"{self.max_iters} iterations (r={r!r})")
+            f"{self.max_iters} iterations")

@@ -135,6 +135,16 @@ class TestEvaluate:
         assert main(["evaluate", "--config", sample_config,
                      "--out", str(tmp_path)]) == 1
 
+    def test_negative_seed_exit_1(self, sample_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["sample", "--config", sample_config, "--out", str(out)])
+        capsys.readouterr()
+        assert main(["evaluate", "--config", sample_config, "--seed", "-1",
+                     "--samples", str(out / "samples"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_truncated_samples_exit_1(self, sample_config, tmp_path, capsys):
         out = tmp_path / "out"
         main(["sample", "--config", sample_config, "--out", str(out)])
@@ -255,6 +265,31 @@ BAD_INPUTS = [
     ("string_seed", ("sweep",), config_with(seeds=["x"])),
     ("string_samples_per_cell", ("sweep",),
      config_with(samples_per_cell="300")),
+    ("list_run", ("inspect",), dict(config_with(), run=[1])),
+    ("number_model", ("sample", "sweep"), config_with(model=5)),
+    ("string_conditional", ("sweep",), config_with(
+        conditional="no", data={"preset": "two_blob_2d"})),
+    ("fractional_batch", ("sample",), config_with(run={"batch": 10.7})),
+    ("boolean_counts", ALL_VERBS, config_with(
+        run={"S": True, "batch": True}, sweep={"num_steps": [True]})),
+    ("float_S", ALL_VERBS, config_with(run={"S": 5.0},
+                                       sweep={"num_steps": [5.0]})),
+    ("fractional_T", ALL_VERBS, config_with(schedule=dict(SCHEDULE,
+                                                          T=200.5))),
+    ("float_samples_per_cell", ("sweep",),
+     config_with(samples_per_cell=50.0)),
+    ("negative_run_seed", ("sample",), config_with(run={"seed": -1})),
+    ("negative_seeds_entry", ("sweep",), config_with(seeds=[-1])),
+    ("boolean_seeds_entry", ("sweep",), config_with(seeds=[True])),
+]
+# (name, verbs, extra flags, config)
+BAD_FLAGS = [
+    ("preset_over_number_data", ALL_VERBS, ["--preset", "two_blob_2d"],
+     config_with(data=5)),
+    ("negative_seed_flag", ("sample", "sweep"), ["--seed", "-1"],
+     config_with()),
+    ("seed_over_list_run", ("sample",), ["--seed", "3"],
+     dict(config_with(), run=[1])),
 ]
 
 
@@ -265,11 +300,13 @@ class TestErrorBoundary:
         assert main([verb, "--config", config,
                      "--out", str(tmp_path / "out")]) == 0
 
-    @pytest.mark.parametrize("verb,payload", [
-        pytest.param(verb, payload, id=f"{verb}-{name}")
-        for name, verbs, payload in BAD_INPUTS for verb in verbs])
+    @pytest.mark.parametrize("verb,flags,payload", [
+        pytest.param(verb, [], payload, id=f"{verb}-{name}")
+        for name, verbs, payload in BAD_INPUTS for verb in verbs] + [
+        pytest.param(verb, flags, payload, id=f"{verb}-{name}")
+        for name, verbs, flags, payload in BAD_FLAGS for verb in verbs])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, monkeypatch,
-                                         verb, payload):
+                                         verb, flags, payload):
         monkeypatch.chdir(tmp_path)
         for name, mixture in BAD_MIXTURES.items():
             (tmp_path / name).write_text(json.dumps(mixture))
@@ -277,7 +314,7 @@ class TestErrorBoundary:
         path.write_text(payload if isinstance(payload, str)
                         else json.dumps(payload))
         code = main([verb, "--config", str(path),
-                     "--out", str(tmp_path / "out")])
+                     "--out", str(tmp_path / "out"), *flags])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1

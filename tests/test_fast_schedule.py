@@ -216,3 +216,69 @@ class TestFullChain:
         assert np.array_equal(again.gamma_bars, full.gamma_bars)
         assert np.array_equal(again.cont_steps, full.cont_steps)
         assert np.array_equal(again.taus, full.taus)
+
+
+def _steps_and_levels(schedule, fractions):
+    """Continuous steps in [1, T] and their noise levels.  Below step 1 the
+    Gamma extension rises above 1 when delta_beta / 2 > beta_1, so levels
+    there do not all invert."""
+    level_map = NoiseLevelMap(schedule)
+    steps = 1.0 + np.asarray(fractions) * (schedule.num_steps - 1)
+    return level_map, steps, level_map.noise_level(steps)
+
+
+fractions = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)
+
+
+class TestInversionProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(schedules, fractions)
+    def test_array_equals_per_level(self, schedule, fractions):
+        level_map, _, levels = _steps_and_levels(schedule, fractions)
+        r_min = schedule.sqrt_alpha_bars[-1]
+        # both ends, snapped or exact, ride along with the random levels
+        levels = np.concatenate([levels, [1.0, 1.0 + 1e-13, r_min,
+                                          r_min * (1.0 - 1e-10)]])
+        steps, iters = level_map.invert(levels)
+        scalar = [level_map.invert(r) for r in levels]
+        assert np.array_equal(steps, [t for t, _ in scalar])
+        assert iters == max(n for _, n in scalar)
+        assert isinstance(iters, int)
+        assert steps[-4] == 0.0 and steps[-1] == schedule.num_steps
+
+    @settings(max_examples=40, deadline=None)
+    @given(schedules, fractions)
+    def test_roundtrip_within_budget(self, schedule, fractions):
+        level_map, steps, levels = _steps_and_levels(schedule, fractions)
+        solved, iters = level_map.invert(levels)
+        assert np.max(np.abs(solved - steps)) <= 1e-6
+        residual = level_map.log_alpha_bar(solved) - 2.0 * np.log(levels)
+        assert np.max(np.abs(residual)) <= level_map.tolerance
+        assert iters <= 20
+
+
+class TestScheduleProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(schedules, st.integers(1, 300),
+           st.sampled_from(["linear", "quadratic"]))
+    def test_var_terminal_constraint(self, schedule, num_steps, variant):
+        try:
+            fast = build_var_schedule(schedule, NoiseLevelMap(schedule),
+                                      num_steps, variant)
+        except ConstructionError as err:
+            assert "no admissible ramp" in str(err)
+            return
+        target = schedule.alpha_bars[-1]
+        assert abs(np.prod(1.0 - fast.etas) - target) <= 1e-10 * target
+        # the ramp slope and the inversion both stop at a residual, so the
+        # last step lands near T, not exactly on it
+        assert abs(fast.cont_steps[-1] - schedule.num_steps) <= 1e-8
+
+    @pytest.mark.filterwarnings("ignore:step subset collapsed")
+    @settings(max_examples=40, deadline=None)
+    @given(schedules, st.floats(0.0, 1.0),
+           st.sampled_from(["linear", "quadratic"]))
+    def test_step_as_var_identity(self, schedule, fraction, variant):
+        num_steps = 1 + int(fraction * (schedule.num_steps - 1))
+        fast = build_step_schedule(schedule, num_steps, variant)
+        assert step_as_var_equivalence(fast, schedule)

@@ -181,10 +181,18 @@ class TestInversion:
             map_200.step_of_noise_level(r_min * 0.9)
         with pytest.raises(ValueError):
             map_200.step_of_noise_level(1.1)
+        with pytest.raises(ValueError):
+            map_200.step_of_noise_level(float("nan"))
+        with pytest.raises(ValueError, match="1.1"):
+            map_200.invert(np.array([0.5, 1.1]))
 
     def test_terminal_snap_for_root_solve_noise(self, map_200):
         r_min = map_200.schedule.sqrt_alpha_bars[-1]
         assert map_200.step_of_noise_level(r_min * (1 - 1e-10)) == 200.0
+        # exact even where the Gamma route at T misses the table by more
+        # than the tolerance
+        strict = NoiseLevelMap(map_200.schedule, tolerance=1e-16)
+        assert strict.invert(r_min * (1 - 1e-10)) == (200.0, 0)
 
     def test_convergence_error(self, sched_200):
         strict = NoiseLevelMap(sched_200, tolerance=1e-30, max_iters=5)
