@@ -210,7 +210,11 @@ def build_model(raw: dict, mixture: GaussianMixture, level_map: NoiseLevelMap):
         return AnalyticEpsilonModel(mixture, level_map)
     if not spec.get("path"):
         raise ValidationError("trained model requires a 'path'")
-    return ToyRegressor.load(spec["path"])
+    model = ToyRegressor.load(spec["path"])
+    if model.dim != mixture.dim:
+        raise ValidationError(f"trained model has dim {model.dim}, "
+                              f"the data has dim {mixture.dim}")
+    return model
 
 
 def load_run(raw: dict):

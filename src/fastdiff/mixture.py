@@ -15,10 +15,20 @@ form.  These serve as exact reference models for the samplers: a sampler
 driven by `AnalyticEpsilonModel` should reproduce the mixture's moments as
 the number of reverse steps grows.
 
-The log density, the score and the label posterior come from one pass per
-query: one Cholesky solve per component and one log-sum-exp over the
-log-domain component densities.  A mixture is immutable once built and
-holds no cache, so its methods are safe to call concurrently.
+Each covariance is factored once, at construction: Sigma_k = L_k L_k^T
+(Cholesky, used by `sample`) and Sigma_k = U_k diag(lambda_k) U_k^T, taken
+from the singular value decomposition of L_k so that every lambda_k is
+positive.  The marginal covariance at alpha_bar shares the eigenvectors,
+
+    alpha_bar Sigma_k + (1 - alpha_bar) I = U_k diag(lambda~_k) U_k^T,
+    lambda~_k = alpha_bar lambda_k + 1 - alpha_bar >= min(lambda_k, 1),
+
+so its precision and log-determinant are closed-form and no noise level
+needs a factorization.  The log density, the score and the label posterior
+come from one pass per query: one matrix product with the precision per
+component and one log-sum-exp over the log-domain component densities.  A
+mixture is immutable once built and holds no cache, so its methods are
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -26,9 +36,9 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg import cholesky
 
-from .errors import ConstructionError, NumericError
+from .errors import ConstructionError
 from .schedule import NoiseLevelMap
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -56,20 +66,27 @@ class GaussianMixture:
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ConstructionError(
                 f"weights sum to {self.weights.sum()!r}, not 1")
-        self._chols = []
+        chols = []
         for i, cov in enumerate(self.covariances):
             if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12):
                 raise ConstructionError(f"covariance {i} is not symmetric")
             try:
-                self._chols.append(cholesky(cov, lower=True))
+                chols.append(cholesky(cov, lower=True))
             except np.linalg.LinAlgError:
                 raise ConstructionError(
                     f"covariance {i} is not positive definite")
+        self._chols = np.stack(chols)
+        # L = U S V^T gives Sigma = L L^T = U S^2 U^T with S^2 > 0; eigh on
+        # Sigma itself can return eigenvalues <= 0 for a near-singular
+        # covariance that the Cholesky factorization accepted.
+        self._eigvecs, singular, _ = np.linalg.svd(self._chols)
+        self._eigvals = singular ** 2
         if self.labels is not None and self.labels.shape != (k,):
             raise ConstructionError("labels must give one class per component")
         self.num_components = k
         self.dim = d
-        for a in (self.weights, self.means, self.covariances):
+        for a in (self.weights, self.means, self.covariances, self._chols,
+                  self._eigvecs, self._eigvals):
             a.flags.writeable = False
 
     # -- basic facts ---------------------------------------------------------
@@ -86,8 +103,8 @@ class GaussianMixture:
     def sample(self, stream, n: int) -> np.ndarray:
         comps = stream.choice(self.num_components, size=n, p=self.weights)
         z = stream.standard_normal((n, self.dim))
-        chols = np.stack(self._chols)[comps]
-        return self.means[comps] + np.einsum("nij,nj->ni", chols, z)
+        return self.means[comps] + np.einsum("nij,nj->ni",
+                                             self._chols[comps], z)
 
     def class_labels(self) -> np.ndarray:
         if self.labels is None:
@@ -107,33 +124,22 @@ class GaussianMixture:
 
     # -- noisy-marginal quantities -------------------------------------------
 
-    def _noisy_factors(self, alpha_bar: float):
-        """Means and Cholesky factorizations of the marginal at alpha_bar."""
-        eye = np.eye(self.dim)
-        factors = []
-        for mu, sig in zip(self.means, self.covariances):
-            cov = alpha_bar * sig + (1.0 - alpha_bar) * eye
-            try:
-                cf = cho_factor(cov, lower=True)
-            except np.linalg.LinAlgError:
-                raise NumericError(
-                    f"singular marginal covariance at alpha_bar={alpha_bar}")
-            logdet = 2.0 * np.sum(np.log(np.diag(cf[0])))
-            factors.append((np.sqrt(alpha_bar) * mu, cf, logdet))
-        return factors
-
     def _marginal(self, x: np.ndarray, alpha_bar: float):
         """One pass over the components of the marginal at alpha_bar for x
         of shape (n, d): returns log q(x) (n,), the responsibilities (n, K)
-        and, per component k, C_k^-1 (x - m_k) (n, d)."""
+        and, per component k, C_k^-1 (x - m_k) (n, d), with C_k^-1 and
+        log det C_k taken from the eigendecomposition of Sigma_k."""
+        noisy = alpha_bar * self._eigvals + (1.0 - alpha_bar)
+        logdets = np.sum(np.log(noisy), axis=1)
+        means = np.sqrt(alpha_bar) * self.means
         logs = np.empty((x.shape[0], self.num_components))
         solved = []
-        for k, (mean, cf, logdet) in enumerate(self._noisy_factors(alpha_bar)):
-            diff = x - mean
-            solved.append(cho_solve(cf, diff.T).T)
+        for k, vecs in enumerate(self._eigvecs):
+            diff = x - means[k]
+            solved.append(diff @ ((vecs / noisy[k]) @ vecs.T))
             maha = np.sum(diff * solved[k], axis=1)
             logs[:, k] = (np.log(self.weights[k])
-                          - 0.5 * (self.dim * _LOG_2PI + logdet + maha))
+                          - 0.5 * (self.dim * _LOG_2PI + logdets[k] + maha))
         peak = np.max(logs, axis=1, keepdims=True)
         resp = np.exp(logs - peak)
         total = np.sum(resp, axis=1, keepdims=True)

@@ -20,11 +20,13 @@ E||eps||^2 = d, a useful baseline for training tests.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrainingError
+from .errors import TrainingError, ValidationError
 from .mixture import GaussianMixture
 from .rng import chain_streams
 from .schedule import NoiseLevelMap
@@ -119,14 +121,32 @@ class ToyRegressor:
 
     @classmethod
     def load(cls, prefix: str) -> "ToyRegressor":
+        """Read a regressor written by `save`; raises `ValidationError` when
+        the metadata or the parameter file does not describe one."""
         with open(f"{prefix}.json") as fh:
             meta = json.load(fh)
-        model = cls(meta["dim"], tuple(meta["hidden"]), meta["time_scale"])
+        if not isinstance(meta, dict):
+            raise ValidationError(f"{prefix}.json must hold an object")
+        dim = _meta_field(meta, "dim", _is_count, "a positive integer")
+        hidden = _meta_field(
+            meta, "hidden", lambda v: isinstance(v, list)
+            and all(_is_count(h) for h in v), "a list of positive integers")
+        time_scale = _meta_field(
+            meta, "time_scale", lambda v: isinstance(v, (int, float))
+            and not isinstance(v, bool) and math.isfinite(v) and v > 0,
+            "a positive number")
+        model = cls(dim, tuple(hidden), time_scale)
+        expected = sum(w.size + b.size
+                       for w, b in zip(model.weights, model.biases))
+        _meta_field(meta, "parameter_count",
+                    lambda v: _is_count(v) and v == expected,
+                    f"{expected}, the architecture's count")
+        size = os.path.getsize(f"{prefix}.bin")
+        if size != 8 * expected:
+            raise ValidationError(
+                f"{prefix}.bin holds {size} bytes, not the {8 * expected} "
+                f"of {expected} float64 parameters")
         flat = np.fromfile(f"{prefix}.bin", dtype="<f8")
-        if flat.size != meta["parameter_count"]:
-            raise ValueError(
-                f"parameter file holds {flat.size} values, "
-                f"expected {meta['parameter_count']}")
         offset = 0
         for i in range(len(model.weights)):
             for attr, idx in ((model.weights, i), (model.biases, i)):
@@ -134,6 +154,20 @@ class ToyRegressor:
                 attr[idx] = flat[offset:offset + block.size].reshape(block.shape)
                 offset += block.size
         return model
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 1
+
+
+def _meta_field(meta: dict, key: str, valid, kind: str):
+    """meta[key] if `valid` accepts it; `kind` says what it must be."""
+    value = meta.get(key)
+    if not valid(value):
+        raise ValidationError(
+            f"regressor metadata {key} must be {kind}, got {value!r}")
+    return value
 
 
 def _denoising_batch(gm, level_map, stream, n, discrete):

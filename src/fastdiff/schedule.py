@@ -170,10 +170,18 @@ class NoiseLevelMap:
         return out if out.ndim else float(out)
 
     def noise_level(self, t):
-        """Noise level r(t) in (0, 1] at continuous step t in [0, num_steps].
+        """Noise level r(t) = sqrt(alpha_bar(t)) at continuous step t in
+        [0, num_steps]; r(0) = 1, and r agrees with sqrt(alpha_bar_product)
+        at every integer step.
 
-        r(t) = sqrt(alpha_bar(t)); r(0) = 1, and r agrees with
-        sqrt(alpha_bar_product) at every integer step.
+        log alpha_bar is concave in t, so r(t) <= (1 - beta_1)^(t/2) < 1 for
+        every t >= 1.  Below step 1, r <= 1 holds exactly when the slope
+        of log alpha_bar at 0, log(delta_beta) + digamma(L + 1) with
+        L = domain_limit, is not positive.  That slope is
+        log(1 - beta_1 + delta_beta / 2) up to a term of order
+        delta_beta^2, so r exceeds 1 just after t = 0 when
+        delta_beta / 2 > beta_1: `VarianceSchedule(1e-5, 0.05, 2)` gives
+        r(0.5) = 1.0031, a level that `invert` rejects.
         """
         t = np.asarray(t, dtype=float)
         if np.any(t < 0) or np.any(t > self.schedule.num_steps):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fastdiff import NoiseLevelMap, VarianceSchedule
+
+# Timing varies too much on shared machines for a per-example deadline.
+settings.register_profile("no_deadline", deadline=None)
+settings.load_profile("no_deadline")
 
 
 @pytest.fixture(scope="session")

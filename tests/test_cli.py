@@ -227,6 +227,28 @@ BAD_MIXTURES = {
     "string_labels.json": {"weights": [1.0], "means": [[0.0]],
                            "covariances": [[[1.0]]], "labels": ["x"]},
 }
+# a regressor for 2-d data with one hidden layer of 3: 3 * 3 + 3 + 3 * 2 + 2
+REGRESSOR = {"dim": 2, "hidden": [3], "time_scale": 200.0,
+             "activation": "tanh", "parameter_count": 20}
+# prefix: (metadata, number of float64 values in the .bin file); written
+# next to each bad config and read through model.path
+BAD_REGRESSORS = {
+    "no_hidden": ({"dim": 2}, 20),
+    "short_bin": (REGRESSOR, 19),
+    "list_meta": ([2, [3], 200.0, 20], 20),
+    "string_dim": (dict(REGRESSOR, dim="x"), 20),
+    "string_hidden": (dict(REGRESSOR, hidden="x"), 20),
+    "string_time_scale": (dict(REGRESSOR, time_scale="x"), 20),
+    "short_count": (dict(REGRESSOR, parameter_count=19), 19),
+    "string_count": (dict(REGRESSOR, parameter_count="20"), 20),
+    "dim_3": (dict(REGRESSOR, dim=3, parameter_count=27), 27),
+}
+
+
+def trained(prefix):
+    return config_with(model={"kind": "trained", "path": prefix})
+
+
 BAD_INPUTS = [
     ("malformed_json", ALL_VERBS, '{"schedule": '),
     ("no_schedule", ALL_VERBS, config_with(schedule=None)),
@@ -281,6 +303,18 @@ BAD_INPUTS = [
     ("negative_run_seed", ("sample",), config_with(run={"seed": -1})),
     ("negative_seeds_entry", ("sweep",), config_with(seeds=[-1])),
     ("boolean_seeds_entry", ("sweep",), config_with(seeds=[True])),
+    ("regressor_without_hidden", ("sample", "sweep"), trained("no_hidden")),
+    ("regressor_value_count", ("sample", "sweep"), trained("short_bin")),
+    ("list_regressor_metadata", ("sample", "sweep"), trained("list_meta")),
+    ("string_regressor_dim", ("sample", "sweep"), trained("string_dim")),
+    ("string_regressor_hidden", ("sample", "sweep"),
+     trained("string_hidden")),
+    ("string_regressor_time_scale", ("sample", "sweep"),
+     trained("string_time_scale")),
+    ("regressor_count_off_architecture", ("sample", "sweep"),
+     trained("short_count")),
+    ("string_regressor_count", ("sample", "sweep"), trained("string_count")),
+    ("regressor_dim_off_data", ("sample", "sweep"), trained("dim_3")),
 ]
 # (name, verbs, extra flags, config)
 BAD_FLAGS = [
@@ -310,6 +344,9 @@ class TestErrorBoundary:
         monkeypatch.chdir(tmp_path)
         for name, mixture in BAD_MIXTURES.items():
             (tmp_path / name).write_text(json.dumps(mixture))
+        for prefix, (meta, count) in BAD_REGRESSORS.items():
+            (tmp_path / f"{prefix}.json").write_text(json.dumps(meta))
+            (tmp_path / f"{prefix}.bin").write_bytes(b"\x00" * 8 * count)
         path = tmp_path / "bad.json"
         path.write_text(payload if isinstance(payload, str)
                         else json.dumps(payload))
@@ -318,6 +355,15 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", ("sample", "sweep"))
+    def test_valid_regressor_files_load(self, tmp_path, monkeypatch, verb):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ok.json").write_text(json.dumps(REGRESSOR))
+        (tmp_path / "ok.bin").write_bytes(b"\x00" * 8 * 20)
+        config = write_config(tmp_path, "trained.json", trained("ok"))
+        assert main([verb, "--config", config,
+                     "--out", str(tmp_path / "out")]) == 0
 
     def test_programming_error_still_raises(self, sample_config, tmp_path,
                                             monkeypatch):

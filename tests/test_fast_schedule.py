@@ -257,6 +257,19 @@ class TestInversionProperties:
         assert iters <= 20
 
 
+class TestNoiseLevelProperties:
+    @settings(max_examples=40)
+    @given(schedules, fractions)
+    def test_at_most_one_from_step_one(self, schedule, fractions):
+        # concavity of log alpha_bar bounds it by the chord through steps
+        # 0 and 1 from step 1 on
+        _, steps, levels = _steps_and_levels(
+            schedule, np.concatenate([fractions, [0.0, 1.0]]))
+        assert np.all(levels <= 1.0)
+        chord = 0.5 * steps * np.log1p(-schedule.beta_start)
+        assert np.all(np.log(levels) <= chord + 1e-12)
+
+
 class TestScheduleProperties:
     @settings(max_examples=40, deadline=None)
     @given(schedules, st.integers(1, 300),

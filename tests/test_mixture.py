@@ -4,11 +4,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from fastdiff import (AnalyticEpsilonModel, ConstructionError,
-                      GaussianMixture, NoiseStream, analytic_epsilon,
+                      GaussianMixture, NoiseLevelMap, NoiseStream,
+                      VarianceSchedule, analytic_epsilon,
                       posterior_classifier)
 
 
@@ -37,6 +39,50 @@ def random_mixture(rng, k, d, labelled=False):
         covs.append(a @ a.T + 0.3 * np.eye(d))
     labels = np.arange(k) if labelled else None
     return GaussianMixture(weights, means, covs, labels)
+
+
+def cholesky_reference(gm, x, alpha_bar):
+    """log q(x), the responsibilities, the score and the largest condition
+    number of the marginal covariances, from one Cholesky factorization of
+    alpha_bar Sigma_k + (1 - alpha_bar) I per component."""
+    logs, solved, conds = [], [], []
+    for w, mu, sig in zip(gm.weights, gm.means, gm.covariances):
+        cov = alpha_bar * sig + (1.0 - alpha_bar) * np.eye(gm.dim)
+        cf = cho_factor(cov, lower=True)
+        diff = x - np.sqrt(alpha_bar) * mu
+        solved.append(cho_solve(cf, diff.T).T)
+        logdet = 2.0 * np.sum(np.log(np.diag(cf[0])))
+        logs.append(np.log(w) - 0.5 * (gm.dim * np.log(2.0 * np.pi) + logdet
+                                       + np.sum(diff * solved[-1], axis=1)))
+        conds.append(np.linalg.cond(cov))
+    logs = np.stack(logs, axis=1)
+    log_q = logsumexp(logs, axis=1)
+    resp = np.exp(logs - log_q[:, None])
+    score = -np.einsum("nk,knd->nd", resp, np.array(solved))
+    return log_q, resp, score, max(conds)
+
+
+def spread_mixture(rng, k, d):
+    """Random rotations of spectra in [1e-6, 1e2]; the first component spans
+    the whole range."""
+    weights = rng.uniform(0.5, 1.5, size=k)
+    weights /= weights.sum()
+    covs = []
+    for i in range(k):
+        rotation, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        spectrum = 10.0 ** rng.uniform(-6.0, 2.0, size=d)
+        if i == 0 and d > 1:
+            spectrum[[0, -1]] = 1e-6, 1e2
+        cov = (rotation * spectrum) @ rotation.T
+        covs.append(0.5 * (cov + cov.T))
+    return GaussianMixture(weights, rng.normal(scale=2.0, size=(k, d)), covs,
+                           labels=rng.integers(0, 2, size=k))
+
+
+def assert_close_to_reference(got, want, tolerance):
+    """Norm-wise: relative to the largest entry, absolute below 1."""
+    err = np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want)))
+    assert err <= tolerance, (err, tolerance)
 
 
 class TestConstruction:
@@ -71,6 +117,16 @@ class TestConstruction:
         mean, cov = two_blob_2d.moments()
         assert np.abs(x.mean(0) - mean).max() < 0.02
         assert np.abs(np.cov(x.T) - cov).max() < 0.05
+
+    def test_sample_uses_each_cholesky_factor(self):
+        gm = random_mixture(np.random.default_rng(8), 3, 2)
+        x = gm.sample(NoiseStream.from_seed(4), 500)
+        stream = NoiseStream.from_seed(4)
+        comps = stream.choice(3, size=500, p=gm.weights)
+        z = stream.standard_normal((500, 2))
+        chols = np.stack([cholesky(c, lower=True) for c in gm.covariances])
+        assert np.array_equal(
+            x, gm.means[comps] + np.einsum("nij,nj->ni", chols[comps], z))
 
     def test_json_roundtrip(self, two_blob_2d, tmp_path):
         path = tmp_path / "mixture.json"
@@ -206,3 +262,63 @@ class TestOnePassProperties:
                                    rtol=0.0, atol=1e-10)
         probs = posterior_classifier(gm, x)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+# Beyond the chain's last step: alpha_bar(1000) is about 1e-11.
+LONG_MAP = NoiseLevelMap(VarianceSchedule(1e-4, 0.05, 1000))
+
+
+class TestSpectralOracle:
+    """The eigendecomposed oracle against the per-noise-level Cholesky
+    evaluation it replaced.  Both are backward stable, so they may differ by
+    a small multiple of cond * eps; the bound is 1e-10 plus that term, at
+    query points drawn from the noisy marginal itself."""
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5),
+           st.one_of(st.sampled_from([1.0, 1.0 - 1e-12, 1e-8]),
+                     st.floats(0.0, 1.0, exclude_min=True)))
+    def test_matches_cholesky_reference(self, seed, k, d, alpha_bar):
+        rng = np.random.default_rng(seed)
+        gm = spread_mixture(rng, k, d)
+        x0 = gm.sample(NoiseStream.from_seed(seed), 16)
+        x = (np.sqrt(alpha_bar) * x0
+             + np.sqrt(1.0 - alpha_bar) * rng.normal(size=x0.shape))
+        log_q, _, score, cond = cholesky_reference(gm, x, alpha_bar)
+        tolerance = 1e-10 + 100.0 * cond * np.finfo(float).eps
+        assert_close_to_reference(gm.log_density(x, alpha_bar), log_q,
+                                  tolerance)
+        assert_close_to_reference(gm.score(x, alpha_bar), score, tolerance)
+        # epsilon at the step of this signal fraction (or the last step)
+        r_min = LONG_MAP.schedule.sqrt_alpha_bars[-1]
+        t = float(LONG_MAP.invert(max(np.sqrt(alpha_bar), r_min))[0])
+        at_t = float(np.exp(LONG_MAP.log_alpha_bar(t)))
+        _, _, score, cond = cholesky_reference(gm, x, at_t)
+        assert_close_to_reference(
+            analytic_epsilon(gm, LONG_MAP, x, t),
+            -np.sqrt(1.0 - at_t) * score,
+            1e-10 + 100.0 * cond * np.finfo(float).eps)
+        # the posterior is always taken at the data level
+        _, resp, _, cond = cholesky_reference(gm, x, 1.0)
+        want = np.stack([resp[:, gm.labels == label].sum(axis=1)
+                         for label in gm.class_labels()], axis=1)
+        assert_close_to_reference(
+            posterior_classifier(gm, x), want,
+            1e-10 + 100.0 * cond * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("cov", [
+        [[0.7, 0.7], [0.7, 0.7 + 7e-17]],
+        # eigh of this matrix returns an eigenvalue of exactly 0
+        [[0.1, 0.5], [0.5, 2.5]],
+    ])
+    def test_near_singular_covariance_is_finite_at_data_level(self, cov):
+        gm = GaussianMixture([1.0], [[0.0, 0.0]], [cov])
+        x = np.array([[0.3, -0.2], [1.0, 1.0], [0.0, 0.0]])
+        assert np.all(np.isfinite(gm.log_density(x, 1.0)))
+        assert np.all(np.isfinite(gm.score(x, 1.0)))
+
+    def test_factors_are_read_only(self, two_blob_2d):
+        for a in (two_blob_2d._chols, two_blob_2d._eigvecs,
+                  two_blob_2d._eigvals):
+            with pytest.raises(ValueError):
+                a[0] = 0.0

@@ -97,6 +97,16 @@ class TestNoiseLevel:
         r = map_1000.noise_level(5.5)
         assert map_1000.noise_level(6.0) < r < map_1000.noise_level(5.0)
 
+    def test_rises_above_one_below_step_one_when_delta_exceeds_beta_1(self):
+        # delta_beta / 2 = 0.025 > beta_1 = 1e-5
+        steep = NoiseLevelMap(VarianceSchedule(1e-5, 0.05, 2))
+        assert steep.noise_level(0.5) == pytest.approx(1.0031, abs=5e-5)
+        assert steep.noise_level(1.0) < 1.0
+
+    def test_at_most_one_below_step_one_otherwise(self, map_200):
+        # delta_beta / 2 = 5e-5 <= beta_1 = 1e-4
+        assert np.all(map_200.noise_level(np.linspace(0.0, 1.0, 101)) <= 1.0)
+
     def test_strictly_decreasing_on_grid(self, map_200):
         grid = np.linspace(0.0, 200.0, 1500)
         assert np.all(np.diff(map_200.noise_level(grid)) < 0)
