@@ -102,6 +102,7 @@ def _cmd_evaluate(args):
         probs = posterior_classifier(mixture, batch.samples)
         score = inception_score(probs)
     provenance = batch.provenance
+    fast = provenance.get("fast_schedule", {})
     report = MetricReport(
         frechet=frechet_distance(reference, batch.samples),
         inception_score=score, accuracy=None,
@@ -110,10 +111,8 @@ def _cmd_evaluate(args):
         config={"sampler": provenance.get("sampler"),
                 "kappa": provenance.get("kappa"),
                 "seed": provenance.get("seed"),
-                "schedule_kind": provenance.get(
-                    "fast_schedule", {}).get("kind", "full"),
-                "S": provenance.get("fast_schedule", {}).get(
-                    "S", provenance.get("model_calls_per_chain"))})
+                "schedule_kind": fast.get("kind", "full"),
+                "S": fast.get("S", provenance.get("model_calls_per_chain"))})
     out = _resolve_out(args)
     report.to_json(os.path.join(out, "report.json"))
     cfg = report.config

@@ -45,7 +45,7 @@ _ROOT_TOL = 1e-13
 
 class FastSchedule:
     """Immutable S-step schedule; build via `build_step_schedule`,
-    `build_var_schedule` or `full` (which keeps its `source` schedule)."""
+    `build_var_schedule` or `full`."""
 
     def __init__(self, kind: str, etas: np.ndarray, cont_steps: np.ndarray,
                  taus: np.ndarray | None = None):
@@ -70,6 +70,12 @@ class FastSchedule:
             raise ConstructionError("cont_steps must align with etas")
         if np.any(np.diff(self.cont_steps) <= 0.0):
             raise ConstructionError("cont_steps must be strictly increasing")
+        # run_sampler rebuilds a full schedule's VarianceSchedule from it.
+        if kind == FULL and not (
+                np.array_equal(etas, np.linspace(etas[0], etas[-1], etas.size))
+                and np.array_equal(self.cont_steps, np.arange(etas.size) + 1)):
+            raise ConstructionError("a full schedule is eta = linspace("
+                                    "beta_1, beta_T, T) over steps 1..T")
         self.taus = None if taus is None else np.asarray(taus, dtype=int)
         arrays = [self.etas, self.gammas, self.gamma_bars, self.noise_levels,
                   self.eta_tildes, self.cont_steps]
@@ -82,9 +88,7 @@ class FastSchedule:
     def full(cls, schedule: VarianceSchedule) -> "FastSchedule":
         """The full T-step chain: eta = beta, steps 1..T."""
         steps = np.arange(1, schedule.num_steps + 1)
-        fast = cls(FULL, schedule.betas, steps.astype(float), steps)
-        fast.source = schedule
-        return fast
+        return cls(FULL, schedule.betas, steps.astype(float), steps)
 
     @property
     def is_step_kind(self) -> bool:

@@ -18,7 +18,7 @@ lowest class index).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,12 +39,7 @@ class MetricReport:
     config: dict
 
     def to_dict(self) -> dict:
-        return {"frechet": self.frechet,
-                "inception_score": self.inception_score,
-                "accuracy": self.accuracy,
-                "num_generated": self.num_generated,
-                "num_reference": self.num_reference,
-                "config": self.config}
+        return asdict(self)
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:

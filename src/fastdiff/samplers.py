@@ -7,15 +7,17 @@ marginal
     x_t = sqrt(alpha_bar_t) x_0 + sqrt(1 - alpha_bar_t) eps.
 
 Three reverse samplers are provided; `run_sampler` picks one by name:
+`ddpm_reverse` (the full chain, `FastSchedule.full`), `fast_ddpm_reverse`
+(ancestral, over a short schedule) and `fast_ddim_reverse` (implicit).  Each
+reverse step s = S, ..., 1 is x <- (x - b_s eps_theta(x, t_s)) / sqrt(gamma_s)
++ c_s z, and the samplers differ only in the coefficient tables b and c:
 
-* `ddpm_reverse`       - the full T-step ancestral chain (`FastSchedule.full`),
-  x_{t-1} = (x_t - beta_t / sqrt(1 - alpha_bar_t) eps_theta) / sqrt(alpha_t)
-            + sqrt(beta_tilde_t) z.
-* `fast_ddpm_reverse`  - the same recursion over a shortened S-step schedule,
-  with the model queried at the continuous steps carried by the schedule.
-* `fast_ddim_reverse`  - the implicit sampler; kappa in [0, 1] scales the
-  injected noise, kappa = 0 is a deterministic map from the latent to the
-  sample, and kappa = 1 reproduces `fast_ddpm_reverse` step for step.
+  DDPM: b = eta / sqrt(1 - gamma_bar),            c = sqrt(eta_tilde)
+  DDIM: b = sqrt(1 - gamma_bar) - sqrt(gamma rho), c = sqrt(kappa^2 eta_tilde)
+
+where rho_s = 1 - gamma_bar_{s-1} - kappa^2 eta_tilde_s.  kappa in [0, 1]
+scales the DDIM noise: kappa = 0 is a deterministic map from the latent to
+the sample, and kappa = 1 reproduces DDPM step for step.
 
 Samplers are pure functions of (schedule, model, config): a fixed seed gives
 bitwise-identical output.  Each chain draws all of its normals in one block
@@ -112,32 +114,33 @@ def _check_finite(x, step):
         raise NumericError(f"non-finite state at reverse step {step}", step=step)
 
 
-def _reverse_chain(fast, model, config, provenance, initial, kappa_mode):
-    """Shared driver for the ancestral and implicit reverse recursions.
-
-    kappa_mode is None for the DDPM update and a float kappa for the DDIM
-    update; the two consume identical noise streams for kappa > 0, which is
-    what makes the kappa = 1 equivalence testable draw for draw.
-    """
-    etas, gammas, gamma_bars = fast.etas, fast.gammas, fast.gamma_bars
-    eta_tildes, cont_steps = fast.eta_tildes, fast.cont_steps
-    prev_bars = np.concatenate([[1.0], gamma_bars[:-1]])
+def _reverse_chain(fast, model, config, provenance, initial, kappa):
+    """Shared driver: the one update of the module docstring, with DDPM's
+    (kappa None) or DDIM's b and c tables.  Both draw identical noise for
+    kappa > 0, so kappa = 1 is testable against DDPM draw for draw."""
     num_steps = fast.num_steps
-
-    deterministic = kappa_mode is not None and kappa_mode == 0.0
-    literal = config.final_step_noise == FINAL_STEP_LITERAL
-    noisy_steps = 0 if deterministic else (num_steps if literal else num_steps - 1)
-
-    if kappa_mode is not None:
+    d = np.sqrt(fast.gammas)
+    if kappa is None:
+        b = fast.etas / np.sqrt(1.0 - fast.gamma_bars)
+        c = np.sqrt(fast.eta_tildes)
+    else:
+        prev_bars = np.concatenate([[1.0], fast.gamma_bars[:-1]])
         # Interior radicands must stay non-negative; only the terminal step
         # may go negative (by -kappa^2 eta_1), where it is clamped to zero.
-        radicands = 1.0 - prev_bars - kappa_mode**2 * eta_tildes
+        radicands = 1.0 - prev_bars - kappa**2 * fast.eta_tildes
         if np.any(radicands[1:] < -1e-12):
             bad = int(np.argmax(radicands[1:] < -1e-12)) + 2
             raise ConstructionError(
                 f"negative radicand {radicands[bad - 1]:.3e} at interior "
-                f"step {bad}; kappa={kappa_mode} is inadmissible here")
-        radicands = np.maximum(radicands, 0.0)
+                f"step {bad}; kappa={kappa} is inadmissible here")
+        b = np.sqrt(1.0 - fast.gamma_bars) \
+            - np.sqrt(fast.gammas * np.maximum(radicands, 0.0))
+        c = np.sqrt(kappa**2 * fast.eta_tildes)
+
+    # The first noisy_steps reverse steps draw noise: none for kappa = 0,
+    # and all but the last unless the final step is literal.
+    literal = config.final_step_noise == FINAL_STEP_LITERAL
+    noisy_steps = 0 if kappa == 0.0 else num_steps - (not literal)
 
     # One block of normals per chain: row 0 is the initial state (unless
     # given), then one row per noisy step in reverse-step order.
@@ -155,34 +158,19 @@ def _reverse_chain(fast, model, config, provenance, initial, kappa_mode):
     noise = normals[:, rows - noisy_steps:, :]
     trace = [] if config.record_trace else None
 
-    for s in range(num_steps, 0, -1):
-        i = s - 1
-        eps_hat = model.predict(x, float(cont_steps[i]))
-        if kappa_mode is None:
-            x = (x - etas[i] / np.sqrt(1.0 - gamma_bars[i]) * eps_hat) \
-                / np.sqrt(gammas[i])
-        else:
-            x0_pred = (x - np.sqrt(1.0 - gamma_bars[i]) * eps_hat) \
-                / np.sqrt(gamma_bars[i])
-            x = np.sqrt(prev_bars[i]) * x0_pred \
-                + np.sqrt(radicands[i]) * eps_hat
-        if not deterministic and (s > 1 or literal):
-            scale = eta_tildes[i] if kappa_mode is None \
-                else kappa_mode**2 * eta_tildes[i]
-            x = x + np.sqrt(scale) * noise[:, num_steps - s, :]
-        _check_finite(x, s)
+    for k, i in enumerate(range(num_steps - 1, -1, -1)):
+        eps_hat = model.predict(x, float(fast.cont_steps[i]))
+        x = (x - b[i] * eps_hat) / d[i]
+        if k < noisy_steps:
+            x = x + c[i] * noise[:, k, :]
+        _check_finite(x, i + 1)
         if trace is not None:
             trace.append(x.copy())
 
-    provenance = dict(provenance)
-    provenance.update({
-        "batch": config.batch,
-        "dim": config.dim,
-        "seed": config.seed,
-        "final_step_noise": config.final_step_noise,
-        "model_calls_per_chain": num_steps,
-        "normals_per_chain": rows * config.dim,
-    })
+    provenance = dict(
+        provenance, batch=config.batch, dim=config.dim, seed=config.seed,
+        final_step_noise=config.final_step_noise,
+        model_calls_per_chain=num_steps, normals_per_chain=rows * config.dim)
     return SampleBatch(samples=x, provenance=provenance, step_trace=trace)
 
 
@@ -228,5 +216,6 @@ def run_sampler(fast: FastSchedule, model: EpsilonModel,
     if sampler != "ddpm":
         raise ValidationError(f"unknown sampler {sampler!r}")
     if fast.kind == FULL:
-        return ddpm_reverse(fast.source, model, config)
+        return ddpm_reverse(VarianceSchedule(fast.etas[0], fast.etas[-1],
+                                             fast.num_steps), model, config)
     return fast_ddpm_reverse(fast, model, config)

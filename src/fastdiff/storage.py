@@ -31,12 +31,24 @@ def save_samples(batch: SampleBatch, prefix: str) -> None:
 def load_samples(prefix: str) -> SampleBatch:
     with open(f"{prefix}.json") as fh:
         sidecar = json.load(fh)
-    size = int(np.prod(sidecar["shape"])) * np.dtype(sidecar["dtype"]).itemsize
+    if not isinstance(sidecar, dict):
+        raise ValidationError(f"{prefix}.json must hold an object")
+    shape = sidecar.get("shape")
+    for key, valid, kind in (
+            ("shape", isinstance(shape, list) and len(shape) == 2
+             and all(type(n) is int and n >= 1 for n in shape),
+             "a list of two positive integers"),
+            ("dtype", sidecar.get("dtype") == "<f8", "'<f8'"),
+            ("provenance", isinstance(sidecar.get("provenance"), dict),
+             "an object")):
+        if not valid:
+            raise ValidationError(f"{prefix}.json {key} must be {kind}, "
+                                  f"got {sidecar.get(key)!r}")
+    size = 8 * shape[0] * shape[1]
     if os.path.getsize(f"{prefix}.bin") != size:
         raise ValidationError(f"{prefix}.bin does not hold {size} bytes, the "
-                              f"shape {sidecar['shape']} its sidecar gives")
-    samples = np.fromfile(f"{prefix}.bin",
-                          dtype=sidecar["dtype"]).reshape(sidecar["shape"])
+                              f"shape {shape} its sidecar gives")
+    samples = np.fromfile(f"{prefix}.bin", dtype="<f8").reshape(shape)
     return SampleBatch(samples=samples, provenance=sidecar["provenance"])
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import fastdiff.cli
@@ -244,6 +245,23 @@ BAD_REGRESSORS = {
     "dim_3": (dict(REGRESSOR, dim=3, parameter_count=27), 27),
 }
 
+# a sidecar as `fastdiff sample` writes it, for 20 samples in 2-d
+SIDECAR = {"shape": [20, 2], "dtype": "<f8", "order": "C",
+           "provenance": {"sampler": "ddpm", "seed": 0,
+                          "model_calls_per_chain": 5}}
+# prefix: sidecar; written next to each bad config with a .bin file of 20 x 2
+# float64 values and read through --samples
+SIDECAR_SAMPLES = np.random.default_rng(0).normal(size=(20, 2)).tobytes()
+BAD_SIDECARS = {
+    "no_shape": {k: v for k, v in SIDECAR.items() if k != "shape"},
+    "no_dtype": {k: v for k, v in SIDECAR.items() if k != "dtype"},
+    "string_dtype": dict(SIDECAR, dtype="x"),
+    "string_shape": dict(SIDECAR, shape="ab"),
+    "no_provenance": {k: v for k, v in SIDECAR.items() if k != "provenance"},
+    "list_provenance": dict(SIDECAR, provenance=[1]),
+    "list_sidecar": list(SIDECAR.values()),
+}
+
 
 def trained(prefix):
     return config_with(model={"kind": "trained", "path": prefix})
@@ -324,7 +342,8 @@ BAD_FLAGS = [
      config_with()),
     ("seed_over_list_run", ("sample",), ["--seed", "3"],
      dict(config_with(), run=[1])),
-]
+] + [(f"sidecar_{prefix}", ("evaluate",), ["--samples", prefix], config_with())
+     for prefix in BAD_SIDECARS]
 
 
 class TestErrorBoundary:
@@ -347,6 +366,9 @@ class TestErrorBoundary:
         for prefix, (meta, count) in BAD_REGRESSORS.items():
             (tmp_path / f"{prefix}.json").write_text(json.dumps(meta))
             (tmp_path / f"{prefix}.bin").write_bytes(b"\x00" * 8 * count)
+        for prefix, sidecar in BAD_SIDECARS.items():
+            (tmp_path / f"{prefix}.json").write_text(json.dumps(sidecar))
+            (tmp_path / f"{prefix}.bin").write_bytes(SIDECAR_SAMPLES)
         path = tmp_path / "bad.json"
         path.write_text(payload if isinstance(payload, str)
                         else json.dumps(payload))
@@ -363,6 +385,14 @@ class TestErrorBoundary:
         (tmp_path / "ok.bin").write_bytes(b"\x00" * 8 * 20)
         config = write_config(tmp_path, "trained.json", trained("ok"))
         assert main([verb, "--config", config,
+                     "--out", str(tmp_path / "out")]) == 0
+
+    def test_valid_sidecar_evaluates(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ok.json").write_text(json.dumps(SIDECAR))
+        (tmp_path / "ok.bin").write_bytes(SIDECAR_SAMPLES)
+        config = write_config(tmp_path, "ok_config.json", config_with())
+        assert main(["evaluate", "--config", config, "--samples", "ok",
                      "--out", str(tmp_path / "out")]) == 0
 
     def test_programming_error_still_raises(self, sample_config, tmp_path,

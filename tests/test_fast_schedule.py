@@ -6,7 +6,7 @@ from fastdiff import (AnalyticEpsilonModel, ConstructionError, FastSchedule,
                       GaussianMixture, NoiseLevelMap, SamplerConfig,
                       VarianceSchedule, build_step_schedule,
                       build_var_schedule, ddpm_reverse, fast_ddpm_reverse,
-                      step_as_var_equivalence, step_subset)
+                      run_sampler, step_as_var_equivalence, step_subset)
 from fastdiff.experiment import build_fast_schedule
 
 ALL_BUILDS = [("step", "linear"), ("step", "quadratic"),
@@ -175,6 +175,15 @@ class TestSerialization:
         with pytest.raises(ConstructionError):
             FastSchedule("bogus", np.array([0.1]), np.array([1.0]))
 
+    def test_full_kind_must_be_a_linear_schedule(self):
+        # run_sampler would otherwise run linspace(0.1, 0.5, 3) for these
+        steps, etas = np.array([1, 2, 3]), np.linspace(0.1, 0.5, 3)
+        with pytest.raises(ConstructionError, match="linspace"):
+            FastSchedule("full", np.array([0.1, 0.2, 0.5]), steps, steps)
+        with pytest.raises(ConstructionError, match="linspace"):
+            FastSchedule("full", etas, steps + 1, steps)
+        FastSchedule("full", etas, steps, steps)
+
 
 # Any beta_T <= 0.05 keeps the Gamma extension's domain beyond T.
 schedules = st.builds(VarianceSchedule, st.floats(1e-5, 1e-3),
@@ -205,6 +214,20 @@ class TestFullChain:
         assert full.provenance["sampler"] == "ddpm_full"
         assert full.provenance["normals_per_chain"] \
             == fast.provenance["normals_per_chain"]
+
+    @settings(max_examples=15, deadline=None)
+    @given(schedules, st.integers(0, 2**32 - 1))
+    def test_restored_full_schedule_samples_the_same(self, schedule, seed):
+        gm = GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)])
+        model = AnalyticEpsilonModel(gm, NoiseLevelMap(schedule))
+        config = SamplerConfig(dim=2, batch=3, seed=seed)
+        full = FastSchedule.full(schedule)
+        again = FastSchedule.from_dict(full.to_dict())
+        want = run_sampler(full, model, config, "ddpm")
+        got = run_sampler(again, model, config, "ddpm")
+        assert np.array_equal(got.samples, want.samples)
+        assert got.provenance == want.provenance
+        assert got.provenance["schedule"] == schedule.to_descriptor()
 
     @settings(max_examples=30, deadline=None)
     @given(schedules)

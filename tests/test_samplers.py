@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
-from fastdiff import (AnalyticEpsilonModel, NoiseLevelMap, NoiseStream,
-                      NumericError, SamplerConfig, ZeroEpsilonModel,
-                      build_step_schedule, build_var_schedule, ddpm_reverse,
+from fastdiff import (AnalyticEpsilonModel, ConstructionError, NoiseLevelMap,
+                      NoiseStream, NumericError, SamplerConfig,
+                      ZeroEpsilonModel, build_step_schedule,
+                      build_var_schedule, chain_normals, ddpm_reverse,
                       fast_ddim_reverse, fast_ddpm_reverse, forward_jump,
                       sample_moments, substream)
 from fastdiff.experiment import build_fast_schedule
+from test_fast_schedule import schedules
 
 
 class CountingModel:
@@ -236,12 +240,11 @@ def reference_reverse(fast, config, initial, kappa):
                      * eps_hat) / np.sqrt(fast.gammas[i])
                 scale = fast.eta_tildes[i]
             else:
-                x0_pred = (x - np.sqrt(1.0 - fast.gamma_bars[i]) * eps_hat) \
-                    / np.sqrt(fast.gamma_bars[i])
                 radicand = max(1.0 - prev_bars[i]
                                - kappa**2 * fast.eta_tildes[i], 0.0)
-                x = np.sqrt(prev_bars[i]) * x0_pred \
-                    + np.sqrt(radicand) * eps_hat
+                b = np.sqrt(1.0 - fast.gamma_bars[i]) \
+                    - np.sqrt(fast.gammas[i] * radicand)
+                x = (x - b * eps_hat) / np.sqrt(fast.gammas[i])
                 scale = kappa**2 * fast.eta_tildes[i]
             if s > 1:
                 x = x + np.sqrt(scale) * stream.standard_normal((1, 2))
@@ -290,6 +293,103 @@ class TestNoiseDraws:
             return fast_ddim_reverse(fast, model, config).samples
 
         assert np.array_equal(run(k + extra)[:k], run(k))
+
+
+def random_fast_schedule(schedule, kind, variant, num_steps):
+    """A STEP or VAR schedule of at most `num_steps` steps over `schedule`;
+    rejects the example when no VAR ramp of that length exists."""
+    level_map = NoiseLevelMap(schedule)
+    num_steps = min(num_steps, schedule.num_steps)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # step collapse
+            fast = build_fast_schedule(schedule, level_map, kind, variant,
+                                       num_steps)
+    except ConstructionError:
+        reject()
+    return fast, level_map
+
+
+def two_stage_ddim(fast, model, config, initial):
+    """DDIM as first written: predict x0, then recombine it with eps_hat,
+    then add kappa-scaled noise; noise rows are laid out as the driver's."""
+    kappa = config.kappa
+    prev_bars = np.concatenate([[1.0], fast.gamma_bars[:-1]])
+    noisy = 0 if kappa == 0.0 else fast.num_steps - (
+        config.final_step_noise == "zero")
+    noise = chain_normals(config.seed, config.batch,
+                          noisy * config.dim).reshape(
+                              config.batch, noisy, config.dim)
+    x = initial
+    for k, i in enumerate(range(fast.num_steps - 1, -1, -1)):
+        eps_hat = model.predict(x, float(fast.cont_steps[i]))
+        x0_pred = (x - np.sqrt(1.0 - fast.gamma_bars[i]) * eps_hat) \
+            / np.sqrt(fast.gamma_bars[i])
+        radicand = max(1.0 - prev_bars[i] - kappa**2 * fast.eta_tildes[i],
+                       0.0)
+        x = np.sqrt(prev_bars[i]) * x0_pred + np.sqrt(radicand) * eps_hat
+        if k < noisy:
+            x = x + np.sqrt(kappa**2 * fast.eta_tildes[i]) * noise[:, k]
+    return x
+
+
+# Both samplers' outputs at a small STEP schedule (no noise-level inversion)
+# under the elementwise ScaledModel (no BLAS), pinned to the last bit: any
+# reordering of either update's arithmetic shows here.
+GOLDEN = {
+    None: [[-1.45443363776696, 0.5663580322454344],
+           [-0.33250474037099426, -0.4656487623658051]],
+    0.5: [[-0.6342682754897716, 0.861341951306346],
+          [-0.3267888049616505, -0.29452138397773797]],
+}
+
+
+class TestOneUpdate:
+    @settings(max_examples=40, deadline=None)
+    @given(schedules, st.sampled_from(["step", "var"]),
+           st.sampled_from(["linear", "quadratic"]), st.integers(1, 60),
+           st.sampled_from(["zero", "literal"]), st.integers(0, 2**32 - 1))
+    def test_kappa_one_traces_equal_ddpm(self, two_blob_2d, schedule, kind,
+                                         variant, num_steps,
+                                         final_step_noise, seed):
+        fast, level_map = random_fast_schedule(schedule, kind, variant,
+                                               num_steps)
+        model = AnalyticEpsilonModel(two_blob_2d, level_map)
+        config = SamplerConfig(dim=2, batch=4, seed=seed, kappa=1.0,
+                               final_step_noise=final_step_noise,
+                               record_trace=True)
+        ddpm = fast_ddpm_reverse(fast, model, config)
+        ddim = fast_ddim_reverse(fast, model, config)
+        assert len(ddim.step_trace) == fast.num_steps
+        worst = max(np.abs(a - b).max()
+                    for a, b in zip(ddpm.step_trace, ddim.step_trace))
+        assert worst <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(schedules, st.sampled_from(["step", "var"]),
+           st.sampled_from(["linear", "quadratic"]), st.integers(1, 60),
+           st.sampled_from(["zero", "literal"]), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_ddim_matches_two_stage_reference(
+            self, two_blob_2d, schedule, kind, variant, num_steps,
+            final_step_noise, kappa, seed):
+        fast, level_map = random_fast_schedule(schedule, kind, variant,
+                                               num_steps)
+        model = AnalyticEpsilonModel(two_blob_2d, level_map)
+        config = SamplerConfig(dim=2, batch=4, seed=seed, kappa=kappa,
+                               final_step_noise=final_step_noise)
+        initial = np.linspace(-3.0, 3.0, 8).reshape(4, 2)
+        out = fast_ddim_reverse(fast, model, config, initial=initial)
+        want = two_stage_ddim(fast, model, config, initial)
+        np.testing.assert_allclose(out.samples, want, rtol=0, atol=2e-12)
+
+    @pytest.mark.parametrize("kappa", [None, 0.5])
+    def test_golden_outputs(self, sched_200, kappa):
+        fast = build_step_schedule(sched_200, 6, "quadratic")
+        config = SamplerConfig(dim=2, batch=2, seed=7, kappa=kappa or 0.0)
+        run = fast_ddpm_reverse if kappa is None else fast_ddim_reverse
+        out = run(fast, ScaledModel(), config)
+        assert np.array_equal(out.samples, np.array(GOLDEN[kappa]))
 
 
 def mean_frechet_to_standard_normal(sampler, fast, model, num_seeds, batch,
