@@ -8,10 +8,10 @@ exactly.
 """
 
 import numpy as np
+from numpy.random import Generator, Philox
 
-from fastdiff import (GaussianMixture, NoiseStream, accuracy,
-                      frechet_distance, frechet_gaussian, inception_score,
-                      posterior_classifier)
+from fastdiff import (GaussianMixture, accuracy, frechet_distance,
+                      frechet_gaussian, inception_score, posterior_classifier)
 
 print("1. Frechet distance has exact values on simple Gaussian pairs.")
 shift = np.array([1.0, 2.0])
@@ -21,7 +21,7 @@ print(f"   N(0,I) vs N(0,4I): {frechet_gaussian(np.zeros(3), np.eye(3), np.zeros
       f"  (= d = 3)")
 
 print("\n2. On sample sets the estimate approaches the parameter value.")
-stream = NoiseStream.from_seed(0)
+stream = Generator(Philox(0))
 for n in (100, 1000, 10000):
     a = stream.standard_normal((n, 2))
     b = stream.standard_normal((n, 2)) + shift
@@ -37,7 +37,7 @@ print("\n4. A labelled mixture doubles as an exact classifier.")
 eye2 = np.eye(2)
 mixture = GaussianMixture([0.5, 0.5], [[-1.5, 0.0], [1.5, 0.0]],
                           [0.25 * eye2, 0.25 * eye2], labels=[0, 1])
-x = mixture.sample(NoiseStream.from_seed(1), 2000)
+x = mixture.sample(Generator(Philox(1)), 2000)
 labels = (x[:, 0] > 0).astype(int)  # blobs are separated along x
 probs = posterior_classifier(mixture, x)
 print(f"   inception score of real samples: {inception_score(probs):.4f}")

@@ -9,10 +9,11 @@ This demo uses a reduced budget (~10 s); the package defaults train longer.
 """
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from fastdiff import (AnalyticEpsilonModel, GaussianMixture, NoiseLevelMap,
-                      NoiseStream, SamplerConfig, TrainingParams,
-                      VarianceSchedule, build_step_schedule,
+                      SamplerConfig, TrainingParams, VarianceSchedule,
+                      build_step_schedule,
                       denoising_objective, fast_ddpm_reverse,
                       frechet_gaussian, sample_moments, train_toy_regressor)
 
@@ -35,7 +36,7 @@ print(f"held-out objective: {model.holdout_loss:.3f}")
 # the analytic predictor is the floor no training run can beat
 oracle = AnalyticEpsilonModel(mixture, level_map)
 floor = denoising_objective(oracle, mixture, level_map,
-                            NoiseStream.from_seed(123), n=2000)
+                            Generator(Philox(123)), n=2000)
 print(f"analytic-oracle objective on the same task: {floor:.3f}")
 
 print("\nsample quality at S = 50, ancestral reverse, 5000 chains:")

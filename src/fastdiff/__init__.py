@@ -27,7 +27,7 @@ from .mixture import (AnalyticEpsilonModel, GaussianMixture, analytic_epsilon,
                       posterior_classifier)
 from .regressor import (ToyRegressor, TrainingParams, denoising_objective,
                         train_toy_regressor)
-from .rng import NoiseStream, chain_normals, chain_streams, substream
+from .rng import chain_normals, chain_streams, substream
 from .samplers import (EpsilonModel, SampleBatch, SamplerConfig,
                        ZeroEpsilonModel, ddpm_reverse, fast_ddim_reverse,
                        fast_ddpm_reverse, forward_jump, run_sampler)
@@ -39,7 +39,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticEpsilonModel", "ConstructionError", "ConvergenceError",
     "EpsilonModel", "FastSchedule", "GaussianMixture",
-    "InsufficientDataError", "MetricReport", "NoiseLevelMap", "NoiseStream",
+    "InsufficientDataError", "MetricReport", "NoiseLevelMap",
     "NumericError", "SampleBatch", "SamplerConfig", "ToyRegressor",
     "TrainingError", "TrainingParams", "ValidationError", "VarianceSchedule",
     "ZeroEpsilonModel", "accuracy", "alpha_bar_product", "analytic_epsilon",

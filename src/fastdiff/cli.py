@@ -20,13 +20,14 @@ import json
 import os
 import sys
 
+from numpy.random import Generator, Philox
+
 from .errors import ConstructionError, ValidationError
 from .experiment import (ExperimentConfig, _seed, _typed, csv_value,
                          format_schedule_dump, inspect_schedule, load_mixture,
                          load_run, run_sweep, CSV_SCHEMA_VERSION)
 from .metrics import MetricReport, frechet_distance, inception_score
 from .mixture import posterior_classifier
-from .rng import NoiseStream
 # The three reverse samplers stay importable for perfbench's call tracer.
 from .samplers import (ddpm_reverse, fast_ddim_reverse,  # noqa: F401
                        fast_ddpm_reverse, run_sampler)
@@ -94,20 +95,28 @@ def _cmd_evaluate(args):
         raise ValidationError("evaluate needs --samples <prefix>")
     batch = load_samples(args.samples)
     mixture = load_mixture(raw)
+    num, dim = batch.samples.shape
+    if dim != mixture.dim:
+        raise ValidationError(
+            f"{args.samples} holds {dim}-d samples, the data distribution "
+            f"is {mixture.dim}-d")
+    if num < dim + 1:
+        raise ValidationError(
+            f"{args.samples} holds {num} samples, scoring {dim}-d samples "
+            f"needs at least {dim + 1}")
+    provenance = batch.provenance
+    fast = _typed("provenance fast_schedule",
+                  provenance.get("fast_schedule", {}), dict)
     seed = args.seed if args.seed is not None else 0
-    reference = mixture.sample(NoiseStream.from_seed(seed),
-                               max(batch.samples.shape[0], mixture.dim + 1))
+    reference = mixture.sample(Generator(Philox(seed)), num)
     score = None
     if mixture.labels is not None:
         probs = posterior_classifier(mixture, batch.samples)
         score = inception_score(probs)
-    provenance = batch.provenance
-    fast = provenance.get("fast_schedule", {})
     report = MetricReport(
         frechet=frechet_distance(reference, batch.samples),
         inception_score=score, accuracy=None,
-        num_generated=int(batch.samples.shape[0]),
-        num_reference=int(reference.shape[0]),
+        num_generated=num, num_reference=num,
         config={"sampler": provenance.get("sampler"),
                 "kappa": provenance.get("kappa"),
                 "seed": provenance.get("seed"),

@@ -41,6 +41,8 @@ KINDS = (STEP_LINEAR, STEP_QUADRATIC, VAR_LINEAR, VAR_QUADRATIC, FULL)
 _ETA_CAP = 1.0 - 1e-6
 # Residual tolerance for the ramp-slope bisection, in log-product domain.
 _ROOT_TOL = 1e-13
+# Relative tolerance of the STEP telescoping identity (acceptance criterion 3).
+_STEP_VAR_REL_TOL = 1e-12
 
 
 class FastSchedule:
@@ -222,8 +224,8 @@ def build_var_schedule(schedule: VarianceSchedule, level_map: NoiseLevelMap,
     return FastSchedule(kind, etas, cont_steps)
 
 
-def step_as_var_equivalence(fast: FastSchedule, schedule: VarianceSchedule,
-                            rel_tol: float = 1e-12) -> bool:
+def step_as_var_equivalence(fast: FastSchedule,
+                            schedule: VarianceSchedule) -> bool:
     """Check the telescoping identity gamma_bar_s = alpha_bar(tau_s).
 
     Holds for every STEP schedule by construction; used as a library
@@ -233,4 +235,4 @@ def step_as_var_equivalence(fast: FastSchedule, schedule: VarianceSchedule,
         raise ValueError("equivalence check applies to STEP schedules only")
     reference = schedule.alpha_bars[fast.taus - 1]
     return bool(np.all(np.abs(fast.gamma_bars - reference)
-                       <= rel_tol * np.abs(reference)))
+                       <= _STEP_VAR_REL_TOL * np.abs(reference)))

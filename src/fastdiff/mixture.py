@@ -100,7 +100,7 @@ class GaussianMixture:
         cov -= np.outer(mean, mean)
         return mean, cov
 
-    def sample(self, stream, n: int) -> np.ndarray:
+    def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
         comps = stream.choice(self.num_components, size=n, p=self.weights)
         z = stream.standard_normal((n, self.dim))
         return self.means[comps] + np.einsum("nij,nj->ni",

@@ -9,9 +9,8 @@ denoising objective
                          t) ||^2
 
 with x_0 drawn from the data mixture, eps standard normal, and t uniform.
-Steps t are drawn continuously on (0, T] by default, matching how the
-few-step samplers query the model; a discrete variant (t uniform on the
-integers 1..T) is available behind a flag.
+Steps t are drawn continuously on (0, T], matching how the few-step
+samplers query the model.
 
 The output layer starts at zero, so the initial objective sits at
 E||eps||^2 = d, a useful baseline for training tests.
@@ -41,7 +40,6 @@ class TrainingParams:
     num_updates: int = 40000
     holdout_size: int = 4096
     seed: int = 0
-    discrete_time: bool = False
     # learning rate is multiplied by decay once, after decay_after updates
     decay: float = 0.2
     decay_after_fraction: float = 0.75
@@ -51,7 +49,7 @@ class ToyRegressor:
     """Tanh MLP noise predictor over (x, t / time_scale)."""
 
     def __init__(self, dim: int, hidden: tuple, time_scale: float,
-                 init_stream=None):
+                 init_stream: np.random.Generator | None = None):
         self.dim = int(dim)
         self.hidden = tuple(int(h) for h in hidden)
         self.time_scale = float(time_scale)
@@ -170,14 +168,10 @@ def _meta_field(meta: dict, key: str, valid, kind: str):
     return value
 
 
-def _denoising_batch(gm, level_map, stream, n, discrete):
-    schedule = level_map.schedule
+def _denoising_batch(gm, level_map, stream: np.random.Generator, n):
     x0 = gm.sample(stream, n)
-    if discrete:
-        t = stream.integers(1, schedule.num_steps + 1, size=n).astype(float)
-    else:
-        t = stream.uniform(0.0, float(schedule.num_steps), size=n)
-        t = np.nextafter(t, np.inf)  # open at 0: shift onto (0, T]
+    t = stream.uniform(0.0, float(level_map.schedule.num_steps), size=n)
+    t = np.nextafter(t, np.inf)  # open at 0: shift onto (0, T]
     alpha_bar = np.exp(level_map.log_alpha_bar(t))
     eps = stream.standard_normal((n, gm.dim))
     xt = np.sqrt(alpha_bar)[:, None] * x0 \
@@ -186,9 +180,9 @@ def _denoising_batch(gm, level_map, stream, n, discrete):
 
 
 def denoising_objective(model, gm: GaussianMixture, level_map: NoiseLevelMap,
-                        stream, n: int = 4096, discrete: bool = False) -> float:
+                        stream: np.random.Generator, n: int = 4096) -> float:
     """Monte-Carlo estimate of the denoising objective for any model."""
-    xt, t, eps = _denoising_batch(gm, level_map, stream, n, discrete)
+    xt, t, eps = _denoising_batch(gm, level_map, stream, n)
     total = 0.0
     # the model contract takes one scalar step per call
     for i in range(n):
@@ -207,8 +201,7 @@ def train_toy_regressor(gm: GaussianMixture, level_map: NoiseLevelMap,
                          init_stream)
 
     held_x, held_t, held_eps = _denoising_batch(
-        gm, level_map, holdout_stream, params.holdout_size,
-        params.discrete_time)
+        gm, level_map, holdout_stream, params.holdout_size)
     held_feats = model._features(held_x, held_t)
 
     velocity_w = [np.zeros_like(w) for w in model.weights]
@@ -220,7 +213,7 @@ def train_toy_regressor(gm: GaussianMixture, level_map: NoiseLevelMap,
         if update == decay_at:
             lr *= params.decay
         xt, t, eps = _denoising_batch(gm, level_map, data_stream,
-                                      params.batch_size, params.discrete_time)
+                                      params.batch_size)
         feats = model._features(xt, t)
         with np.errstate(over="ignore", invalid="ignore"):
             out, activations = model._forward(feats)

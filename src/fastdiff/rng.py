@@ -10,9 +10,10 @@ for a fixed numpy version.
 derives all the chains' Philox keys in one pass of integer arithmetic and
 re-keys a single generator per chain, so it builds no per-chain objects.
 Row i equals `substream(seed, i).standard_normal(count)` bit for bit; the
-samplers take each chain's noise from it.  `NoiseStream` remains for
-consumers that draw lazily; it counts how many normal variates it hands
-out, which lets tests assert exact consumption.
+samplers take each chain's noise from it.  Consumers that draw lazily (the
+regressor, reference sets, `forward_jump`) take a `numpy.random.Generator`
+directly: `substream`, `chain_streams`, or `Generator(Philox(seed))` for
+the root stream of a seed.
 """
 
 from __future__ import annotations
@@ -30,41 +31,17 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 
 
-class NoiseStream:
-    """A counted source of standard normal draws."""
-
-    def __init__(self, seed_seq: SeedSequence):
-        self._generator = Generator(Philox(seed_seq))
-        self.normals_drawn = 0
-
-    @classmethod
-    def from_seed(cls, seed: int) -> "NoiseStream":
-        return cls(SeedSequence(seed))
-
-    def standard_normal(self, shape) -> np.ndarray:
-        out = self._generator.standard_normal(shape)
-        self.normals_drawn += out.size
-        return out
-
-    def integers(self, low, high, size=None):
-        return self._generator.integers(low, high, size=size)
-
-    def uniform(self, low, high, size=None):
-        return self._generator.uniform(low, high, size=size)
-
-    def choice(self, n, size, p):
-        return self._generator.choice(n, size=size, p=p)
-
-
-def chain_streams(seed: int, num_chains: int) -> list[NoiseStream]:
-    """Independent per-chain streams; chain i depends only on (seed, i)."""
-    root = SeedSequence(seed)
-    return [NoiseStream(child) for child in root.spawn(num_chains)]
-
-
-def substream(seed: int, index: int) -> NoiseStream:
+def substream(seed: int, index: int) -> Generator:
     """The index-th child stream of `seed`, without building its siblings."""
-    return NoiseStream(SeedSequence(seed, spawn_key=(index,)))
+    return Generator(Philox(SeedSequence(seed, spawn_key=(index,))))
+
+
+def chain_streams(seed: int, num_chains: int) -> list[Generator]:
+    """Independent per-chain streams; chain i depends only on (seed, i).
+
+    These are the streams of `SeedSequence(seed).spawn(num_chains)`.
+    """
+    return [substream(seed, i) for i in range(num_chains)]
 
 
 def _chain_keys(seed: int, num_chains: int) -> np.ndarray:

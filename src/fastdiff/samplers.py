@@ -38,7 +38,7 @@ from .errors import ConstructionError, NumericError, ValidationError
 from .fast_schedule import FULL, FastSchedule
 # chain_streams is unused here but stays importable: perfbench's call
 # tracer patches samplers.chain_streams by name.
-from .rng import NoiseStream, chain_normals, chain_streams  # noqa: F401
+from .rng import chain_normals, chain_streams  # noqa: F401
 from .schedule import VarianceSchedule
 
 
@@ -101,7 +101,7 @@ class SampleBatch:
 
 
 def forward_jump(schedule: VarianceSchedule, x0: np.ndarray, t: int,
-                 stream: NoiseStream) -> np.ndarray:
+                 stream: np.random.Generator) -> np.ndarray:
     """Sample x_t | x_0 directly at integer step t in [1, num_steps]."""
     alpha_bar = schedule.alpha_bar(t)  # range-checks t
     x0 = np.asarray(x0, dtype=float)

@@ -7,9 +7,10 @@ were calibrated against the analytic oracles before freezing.
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from fastdiff import (AnalyticEpsilonModel, GaussianMixture, NoiseLevelMap,
-                      NoiseStream, SamplerConfig, TrainingParams,
+                      SamplerConfig, TrainingParams,
                       VarianceSchedule, build_step_schedule, ddpm_reverse,
                       fast_ddim_reverse, fast_ddpm_reverse, forward_jump,
                       frechet_gaussian, inception_score, sample_moments,
@@ -118,8 +119,8 @@ def test_criterion_5_forward_jump_matches_composed_chain():
     x0 = np.tile([1.2, -0.8], (n, 1))
     passed, details = True, []
     for t in (10, 100, 200):
-        direct = forward_jump(schedule, x0, t, NoiseStream.from_seed(50 + t))
-        stream = NoiseStream.from_seed(150 + t)
+        direct = forward_jump(schedule, x0, t, Generator(Philox(50 + t)))
+        stream = Generator(Philox(150 + t))
         composed = x0.copy()
         for i in range(1, t + 1):
             beta = schedule.betas[i - 1]

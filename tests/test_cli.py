@@ -249,10 +249,10 @@ BAD_REGRESSORS = {
 SIDECAR = {"shape": [20, 2], "dtype": "<f8", "order": "C",
            "provenance": {"sampler": "ddpm", "seed": 0,
                           "model_calls_per_chain": 5}}
-# prefix: sidecar; written next to each bad config with a .bin file of 20 x 2
-# float64 values and read through --samples
 SIDECAR_SAMPLES = np.random.default_rng(0).normal(size=(20, 2)).tobytes()
-BAD_SIDECARS = {
+# prefix: (sidecar, .bin contents); written next to each bad config and read
+# through --samples
+BAD_SIDECARS = {prefix: (sidecar, SIDECAR_SAMPLES) for prefix, sidecar in {
     "no_shape": {k: v for k, v in SIDECAR.items() if k != "shape"},
     "no_dtype": {k: v for k, v in SIDECAR.items() if k != "dtype"},
     "string_dtype": dict(SIDECAR, dtype="x"),
@@ -260,7 +260,13 @@ BAD_SIDECARS = {
     "no_provenance": {k: v for k, v in SIDECAR.items() if k != "provenance"},
     "list_provenance": dict(SIDECAR, provenance=[1]),
     "list_sidecar": list(SIDECAR.values()),
-}
+    "list_fast_schedule": dict(SIDECAR, provenance=dict(
+        SIDECAR["provenance"], fast_schedule=[1])),
+}.items()}
+# batches that load but cannot be scored against the 2-d config data
+BAD_SIDECARS["one_sample"] = (dict(SIDECAR, shape=[1, 2]),
+                              SIDECAR_SAMPLES[:16])
+BAD_SIDECARS["three_dims"] = (dict(SIDECAR, shape=[20, 3]), bytes(8 * 60))
 
 
 def trained(prefix):
@@ -366,9 +372,9 @@ class TestErrorBoundary:
         for prefix, (meta, count) in BAD_REGRESSORS.items():
             (tmp_path / f"{prefix}.json").write_text(json.dumps(meta))
             (tmp_path / f"{prefix}.bin").write_bytes(b"\x00" * 8 * count)
-        for prefix, sidecar in BAD_SIDECARS.items():
+        for prefix, (sidecar, samples) in BAD_SIDECARS.items():
             (tmp_path / f"{prefix}.json").write_text(json.dumps(sidecar))
-            (tmp_path / f"{prefix}.bin").write_bytes(SIDECAR_SAMPLES)
+            (tmp_path / f"{prefix}.bin").write_bytes(samples)
         path = tmp_path / "bad.json"
         path.write_text(payload if isinstance(payload, str)
                         else json.dumps(payload))

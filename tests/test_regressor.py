@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
-from fastdiff import (GaussianMixture, NoiseLevelMap, NoiseStream,
-                      ToyRegressor, TrainingError, TrainingParams,
-                      VarianceSchedule, train_toy_regressor)
+from fastdiff import (GaussianMixture, NoiseLevelMap, ToyRegressor,
+                      TrainingError, TrainingParams, VarianceSchedule,
+                      train_toy_regressor)
 
 QUICK = TrainingParams(hidden=(24, 24), num_updates=400, batch_size=128,
                        holdout_size=512, seed=3)
@@ -20,7 +21,7 @@ def blob_and_map():
 
 class TestArchitecture:
     def test_zero_output_at_init(self):
-        model = ToyRegressor(2, (16,), 200.0, NoiseStream.from_seed(0))
+        model = ToyRegressor(2, (16,), 200.0, Generator(Philox(0)))
         x = np.random.default_rng(0).normal(size=(5, 2))
         assert np.array_equal(model.predict(x, 10.0), np.zeros((5, 2)))
 
@@ -32,9 +33,9 @@ class TestArchitecture:
         assert model.loss_trace[0] == pytest.approx(gm.dim, rel=0.1)
 
     def test_gradients_match_finite_differences(self):
-        model = ToyRegressor(2, (5,), 100.0, NoiseStream.from_seed(7))
+        model = ToyRegressor(2, (5,), 100.0, Generator(Philox(7)))
         # give the zero output layer some structure for the check
-        model.weights[-1] = NoiseStream.from_seed(8).standard_normal(
+        model.weights[-1] = Generator(Philox(8)).standard_normal(
             model.weights[-1].shape) * 0.3
         rng = np.random.default_rng(9)
         feats = model._features(rng.normal(size=(4, 2)),
@@ -88,13 +89,6 @@ class TestTraining:
         assert err.value.loss_trace is not None
         assert len(err.value.loss_trace) >= 1
 
-    def test_discrete_time_flag(self, blob_and_map):
-        gm, level_map = blob_and_map
-        params = TrainingParams(hidden=(8,), num_updates=5, batch_size=64,
-                                holdout_size=64, seed=2, discrete_time=True)
-        model = train_toy_regressor(gm, level_map, params)
-        assert np.isfinite(model.holdout_loss)
-
     def test_save_load_roundtrip(self, blob_and_map, tmp_path):
         gm, level_map = blob_and_map
         model = train_toy_regressor(gm, level_map, QUICK)
@@ -122,8 +116,8 @@ class TestTraining:
         gm = GaussianMixture([1.0], [[0.0, 0.0]], [1e-4 * np.eye(2)])
         params = TrainingParams(hidden=(64, 64), num_updates=15000, seed=13)
         model = train_toy_regressor(gm, level_map, params)
-        xt, t, _ = _denoising_batch(gm, level_map, NoiseStream.from_seed(99),
-                                    2000, False)
+        xt, t, _ = _denoising_batch(gm, level_map, Generator(Philox(99)),
+                                    2000)
         total = 0.0
         for i in range(2000):
             pred = model.predict(xt[i:i + 1], float(t[i]))
