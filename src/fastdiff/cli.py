@@ -23,9 +23,11 @@ import sys
 from numpy.random import Generator, Philox
 
 from .errors import ConstructionError, ValidationError
-from .experiment import (ExperimentConfig, _seed, _typed, csv_value,
-                         format_schedule_dump, inspect_schedule, load_mixture,
-                         load_run, run_sweep, CSV_SCHEMA_VERSION)
+from .experiment import (ExperimentConfig, _NUMBER, _SAMPLERS, _checked,
+                         _seed, _typed, csv_value, format_schedule_dump,
+                         inspect_schedule, load_mixture, load_run, run_sweep,
+                         CSV_SCHEMA_VERSION)
+from .fast_schedule import FULL, KINDS
 from .metrics import MetricReport, frechet_distance, inception_score
 from .mixture import posterior_classifier
 # The three reverse samplers stay importable for perfbench's call tracer.
@@ -104,9 +106,24 @@ def _cmd_evaluate(args):
         raise ValidationError(
             f"{args.samples} holds {num} samples, scoring {dim}-d samples "
             f"needs at least {dim + 1}")
+    # The provenance fields go into report.csv unquoted, so each must be a
+    # value that `fastdiff sample` can have written.
     provenance = batch.provenance
     fast = _typed("provenance fast_schedule",
                   provenance.get("fast_schedule", {}), dict)
+    kappa = provenance.get("kappa")
+    if kappa is not None:
+        _typed("provenance kappa", kappa, _NUMBER)
+    num_steps = fast.get("S", provenance.get("model_calls_per_chain"))
+    if _typed("provenance S", num_steps, int) < 1:
+        raise ValidationError(f"provenance S must be >= 1, got {num_steps}")
+    run = {"sampler": _checked("provenance sampler", provenance.get("sampler"),
+                               _SAMPLERS + ("ddpm_full",)),
+           "kappa": kappa,
+           "seed": _seed("provenance seed", provenance.get("seed")),
+           "schedule_kind": _checked("provenance fast_schedule kind",
+                                     fast.get("kind", FULL), KINDS),
+           "S": num_steps}
     seed = args.seed if args.seed is not None else 0
     reference = mixture.sample(Generator(Philox(seed)), num)
     score = None
@@ -116,12 +133,7 @@ def _cmd_evaluate(args):
     report = MetricReport(
         frechet=frechet_distance(reference, batch.samples),
         inception_score=score, accuracy=None,
-        num_generated=num, num_reference=num,
-        config={"sampler": provenance.get("sampler"),
-                "kappa": provenance.get("kappa"),
-                "seed": provenance.get("seed"),
-                "schedule_kind": fast.get("kind", "full"),
-                "S": fast.get("S", provenance.get("model_calls_per_chain"))})
+        num_generated=num, num_reference=num, config=run)
     out = _resolve_out(args)
     report.to_json(os.path.join(out, "report.json"))
     cfg = report.config

@@ -25,10 +25,12 @@ positive.  The marginal covariance at alpha_bar shares the eigenvectors,
 
 so its precision and log-determinant are closed-form and no noise level
 needs a factorization.  The log density, the score and the label posterior
-come from one pass per query: one matrix product with the precision per
-component and one log-sum-exp over the log-domain component densities.  A
-mixture is immutable once built and holds no cache, so its methods are
-safe to call concurrently.
+come from one pass per query over all K components as stacked arrays: one
+batched product gives the K precisions, the offsets x - m_k and their
+solves are (K, d, n) arrays, the log-domain component densities one (K, n)
+array, and the log-sum-exp and the responsibilities reduce over its leading
+axis.  A mixture is immutable once built and holds no cache, so its
+methods are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -125,26 +127,29 @@ class GaussianMixture:
     # -- noisy-marginal quantities -------------------------------------------
 
     def _marginal(self, x: np.ndarray, alpha_bar: float):
-        """One pass over the components of the marginal at alpha_bar for x
-        of shape (n, d): returns log q(x) (n,), the responsibilities (n, K)
-        and, per component k, C_k^-1 (x - m_k) (n, d), with C_k^-1 and
-        log det C_k taken from the eigendecomposition of Sigma_k."""
+        """The marginal at alpha_bar for x of shape (n, d), over all K
+        components at once: returns log q(x) (n,), the responsibilities
+        (K, n) and the solves C_k^-1 (x - m_k) as one (K, d, n) array."""
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise ValueError(f"x must have shape (n, {self.dim}), "
+                             f"got {x.shape}")
         noisy = alpha_bar * self._eigvals + (1.0 - alpha_bar)
-        logdets = np.sum(np.log(noisy), axis=1)
-        means = np.sqrt(alpha_bar) * self.means
-        logs = np.empty((x.shape[0], self.num_components))
-        solved = []
-        for k, vecs in enumerate(self._eigvecs):
-            diff = x - means[k]
-            solved.append(diff @ ((vecs / noisy[k]) @ vecs.T))
-            maha = np.sum(diff * solved[k], axis=1)
-            logs[:, k] = (np.log(self.weights[k])
-                          - 0.5 * (self.dim * _LOG_2PI + logdets[k] + maha))
-        peak = np.max(logs, axis=1, keepdims=True)
-        resp = np.exp(logs - peak)
-        total = np.sum(resp, axis=1, keepdims=True)
+        vecs = self._eigvecs
+        precisions = (vecs / noisy[:, None, :]) @ vecs.transpose(0, 2, 1)
+        means = np.sqrt(alpha_bar) * self.means[:, :, None]
+        diff = np.ascontiguousarray(x.T) - means
+        solved = precisions @ diff
+        diff *= solved  # the summands of the Mahalanobis terms
+        logs = np.sum(diff, axis=1)
+        logs += (self.dim * _LOG_2PI + np.sum(np.log(noisy), axis=1))[:, None]
+        logs *= -0.5
+        logs += np.log(self.weights)[:, None]
+        peak = np.max(logs, axis=0)
+        logs -= peak
+        resp = np.exp(logs, out=logs)
+        total = np.sum(resp, axis=0)
         resp /= total
-        return (peak + np.log(total)).ravel(), resp, solved
+        return peak + np.log(total), resp, solved
 
     def log_density(self, x: np.ndarray, alpha_bar: float = 1.0) -> np.ndarray:
         """log q(x) of the marginal at signal fraction alpha_bar; (n,)."""
@@ -155,10 +160,8 @@ class GaussianMixture:
         """grad_x log q(x) of the marginal at alpha_bar; (n, d)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         _, resp, solved = self._marginal(x, alpha_bar)
-        grad = np.zeros_like(x)
-        for k in range(self.num_components):
-            grad -= resp[:, k:k + 1] * solved[k]
-        return grad
+        solved *= resp[:, None, :]
+        return np.negative(np.sum(solved, axis=0).T, order="C")
 
     # -- serialization -------------------------------------------------------
 
@@ -205,11 +208,8 @@ def posterior_classifier(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:
         raise ValueError("posterior_classifier requires a labelled mixture")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     _, resp, _ = gm._marginal(x, 1.0)
-    classes = gm.class_labels()
-    probs = np.empty((x.shape[0], classes.size))
-    for j, label in enumerate(classes):
-        probs[:, j] = np.sum(resp[:, gm.labels == label], axis=1)
-    return probs
+    return np.stack([np.sum(resp[gm.labels == label], axis=0)
+                     for label in gm.class_labels()], axis=1)
 
 
 class AnalyticEpsilonModel:

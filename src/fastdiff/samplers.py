@@ -22,9 +22,14 @@ the sample, and kappa = 1 reproduces DDPM step for step.
 Samplers are pure functions of (schedule, model, config): a fixed seed gives
 bitwise-identical output.  Each chain draws all of its normals in one block
 from the Philox stream keyed by (seed, chain index) (`rng.chain_normals`):
-the initial state first, then one row per noisy step.  So results do not
-depend on batch size, and the `normals_per_chain` provenance entry is
-computed from the schedule rather than counted.
+the initial state first, then one row per noisy step.  So the noise does
+not depend on batch size, and the `normals_per_chain` provenance entry is
+computed from the schedule rather than counted.  The model's output may:
+the analytic oracle's matrix products can round a one-row batch in the
+last bits differently from the same row inside a larger batch (seen for
+mixtures whose covariances are not multiples of the identity), and a
+single-chain run can then end slightly apart from the same chain run in a
+larger batch.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ def samples_to_csv(batch: SampleBatch, path: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in samples:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def ensure_dir(path: str) -> str:

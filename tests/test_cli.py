@@ -250,6 +250,12 @@ SIDECAR = {"shape": [20, 2], "dtype": "<f8", "order": "C",
            "provenance": {"sampler": "ddpm", "seed": 0,
                           "model_calls_per_chain": 5}}
 SIDECAR_SAMPLES = np.random.default_rng(0).normal(size=(20, 2)).tobytes()
+
+
+def with_provenance(**entries):
+    return dict(SIDECAR, provenance=dict(SIDECAR["provenance"], **entries))
+
+
 # prefix: (sidecar, .bin contents); written next to each bad config and read
 # through --samples
 BAD_SIDECARS = {prefix: (sidecar, SIDECAR_SAMPLES) for prefix, sidecar in {
@@ -260,8 +266,21 @@ BAD_SIDECARS = {prefix: (sidecar, SIDECAR_SAMPLES) for prefix, sidecar in {
     "no_provenance": {k: v for k, v in SIDECAR.items() if k != "provenance"},
     "list_provenance": dict(SIDECAR, provenance=[1]),
     "list_sidecar": list(SIDECAR.values()),
-    "list_fast_schedule": dict(SIDECAR, provenance=dict(
-        SIDECAR["provenance"], fast_schedule=[1])),
+    "list_fast_schedule": with_provenance(fast_schedule=[1]),
+    # provenance entries that report.csv would copy unquoted
+    "list_kind": with_provenance(fast_schedule={"kind": [1, 2], "S": 5}),
+    "bogus_kind": with_provenance(fast_schedule={"kind": "bogus", "S": 5}),
+    "object_S": with_provenance(fast_schedule={"kind": "step_linear",
+                                               "S": {"x": 1}}),
+    "zero_S": with_provenance(fast_schedule={"kind": "step_linear", "S": 0}),
+    "float_calls": with_provenance(model_calls_per_chain=5.0),
+    "object_sampler": with_provenance(sampler={"a": 1}),
+    "bogus_sampler": with_provenance(sampler="dimm"),
+    "string_kappa": with_provenance(sampler="ddim", kappa="0,1"),
+    "negative_seed": with_provenance(seed=-1),
+    "boolean_seed": with_provenance(seed=True),
+    "no_seed": {**SIDECAR, "provenance": {"sampler": "ddpm",
+                                          "model_calls_per_chain": 5}},
 }.items()}
 # batches that load but cannot be scored against the 2-d config data
 BAD_SIDECARS["one_sample"] = (dict(SIDECAR, shape=[1, 2]),

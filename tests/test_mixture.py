@@ -12,6 +12,7 @@ from scipy.stats import multivariate_normal
 from fastdiff import (AnalyticEpsilonModel, ConstructionError,
                       GaussianMixture, NoiseLevelMap, VarianceSchedule,
                       analytic_epsilon, posterior_classifier)
+from fastdiff.experiment import builtin_presets
 
 
 def finite_difference_epsilon(gm, level_map, x, t, h=1e-5):
@@ -279,6 +280,16 @@ class TestSpectralOracle:
            st.one_of(st.sampled_from([1.0, 1.0 - 1e-12, 1e-8]),
                      st.floats(0.0, 1.0, exclude_min=True)))
     def test_matches_cholesky_reference(self, seed, k, d, alpha_bar):
+        self.check_against_reference(seed, k, d, alpha_bar)
+
+    @pytest.mark.parametrize("alpha_bar", [1.0, 0.5, 1e-3, 1e-8])
+    @pytest.mark.parametrize("k,d", [(9, 8), (13, 12)])
+    def test_matches_cholesky_reference_with_more_components_than_dims(
+            self, k, d, alpha_bar):
+        self.check_against_reference(100 * d + k, k, d, alpha_bar)
+
+    @staticmethod
+    def check_against_reference(seed, k, d, alpha_bar):
         rng = np.random.default_rng(seed)
         gm = spread_mixture(rng, k, d)
         x0 = gm.sample(Generator(Philox(seed)), 16)
@@ -322,3 +333,39 @@ class TestSpectralOracle:
                   two_blob_2d._eigvals):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+
+class TestStackedOutputs:
+    """The components are evaluated as stacked arrays; what callers get
+    back keeps the layout of a row-by-row evaluation."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("k,d", [(1, 1), (4, 2), (6, 5)])
+    def test_score_and_epsilon_are_c_contiguous_float64(self, map_200, n, k,
+                                                        d):
+        rng = np.random.default_rng(10 * k + d)
+        gm = random_mixture(rng, k, d)
+        x = np.asfortranarray(rng.normal(size=(n, d)))
+        for out in (gm.score(x, 0.4), analytic_epsilon(gm, map_200, x, 50.0)):
+            assert out.shape == (n, d)
+            assert out.dtype == np.float64
+            assert out.flags.c_contiguous
+
+    @pytest.mark.parametrize("name", sorted(builtin_presets()))
+    def test_leading_rows_do_not_depend_on_batch_size(self, name):
+        gm = builtin_presets()[name]
+        x = np.random.default_rng(11).normal(scale=3.0, size=(5000, gm.dim))
+        for alpha_bar in (1.0, 0.5, 1e-3):
+            full = gm.score(x, alpha_bar)
+            for k in (1, 2, 7, 255):
+                assert np.array_equal(gm.score(x[:k], alpha_bar), full[:k])
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_wrong_width_is_rejected(self, two_blob_2d, map_200, width):
+        x = np.zeros((5, width))
+        for query in (lambda: two_blob_2d.log_density(x, 0.5),
+                      lambda: two_blob_2d.score(x, 0.5),
+                      lambda: posterior_classifier(two_blob_2d, x),
+                      lambda: analytic_epsilon(two_blob_2d, map_200, x, 9.0)):
+            with pytest.raises(ValueError, match="shape"):
+                query()
