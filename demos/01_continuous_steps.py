@@ -40,4 +40,4 @@ for t in (0.5, 37.0, 123.456, 999.9):
           f"(true {t}, {iterations} iterations)")
 
 print("\n5. r = 1 is the no-noise end of the curve: it maps to step 0.")
-print(f"   T(1.0) = {level_map.step_of_noise_level(1.0)}")
+print(f"   T(1.0) = {level_map.invert(1.0)[0]}")

@@ -21,8 +21,8 @@ from .errors import (ConstructionError, ConvergenceError,
 from .fast_schedule import (FastSchedule, build_step_schedule,
                             build_var_schedule, step_as_var_equivalence,
                             step_subset)
-from .metrics import (MetricReport, accuracy, frechet_distance,
-                      frechet_gaussian, inception_score, sample_moments)
+from .metrics import (accuracy, frechet_distance, frechet_gaussian,
+                      inception_score, sample_moments)
 from .mixture import (AnalyticEpsilonModel, GaussianMixture, analytic_epsilon,
                       posterior_classifier)
 from .regressor import (ToyRegressor, TrainingParams, denoising_objective,
@@ -39,7 +39,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticEpsilonModel", "ConstructionError", "ConvergenceError",
     "EpsilonModel", "FastSchedule", "GaussianMixture",
-    "InsufficientDataError", "MetricReport", "NoiseLevelMap",
+    "InsufficientDataError", "NoiseLevelMap",
     "NumericError", "SampleBatch", "SamplerConfig", "ToyRegressor",
     "TrainingError", "TrainingParams", "ValidationError", "VarianceSchedule",
     "ZeroEpsilonModel", "accuracy", "alpha_bar_product", "analytic_epsilon",

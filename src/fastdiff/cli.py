@@ -28,7 +28,7 @@ from .experiment import (ExperimentConfig, _NUMBER, _SAMPLERS, _checked,
                          inspect_schedule, load_mixture, load_run, run_sweep,
                          CSV_SCHEMA_VERSION)
 from .fast_schedule import FULL, KINDS
-from .metrics import MetricReport, frechet_distance, inception_score
+from .metrics import frechet_distance, inception_score
 from .mixture import posterior_classifier
 # The three reverse samplers stay importable for perfbench's call tracer.
 from .samplers import (ddpm_reverse, fast_ddim_reverse,  # noqa: F401
@@ -64,9 +64,9 @@ def _resolve_out(args) -> str:
 def _cmd_inspect(args):
     raw = _load_config(args)
     run = _typed("run", raw.get("run", {}), dict)
-    kind = args.kind or run.get("kind")
-    variant = args.variant or run.get("variant")
-    num_steps = args.num_steps or run.get("S")
+    kind = run.get("kind") if args.kind is None else args.kind
+    variant = run.get("variant") if args.variant is None else args.variant
+    num_steps = run.get("S") if args.num_steps is None else args.num_steps
     dump = inspect_schedule(raw.get("schedule"), kind, variant, num_steps)
     if args.json:
         print(json.dumps(dump, indent=2))
@@ -130,21 +130,19 @@ def _cmd_evaluate(args):
     if mixture.labels is not None:
         probs = posterior_classifier(mixture, batch.samples)
         score = inception_score(probs)
-    report = MetricReport(
-        frechet=frechet_distance(reference, batch.samples),
-        inception_score=score, accuracy=None,
-        num_generated=num, num_reference=num, config=run)
+    frechet = frechet_distance(reference, batch.samples)
     out = _resolve_out(args)
-    report.to_json(os.path.join(out, "report.json"))
-    cfg = report.config
+    with open(os.path.join(out, "report.json"), "w") as fh:
+        json.dump({"frechet": frechet, "inception_score": score,
+                   "accuracy": None, "num_generated": num,
+                   "num_reference": num, "config": run}, fh, indent=2)
     with open(os.path.join(out, "report.csv"), "w", newline="") as fh:
         fh.write("schedule_kind,S,sampler,kappa,seed,frechet,"
                  "inception_score,accuracy\n")
         fh.write(",".join(csv_value(v) for v in (
-            cfg["schedule_kind"], cfg["S"], cfg["sampler"], cfg["kappa"],
-            cfg["seed"], report.frechet, report.inception_score,
-            report.accuracy)) + "\n")
-    print(f"frechet={report.frechet:.6f}"
+            run["schedule_kind"], run["S"], run["sampler"], run["kappa"],
+            run["seed"], frechet, score, None)) + "\n")
+    print(f"frechet={frechet:.6f}"
           + (f" inception_score={score:.4f}" if score is not None else ""))
     return 0
 

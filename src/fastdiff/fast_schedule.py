@@ -21,7 +21,6 @@ alpha_bar_s and eta_tilde_s = beta_tilde_s.
 
 from __future__ import annotations
 
-import json
 import warnings
 
 import numpy as np
@@ -72,12 +71,6 @@ class FastSchedule:
             raise ConstructionError("cont_steps must align with etas")
         if np.any(np.diff(self.cont_steps) <= 0.0):
             raise ConstructionError("cont_steps must be strictly increasing")
-        # run_sampler rebuilds a full schedule's VarianceSchedule from it.
-        if kind == FULL and not (
-                np.array_equal(etas, np.linspace(etas[0], etas[-1], etas.size))
-                and np.array_equal(self.cont_steps, np.arange(etas.size) + 1)):
-            raise ConstructionError("a full schedule is eta = linspace("
-                                    "beta_1, beta_T, T) over steps 1..T")
         self.taus = None if taus is None else np.asarray(taus, dtype=int)
         arrays = [self.etas, self.gammas, self.gamma_bars, self.noise_levels,
                   self.eta_tildes, self.cont_steps]
@@ -109,16 +102,6 @@ class FastSchedule:
         if self.taus is not None:
             out["tau"] = self.taus.tolist()
         return out
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FastSchedule":
-        return cls(data["kind"], np.asarray(data["eta"]),
-                   np.asarray(data["t_cont"]),
-                   None if "tau" not in data else np.asarray(data["tau"]))
 
     def __repr__(self):
         return f"FastSchedule(kind={self.kind!r}, num_steps={self.num_steps})"

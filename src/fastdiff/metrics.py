@@ -17,9 +17,6 @@ lowest class index).
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from .errors import InsufficientDataError, NumericError
@@ -27,23 +24,6 @@ from .errors import InsufficientDataError, NumericError
 # Eigenvalues this far below zero are treated as sampling noise and clamped;
 # anything lower raises instead of being silently truncated.
 _EIG_CLAMP = -1e-10
-
-
-@dataclass
-class MetricReport:
-    frechet: float
-    inception_score: float | None
-    accuracy: float | None
-    num_generated: int
-    num_reference: int
-    config: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
 
 
 def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:

@@ -63,6 +63,10 @@ class GaussianMixture:
         k, d = self.means.shape
         if self.weights.shape != (k,) or self.covariances.shape != (k, d, d):
             raise ConstructionError("weights/means/covariances shapes disagree")
+        for name, a in (("weights", self.weights), ("means", self.means),
+                        ("covariances", self.covariances)):
+            if not np.all(np.isfinite(a)):
+                raise ConstructionError(f"mixture {name} must be finite")
         if np.any(self.weights <= 0.0):
             raise ConstructionError("weights must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12:

@@ -30,19 +30,21 @@ from .mixture import GaussianMixture
 from .rng import chain_streams
 from .schedule import NoiseLevelMap
 
+_MOMENTUM = 0.9
+# The learning rate is multiplied by _DECAY once, after this fraction of
+# the updates.
+_DECAY = 0.2
+_DECAY_AFTER_FRACTION = 0.75
+
 
 @dataclass(frozen=True)
 class TrainingParams:
     hidden: tuple = (96, 96)
     learning_rate: float = 3e-3
-    momentum: float = 0.9
     batch_size: int = 256
     num_updates: int = 40000
     holdout_size: int = 4096
     seed: int = 0
-    # learning rate is multiplied by decay once, after decay_after updates
-    decay: float = 0.2
-    decay_after_fraction: float = 0.75
 
 
 class ToyRegressor:
@@ -145,6 +147,8 @@ class ToyRegressor:
                 f"{prefix}.bin holds {size} bytes, not the {8 * expected} "
                 f"of {expected} float64 parameters")
         flat = np.fromfile(f"{prefix}.bin", dtype="<f8")
+        if not np.all(np.isfinite(flat)):
+            raise ValidationError(f"{prefix}.bin holds a non-finite value")
         offset = 0
         for i in range(len(model.weights)):
             for attr, idx in ((model.weights, i), (model.biases, i)):
@@ -206,12 +210,12 @@ def train_toy_regressor(gm: GaussianMixture, level_map: NoiseLevelMap,
 
     velocity_w = [np.zeros_like(w) for w in model.weights]
     velocity_b = [np.zeros_like(b) for b in model.biases]
-    decay_at = int(params.decay_after_fraction * params.num_updates)
+    decay_at = int(_DECAY_AFTER_FRACTION * params.num_updates)
     lr = params.learning_rate
 
     for update in range(params.num_updates):
         if update == decay_at:
-            lr *= params.decay
+            lr *= _DECAY
         xt, t, eps = _denoising_batch(gm, level_map, data_stream,
                                       params.batch_size)
         feats = model._features(xt, t)
@@ -226,8 +230,8 @@ def train_toy_regressor(gm: GaussianMixture, level_map: NoiseLevelMap,
         grads_w, grads_b = model._gradients(
             activations, 2.0 * residual / params.batch_size)
         for i in range(len(model.weights)):
-            velocity_w[i] = params.momentum * velocity_w[i] - lr * grads_w[i]
-            velocity_b[i] = params.momentum * velocity_b[i] - lr * grads_b[i]
+            velocity_w[i] = _MOMENTUM * velocity_w[i] - lr * grads_w[i]
+            velocity_b[i] = _MOMENTUM * velocity_b[i] - lr * grads_b[i]
             model.weights[i] = model.weights[i] + velocity_w[i]
             model.biases[i] = model.biases[i] + velocity_b[i]
 

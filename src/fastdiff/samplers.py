@@ -6,11 +6,13 @@ marginal
 
     x_t = sqrt(alpha_bar_t) x_0 + sqrt(1 - alpha_bar_t) eps.
 
-Three reverse samplers are provided; `run_sampler` picks one by name:
-`ddpm_reverse` (the full chain, `FastSchedule.full`), `fast_ddpm_reverse`
-(ancestral, over a short schedule) and `fast_ddim_reverse` (implicit).  Each
-reverse step s = S, ..., 1 is x <- (x - b_s eps_theta(x, t_s)) / sqrt(gamma_s)
-+ c_s z, and the samplers differ only in the coefficient tables b and c:
+Two reverse samplers run over any `FastSchedule`, the full chain
+`FastSchedule.full` included, and `run_sampler` picks one by name:
+`fast_ddpm_reverse` (ancestral) and `fast_ddim_reverse` (implicit).
+`ddpm_reverse` is the ancestral sampler over the full chain of a
+`VarianceSchedule`.  Each reverse step s = S, ..., 1 is
+x <- (x - b_s eps_theta(x, t_s)) / sqrt(gamma_s) + c_s z, and the samplers
+differ only in the coefficient tables b and c:
 
   DDPM: b = eta / sqrt(1 - gamma_bar),            c = sqrt(eta_tilde)
   DDIM: b = sqrt(1 - gamma_bar) - sqrt(gamma rho), c = sqrt(kappa^2 eta_tilde)
@@ -40,7 +42,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ConstructionError, NumericError, ValidationError
-from .fast_schedule import FULL, FastSchedule
+from .fast_schedule import FastSchedule
 # chain_streams is unused here but stays importable: perfbench's call
 # tracer patches samplers.chain_streams by name.
 from .rng import chain_normals, chain_streams  # noqa: F401
@@ -213,14 +215,10 @@ def fast_ddim_reverse(fast: FastSchedule, model: EpsilonModel,
 
 def run_sampler(fast: FastSchedule, model: EpsilonModel,
                 config: SamplerConfig, sampler: str) -> SampleBatch:
-    """Run the named sampler, "ddpm" or "ddim", over `fast`; DDPM over a
-    full schedule is `ddpm_reverse`, whose provenance names the variance
-    schedule."""
+    """Run the named sampler, "ddpm" or "ddim", over `fast`, the full chain
+    included; the provenance names the fast schedule."""
     if sampler == "ddim":
         return fast_ddim_reverse(fast, model, config)
     if sampler != "ddpm":
         raise ValidationError(f"unknown sampler {sampler!r}")
-    if fast.kind == FULL:
-        return ddpm_reverse(VarianceSchedule(fast.etas[0], fast.etas[-1],
-                                             fast.num_steps), model, config)
     return fast_ddpm_reverse(fast, model, config)

@@ -28,12 +28,16 @@ L is around 5e4).
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
 from .errors import ConstructionError, ConvergenceError
+
+# Inversion stops once every |log alpha_bar(t) - 2 log r| is at most
+# _INVERT_TOL, and raises ConvergenceError after _INVERT_MAX_ITERS steps.
+_INVERT_TOL = 1e-12
+_INVERT_MAX_ITERS = 100
 
 
 class VarianceSchedule:
@@ -99,11 +103,6 @@ class VarianceSchedule:
         except KeyError as missing:
             raise ConstructionError(f"schedule descriptor missing key {missing}")
 
-    @classmethod
-    def from_json(cls, path) -> "VarianceSchedule":
-        with open(path) as fh:
-            return cls.from_descriptor(json.load(fh))
-
     def __repr__(self):
         return (f"VarianceSchedule(beta_start={self.beta_start}, "
                 f"beta_end={self.beta_end}, num_steps={self.num_steps})")
@@ -124,20 +123,13 @@ class NoiseLevelMap:
 
     ``noise_level(t)`` evaluates r(t) = sqrt(alpha_bar(t)) through the Gamma
     extension; ``invert(r)`` solves log alpha_bar(t) = 2 log r for one level
-    or an array of levels by one monotone Newton pass, and
-    ``step_of_noise_level(r)`` is its scalar form.  Both directions are pure
-    functions of immutable state.
+    or an array of levels by one monotone Newton pass, to the module's
+    residual tolerance.  Both directions are pure functions of immutable
+    state.
     """
 
-    def __init__(self, schedule: VarianceSchedule, tolerance: float = 1e-12,
-                 max_iters: int = 100):
-        if tolerance <= 0:
-            raise ConstructionError("tolerance must be positive")
-        if max_iters < 1:
-            raise ConstructionError("max_iters must be >= 1")
+    def __init__(self, schedule: VarianceSchedule):
         self.schedule = schedule
-        self.tolerance = float(tolerance)
-        self.max_iters = int(max_iters)
         self._log_delta = math.log(schedule.delta_beta)
         self._limit = schedule.domain_limit
 
@@ -211,10 +203,6 @@ class NoiseLevelMap:
 
     # -- inverse direction ---------------------------------------------------
 
-    def step_of_noise_level(self, r: float) -> float:
-        """Continuous step t with r(t) = r, for r in [r(num_steps), 1]."""
-        return self.invert(r)[0]
-
     def invert(self, r):
         """Invert the noise level map for one level or an array of levels.
 
@@ -223,7 +211,7 @@ class NoiseLevelMap:
         needed.  Each level starts at the first tabulated step whose level
         is at or below it, so at or above its root, and takes Newton steps
         t <- t - (log alpha_bar(t) - 2 log r) / log(d (L - t + 1/2)) until
-        every |log alpha_bar(t) - 2 log r| <= tolerance.  log alpha_bar is
+        every |log alpha_bar(t) - 2 log r| <= _INVERT_TOL.  log alpha_bar is
         concave with slope log d + digamma(L - t + 1), and
         digamma(x) > log(x - 1/2), so the step's slope is the steeper one:
         no step passes the root, and the iterates descend onto it.
@@ -241,13 +229,13 @@ class NoiseLevelMap:
         r = np.clip(r, r_min, 1.0)
         t = np.searchsorted(-s.sqrt_alpha_bars, -r).astype(float)
         target = 2.0 * np.log(r)
-        for iteration in range(self.max_iters + 1):
+        for iteration in range(_INVERT_MAX_ITERS + 1):
             residual = self.log_alpha_bar(t) - target
-            done = terminal | (np.abs(residual) <= self.tolerance)
+            done = terminal | (np.abs(residual) <= _INVERT_TOL)
             if np.all(done):
                 return (t if t.ndim else float(t)), iteration
             slope = np.log1p(-(s.beta_start + (t - 0.5) * s.delta_beta))
             t = np.where(done, t, t - residual / slope)
         raise ConvergenceError(
-            f"noise level inversion did not reach {self.tolerance:g} within "
-            f"{self.max_iters} iterations")
+            f"noise level inversion did not reach {_INVERT_TOL:g} within "
+            f"{_INVERT_MAX_ITERS} iterations")

@@ -49,6 +49,8 @@ def load_samples(prefix: str) -> SampleBatch:
         raise ValidationError(f"{prefix}.bin does not hold {size} bytes, the "
                               f"shape {shape} its sidecar gives")
     samples = np.fromfile(f"{prefix}.bin", dtype="<f8").reshape(shape)
+    if not np.all(np.isfinite(samples)):
+        raise ValidationError(f"{prefix}.bin holds a non-finite sample")
     return SampleBatch(samples=samples, provenance=sidecar["provenance"])
 
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import fastdiff.cli
+from fastdiff import (AnalyticEpsilonModel, NoiseLevelMap, SamplerConfig,
+                      VarianceSchedule, ddpm_reverse, save_samples)
 from fastdiff.cli import main
+from fastdiff.experiment import builtin_presets
 
 SCHEDULE = {"beta_1": 1e-4, "beta_T": 0.02, "T": 200}
 
@@ -101,6 +104,24 @@ class TestSample:
         sidecar = json.loads((out / "samples.json").read_text())
         assert sidecar["provenance"]["model_calls_per_chain"] == 50
 
+    def test_full_chain_provenance_is_one_schema(self, tmp_path):
+        provenance = {}
+        for sampler in ("ddpm", "ddim"):
+            config = write_config(tmp_path, f"{sampler}.json", {
+                "schedule": {"beta_1": 1e-4, "beta_T": 0.02, "T": 50},
+                "data": {"preset": "std_normal_2d"},
+                "run": {"kind": "full", "sampler": sampler, "batch": 5}})
+            out = tmp_path / sampler
+            assert main(["sample", "--config", config,
+                         "--out", str(out)]) == 0
+            provenance[sampler] = json.loads(
+                (out / "samples.json").read_text())["provenance"]
+        ddpm, ddim = provenance["ddpm"], provenance["ddim"]
+        assert ddpm["sampler"] == "ddpm"
+        assert set(ddpm) == set(ddim) - {"kappa"}
+        assert ddpm["fast_schedule"] == ddim["fast_schedule"]
+        assert ddpm["fast_schedule"]["kind"] == "full"
+
     def test_full_chain_with_ddim_runs_the_implicit_sampler(self, tmp_path):
         config = write_config(tmp_path, "full.json", {
             "schedule": {"beta_1": 1e-4, "beta_T": 0.02, "T": 50},
@@ -131,6 +152,22 @@ class TestEvaluate:
         csv_lines = (out / "report.csv").read_text().splitlines()
         assert csv_lines[0].startswith("schedule_kind,S,sampler")
         assert len(csv_lines) == 2
+
+    def test_ddpm_full_sidecar(self, sample_config, tmp_path):
+        schedule = VarianceSchedule(1e-4, 0.02, 200)
+        model = AnalyticEpsilonModel(builtin_presets()["std_normal_2d"],
+                                     NoiseLevelMap(schedule))
+        batch = ddpm_reverse(schedule, model,
+                             SamplerConfig(dim=2, batch=30, seed=2))
+        save_samples(batch, str(tmp_path / "full"))
+        out = tmp_path / "out"
+        assert main(["evaluate", "--config", sample_config,
+                     "--samples", str(tmp_path / "full"),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"] == {"sampler": "ddpm_full", "kappa": None,
+                                    "seed": 2, "schedule_kind": "full",
+                                    "S": 200}
 
     def test_requires_samples_flag(self, sample_config, tmp_path):
         assert main(["evaluate", "--config", sample_config,
@@ -227,22 +264,30 @@ BAD_MIXTURES = {
     "list_mixture.json": [[1.0], [[0.0]], [[[1.0]]]],
     "string_labels.json": {"weights": [1.0], "means": [[0.0]],
                            "covariances": [[[1.0]]], "labels": ["x"]},
+    # json.dumps writes these as NaN and Infinity, which json.load reads
+    "nan_weight.json": {"weights": [float("nan"), 1.0],
+                        "means": [[0.0, 0.0], [1.0, 0.0]],
+                        "covariances": [np.eye(2).tolist()] * 2},
+    "infinite_mean.json": {"weights": [0.5, 0.5],
+                           "means": [[float("inf"), 0.0], [1.0, 0.0]],
+                           "covariances": [np.eye(2).tolist()] * 2},
 }
 # a regressor for 2-d data with one hidden layer of 3: 3 * 3 + 3 + 3 * 2 + 2
 REGRESSOR = {"dim": 2, "hidden": [3], "time_scale": 200.0,
              "activation": "tanh", "parameter_count": 20}
-# prefix: (metadata, number of float64 values in the .bin file); written
-# next to each bad config and read through model.path
+# prefix: (metadata, the float64 values of the .bin file); written next to
+# each bad config and read through model.path
 BAD_REGRESSORS = {
-    "no_hidden": ({"dim": 2}, 20),
-    "short_bin": (REGRESSOR, 19),
-    "list_meta": ([2, [3], 200.0, 20], 20),
-    "string_dim": (dict(REGRESSOR, dim="x"), 20),
-    "string_hidden": (dict(REGRESSOR, hidden="x"), 20),
-    "string_time_scale": (dict(REGRESSOR, time_scale="x"), 20),
-    "short_count": (dict(REGRESSOR, parameter_count=19), 19),
-    "string_count": (dict(REGRESSOR, parameter_count="20"), 20),
-    "dim_3": (dict(REGRESSOR, dim=3, parameter_count=27), 27),
+    "no_hidden": ({"dim": 2}, np.zeros(20)),
+    "short_bin": (REGRESSOR, np.zeros(19)),
+    "list_meta": ([2, [3], 200.0, 20], np.zeros(20)),
+    "string_dim": (dict(REGRESSOR, dim="x"), np.zeros(20)),
+    "string_hidden": (dict(REGRESSOR, hidden="x"), np.zeros(20)),
+    "string_time_scale": (dict(REGRESSOR, time_scale="x"), np.zeros(20)),
+    "short_count": (dict(REGRESSOR, parameter_count=19), np.zeros(19)),
+    "string_count": (dict(REGRESSOR, parameter_count="20"), np.zeros(20)),
+    "dim_3": (dict(REGRESSOR, dim=3, parameter_count=27), np.zeros(27)),
+    "nan_parameter": (REGRESSOR, np.r_[np.zeros(19), np.nan]),
 }
 
 # a sidecar as `fastdiff sample` writes it, for 20 samples in 2-d
@@ -286,6 +331,8 @@ BAD_SIDECARS = {prefix: (sidecar, SIDECAR_SAMPLES) for prefix, sidecar in {
 BAD_SIDECARS["one_sample"] = (dict(SIDECAR, shape=[1, 2]),
                               SIDECAR_SAMPLES[:16])
 BAD_SIDECARS["three_dims"] = (dict(SIDECAR, shape=[20, 3]), bytes(8 * 60))
+BAD_SIDECARS["nan_sample"] = (SIDECAR, SIDECAR_SAMPLES[:-8]
+                              + np.array([np.nan], "<f8").tobytes())
 
 
 def trained(prefix):
@@ -319,6 +366,10 @@ BAD_INPUTS = [
      config_with(data={"path": "list_mixture.json"})),
     ("string_mixture_labels", ("sample", "sweep"),
      config_with(data={"path": "string_labels.json"})),
+    ("nan_mixture_weight", ("sample", "sweep"),
+     config_with(data={"path": "nan_weight.json"})),
+    ("infinite_mixture_mean", ("sample", "sweep"),
+     config_with(data={"path": "infinite_mean.json"})),
     ("list_config", ALL_VERBS, "[1]"),
     ("list_sweep", ("sweep",), dict(config_with(), sweep=[1])),
     ("string_sweep_sampler", ("sweep",), config_with(
@@ -358,6 +409,8 @@ BAD_INPUTS = [
      trained("short_count")),
     ("string_regressor_count", ("sample", "sweep"), trained("string_count")),
     ("regressor_dim_off_data", ("sample", "sweep"), trained("dim_3")),
+    ("nan_regressor_parameter", ("sample", "sweep"),
+     trained("nan_parameter")),
 ]
 # (name, verbs, extra flags, config)
 BAD_FLAGS = [
@@ -367,6 +420,7 @@ BAD_FLAGS = [
      config_with()),
     ("seed_over_list_run", ("sample",), ["--seed", "3"],
      dict(config_with(), run=[1])),
+    ("zero_S_flag", ("inspect",), ["-S", "0"], config_with()),
 ] + [(f"sidecar_{prefix}", ("evaluate",), ["--samples", prefix], config_with())
      for prefix in BAD_SIDECARS]
 
@@ -388,9 +442,10 @@ class TestErrorBoundary:
         monkeypatch.chdir(tmp_path)
         for name, mixture in BAD_MIXTURES.items():
             (tmp_path / name).write_text(json.dumps(mixture))
-        for prefix, (meta, count) in BAD_REGRESSORS.items():
+        for prefix, (meta, values) in BAD_REGRESSORS.items():
             (tmp_path / f"{prefix}.json").write_text(json.dumps(meta))
-            (tmp_path / f"{prefix}.bin").write_bytes(b"\x00" * 8 * count)
+            (tmp_path / f"{prefix}.bin").write_bytes(
+                values.astype("<f8").tobytes())
         for prefix, (sidecar, samples) in BAD_SIDECARS.items():
             (tmp_path / f"{prefix}.json").write_text(json.dumps(sidecar))
             (tmp_path / f"{prefix}.bin").write_bytes(samples)

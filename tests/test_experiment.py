@@ -1,4 +1,7 @@
 import copy
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,3 +214,12 @@ def test_presets_are_valid_mixtures():
     for gm in presets.values():
         mean, cov = gm.moments()
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))
+
+
+def test_readme_sweep_config_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    config = ExperimentConfig(json.loads(blocks[0]))
+    # 3 seeds x 2 kinds x 1 variant x 3 S x 2 samplers
+    assert len(config.grid()) == 36

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fastdiff.schedule
 from fastdiff import (AnalyticEpsilonModel, ConstructionError, FastSchedule,
                       GaussianMixture, NoiseLevelMap, SamplerConfig,
                       VarianceSchedule, build_step_schedule,
@@ -39,7 +42,7 @@ class TestStepSubsets:
         fast = build_step_schedule(sched_200, 10, "quadratic")
         assert np.array_equal(fast.cont_steps, fast.taus.astype(float))
         # and the bijection agrees with that convention
-        inverted = [map_200.step_of_noise_level(r) for r in fast.noise_levels]
+        inverted, _ = map_200.invert(fast.noise_levels)
         np.testing.assert_allclose(inverted, fast.taus, atol=1e-5)
 
     def test_collision_dedup_warns_and_shrinks(self, map_200, sched_200):
@@ -150,23 +153,12 @@ class TestStepAsVar:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("kind,variant", ALL_BUILDS)
-    def test_dict_roundtrip_bitwise(self, sched_200, map_200, kind, variant):
-        fast = build(kind, sched_200, map_200, 8, variant)
-        again = FastSchedule.from_dict(fast.to_dict())
-        assert again.kind == fast.kind
-        assert np.array_equal(again.etas, fast.etas)
-        assert np.array_equal(again.noise_levels, fast.noise_levels)
-        assert np.array_equal(again.cont_steps, fast.cont_steps)
-
-    def test_json_file(self, sched_200, map_200, tmp_path):
+    def test_json_file(self, sched_200):
         fast = build_step_schedule(sched_200, 5, "linear")
-        path = tmp_path / "fast.json"
-        fast.to_json(path)
-        import json
-        data = json.loads(path.read_text())
+        data = json.loads(json.dumps(fast.to_dict()))
         assert set(data) == {"kind", "S", "eta", "r", "t_cont", "tau"}
         assert data["S"] == 5
+        assert data["eta"] == fast.etas.tolist()
 
     def test_rejects_bad_etas(self):
         with pytest.raises(ConstructionError):
@@ -174,15 +166,6 @@ class TestSerialization:
                          np.array([1.0, 2.0]))
         with pytest.raises(ConstructionError):
             FastSchedule("bogus", np.array([0.1]), np.array([1.0]))
-
-    def test_full_kind_must_be_a_linear_schedule(self):
-        # run_sampler would otherwise run linspace(0.1, 0.5, 3) for these
-        steps, etas = np.array([1, 2, 3]), np.linspace(0.1, 0.5, 3)
-        with pytest.raises(ConstructionError, match="linspace"):
-            FastSchedule("full", np.array([0.1, 0.2, 0.5]), steps, steps)
-        with pytest.raises(ConstructionError, match="linspace"):
-            FastSchedule("full", etas, steps + 1, steps)
-        FastSchedule("full", etas, steps, steps)
 
 
 # Any beta_T <= 0.05 keeps the Gamma extension's domain beyond T.
@@ -217,28 +200,17 @@ class TestFullChain:
 
     @settings(max_examples=15, deadline=None)
     @given(schedules, st.integers(0, 2**32 - 1))
-    def test_restored_full_schedule_samples_the_same(self, schedule, seed):
+    def test_run_sampler_ddpm_on_it_is_ddpm_reverse(self, schedule, seed):
         gm = GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)])
         model = AnalyticEpsilonModel(gm, NoiseLevelMap(schedule))
         config = SamplerConfig(dim=2, batch=3, seed=seed)
         full = FastSchedule.full(schedule)
-        again = FastSchedule.from_dict(full.to_dict())
-        want = run_sampler(full, model, config, "ddpm")
-        got = run_sampler(again, model, config, "ddpm")
+        got = run_sampler(full, model, config, "ddpm")
+        want = ddpm_reverse(schedule, model, config)
         assert np.array_equal(got.samples, want.samples)
-        assert got.provenance == want.provenance
-        assert got.provenance["schedule"] == schedule.to_descriptor()
-
-    @settings(max_examples=30, deadline=None)
-    @given(schedules)
-    def test_dict_roundtrip_bitwise(self, schedule):
-        full = FastSchedule.full(schedule)
-        again = FastSchedule.from_dict(full.to_dict())
-        assert again.kind == "full"
-        assert np.array_equal(again.etas, full.etas)
-        assert np.array_equal(again.gamma_bars, full.gamma_bars)
-        assert np.array_equal(again.cont_steps, full.cont_steps)
-        assert np.array_equal(again.taus, full.taus)
+        assert got.provenance["sampler"] == "ddpm"
+        assert got.provenance["fast_schedule"] == full.to_dict()
+        assert "schedule" not in got.provenance
 
 
 def _steps_and_levels(schedule, fractions):
@@ -276,7 +248,7 @@ class TestInversionProperties:
         solved, iters = level_map.invert(levels)
         assert np.max(np.abs(solved - steps)) <= 1e-6
         residual = level_map.log_alpha_bar(solved) - 2.0 * np.log(levels)
-        assert np.max(np.abs(residual)) <= level_map.tolerance
+        assert np.max(np.abs(residual)) <= fastdiff.schedule._INVERT_TOL
         assert iters <= 20
 
 

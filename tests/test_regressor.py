@@ -74,6 +74,19 @@ class TestTraining:
         assert a.loss_trace == b.loss_trace
         assert a.holdout_loss == b.holdout_loss
 
+    def test_pinned_loss_values(self, blob_and_map):
+        # Update 2 is the first that the momentum reaches and update 38
+        # the first after the learning-rate decay at 0.75 * 50 updates.
+        gm, level_map = blob_and_map
+        params = TrainingParams(hidden=(8,), num_updates=50, batch_size=64,
+                                holdout_size=256, seed=0)
+        model = train_toy_regressor(gm, level_map, params)
+        trace = model.loss_trace
+        assert [trace[i] for i in (0, 2, 37, 38, 49)] == [
+            1.8836658382816376, 1.7730531653134012, 1.1836413684106915,
+            1.1039828559781775, 1.3346655671430663]
+        assert model.holdout_loss == 1.4687992101893408
+
     def test_short_training_improves_on_baseline(self, blob_and_map):
         gm, level_map = blob_and_map
         model = train_toy_regressor(gm, level_map, QUICK)
