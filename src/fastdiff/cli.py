@@ -20,19 +20,21 @@ import json
 import os
 import sys
 
+import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ConstructionError, ValidationError
-from .experiment import (ExperimentConfig, _NUMBER, _SAMPLERS, _checked,
-                         _seed, _typed, csv_value, format_schedule_dump,
-                         inspect_schedule, load_mixture, load_run, run_sweep,
-                         CSV_SCHEMA_VERSION)
+from .experiment import (ExperimentConfig, _NUMBER, _RUN_DEFAULTS, _SAMPLERS,
+                         _checked, _seed, _typed, csv_value,
+                         format_schedule_dump, inspect_schedule, load_mixture,
+                         load_run, run_sweep, CSV_SCHEMA_VERSION)
 from .fast_schedule import FULL, KINDS
 from .metrics import frechet_distance, inception_score
 from .mixture import posterior_classifier
+from .samplers import run_sampler
 # The three reverse samplers stay importable for perfbench's call tracer.
 from .samplers import (ddpm_reverse, fast_ddim_reverse,  # noqa: F401
-                       fast_ddpm_reverse, run_sampler)
+                       fast_ddpm_reverse)
 from .storage import ensure_dir, load_samples, samples_to_csv, save_samples
 
 ENV_OUT = "FASTDIFF_OUT"
@@ -63,11 +65,11 @@ def _resolve_out(args) -> str:
 
 def _cmd_inspect(args):
     raw = _load_config(args)
-    run = _typed("run", raw.get("run", {}), dict)
-    kind = run.get("kind") if args.kind is None else args.kind
-    variant = run.get("variant") if args.variant is None else args.variant
-    num_steps = run.get("S") if args.num_steps is None else args.num_steps
-    dump = inspect_schedule(raw.get("schedule"), kind, variant, num_steps)
+    flags = {"kind": args.kind, "variant": args.variant, "S": args.num_steps}
+    run = {**_RUN_DEFAULTS, **_typed("run", raw.get("run", {}), dict),
+           **{key: value for key, value in flags.items() if value is not None}}
+    dump = inspect_schedule(raw.get("schedule"), run["kind"], run["variant"],
+                            run.get("S"))
     if args.json:
         print(json.dumps(dump, indent=2))
     else:
@@ -127,10 +129,15 @@ def _cmd_evaluate(args):
     seed = args.seed if args.seed is not None else 0
     reference = mixture.sample(Generator(Philox(seed)), num)
     score = None
-    if mixture.labels is not None:
-        probs = posterior_classifier(mixture, batch.samples)
-        score = inception_score(probs)
-    frechet = frechet_distance(reference, batch.samples)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if mixture.labels is not None:
+                probs = posterior_classifier(mixture, batch.samples)
+                score = inception_score(probs)
+            frechet = frechet_distance(reference, batch.samples)
+    except FloatingPointError as err:
+        raise ValidationError(
+            f"{args.samples} cannot be scored: {err}") from err
     out = _resolve_out(args)
     with open(os.path.join(out, "report.json"), "w") as fh:
         json.dump({"frechet": frechet, "inception_score": score,
@@ -173,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inspect = sub.add_parser("inspect", parents=[common],
                                help="dump a shortened schedule")
-    p_inspect.add_argument("--kind", choices=("step", "var"))
-    p_inspect.add_argument("--variant", choices=("linear", "quadratic"))
+    p_inspect.add_argument("--kind")
+    p_inspect.add_argument("--variant")
     p_inspect.add_argument("-S", "--num-steps", type=int, dest="num_steps")
     p_inspect.add_argument("--json", action="store_true",
                            help="machine-readable output")

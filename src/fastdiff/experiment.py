@@ -26,9 +26,10 @@ from .metrics import frechet_distance, inception_score, accuracy
 from .mixture import AnalyticEpsilonModel, GaussianMixture, posterior_classifier
 from .regressor import ToyRegressor
 from .rng import substream
+from .samplers import (FINAL_STEP_LITERAL, FINAL_STEP_ZERO, SamplerConfig,
+                       run_sampler)
 # fast_ddpm_reverse and fast_ddim_reverse stay for perfbench's call tracer.
-from .samplers import (SamplerConfig, fast_ddim_reverse,  # noqa: F401
-                       fast_ddpm_reverse, run_sampler)
+from .samplers import fast_ddim_reverse, fast_ddpm_reverse  # noqa: F401
 from .schedule import NoiseLevelMap, VarianceSchedule
 from .storage import ensure_dir
 
@@ -40,6 +41,8 @@ CSV_COLUMNS = ("seed", "kind", "variant", "S", "sampler", "kappa", "frechet",
 _KINDS = ("step", "var")
 _VARIANTS = ("linear", "quadratic")
 _SAMPLERS = ("ddpm", "ddim")
+_RUN_DEFAULTS = {"kind": "step", "variant": "linear", "sampler": "ddpm",
+                 "batch": 1000, "seed": 0}
 # spawn key reserved for the per-seed reference sample set (cells use their
 # grid index)
 _REFERENCE_KEY = 0x5EED
@@ -66,10 +69,8 @@ class ExperimentConfig:
 
     def __init__(self, raw: dict):
         self.raw = raw
-        self.schedule = load_schedule(raw.get("schedule"))
-        self.level_map = NoiseLevelMap(self.schedule)
-        self.mixture = load_mixture(raw)
-        self.model = build_model(raw, self.mixture, self.level_map)
+        (self.schedule, self.level_map, self.mixture, self.model,
+         self.final_step_noise) = _load_shared(raw)
 
         sweep = raw.get("sweep")
         if not sweep:
@@ -79,15 +80,10 @@ class ExperimentConfig:
         self.variants = self._listed(sweep, "variants", _VARIANTS)
         self.num_steps_list = self._listed(
             sweep, "num_steps", range(1, self.schedule.num_steps + 1))
-        self.samplers = []
-        for spec in _typed("sweep.samplers", sweep.get("samplers", []), list):
-            _typed("sweep.samplers entry", spec, dict)
-            name = _checked("sweep sampler", spec.get("name"), _SAMPLERS)
-            kappa = float(_typed("sweep sampler kappa", spec.get("kappa", 0.0),
-                                 _NUMBER))
-            if not 0.0 <= kappa <= 1.0:
-                raise ValidationError(f"kappa {kappa} outside [0, 1]")
-            self.samplers.append((name, kappa))
+        self.samplers = [
+            _sampler_kappa("sweep.samplers entry", spec, "name")
+            for spec in _typed("sweep.samplers", sweep.get("samplers", []),
+                               list)]
         if not self.samplers:
             raise ValidationError("sweep.samplers must be non-empty")
 
@@ -109,9 +105,10 @@ class ExperimentConfig:
                                                AnalyticEpsilonModel):
             raise ValidationError(
                 "conditional sweep supports the analytic model only")
-        self.final_step_noise = _checked(
-            "final_step_noise", raw.get("final_step_noise", "zero"),
-            ("zero", "literal"))
+        if self.conditional and \
+                self.samples_per_cell < self.mixture.class_labels().size:
+            raise ValidationError("conditional sweep needs samples_per_cell "
+                                  ">= the number of classes")
 
     @staticmethod
     def _listed(sweep, key, allowed):
@@ -173,6 +170,18 @@ def _seed(name, value):
     return value
 
 
+def _sampler_kappa(where, spec, key):
+    """(sampler, kappa) of a `run` section or a `sweep.samplers` entry;
+    kappa is DDIM's noise scale, so DDPM admits only 0."""
+    sampler = _checked(f"{where} {key}", _typed(where, spec, dict).get(key),
+                       _SAMPLERS)
+    kappa = float(_typed(f"{where} kappa", spec.get("kappa", 0.0), _NUMBER))
+    if not 0.0 <= kappa <= 1.0 or (sampler == "ddpm" and kappa != 0.0):
+        raise ValidationError(f"{where} kappa must lie in [0, 1] and be 0 "
+                              f"with ddpm, got {kappa}")
+    return sampler, kappa
+
+
 def load_schedule(descriptor) -> VarianceSchedule:
     """The variance schedule of a config's `schedule` descriptor."""
     if descriptor is None:
@@ -217,35 +226,43 @@ def build_model(raw: dict, mixture: GaussianMixture, level_map: NoiseLevelMap):
     return model
 
 
+def _load_shared(raw: dict):
+    """(schedule, level map, mixture, model, final_step_noise) of a config."""
+    schedule = load_schedule(raw.get("schedule"))
+    level_map = NoiseLevelMap(schedule)
+    mixture = load_mixture(raw)
+    model = build_model(raw, mixture, level_map)
+    return schedule, level_map, mixture, model, _checked(
+        "final_step_noise", raw.get("final_step_noise", FINAL_STEP_ZERO),
+        (FINAL_STEP_ZERO, FINAL_STEP_LITERAL))
+
+
 def load_run(raw: dict):
     """The `run` section of a sample config, checked as a sweep's cells are;
     returns (fast schedule, model, sampler config, sampler name)."""
     run = raw.get("run")
     if not run:
         raise ValidationError("sample needs a 'run' section in the config")
-    _typed("run", run, dict)
-    schedule = load_schedule(raw.get("schedule"))
-    level_map = NoiseLevelMap(schedule)
-    mixture = load_mixture(raw)
-    model = build_model(raw, mixture, level_map)
-    kind = _checked("run.kind", run.get("kind", "step"), _KINDS + ("full",))
-    variant = _checked("run.variant", run.get("variant", "linear"), _VARIANTS)
-    sampler = _checked("run.sampler", run.get("sampler", "ddpm"), _SAMPLERS)
+    run = {**_RUN_DEFAULTS, **_typed("run", run, dict)}
+    if "final_step_noise" in run:
+        raise ValidationError("run.final_step_noise: move it to the top level")
+    schedule, level_map, mixture, model, final_step_noise = _load_shared(raw)
+    sampler, kappa = _sampler_kappa("run", run, "sampler")
     config = SamplerConfig(
-        dim=mixture.dim,
-        batch=_typed("run.batch", run.get("batch", 1000), int),
-        seed=_seed("run.seed", run.get("seed", 0)),
-        kappa=float(_typed("run.kappa", run.get("kappa", 0.0), _NUMBER)),
-        final_step_noise=run.get("final_step_noise", "zero"))
-    if kind != "full":
-        _checked("run.S", run.get("S"), range(1, schedule.num_steps + 1))
-    fast = build_fast_schedule(schedule, level_map, kind, variant, run.get("S"))
+        dim=mixture.dim, batch=_typed("run.batch", run["batch"], int),
+        seed=_seed("run.seed", run["seed"]), kappa=kappa,
+        final_step_noise=final_step_noise)
+    fast = build_fast_schedule(schedule, level_map, run["kind"],
+                               run["variant"], run.get("S"))
     return fast, model, config, sampler
 
 
 def build_fast_schedule(schedule, level_map, kind, variant, num_steps):
-    if kind == "full":
+    """The one check of a run's or a sweep cell's kind, variant and S."""
+    if _checked("kind", kind, _KINDS + ("full",)) == "full":
         return fs.FastSchedule.full(schedule)
+    _checked("variant", variant, _VARIANTS)
+    _checked("S", num_steps, range(1, schedule.num_steps + 1))
     if kind == "step":
         return fs.build_step_schedule(schedule, num_steps, variant)
     return fs.build_var_schedule(schedule, level_map, num_steps, variant)
@@ -312,14 +329,17 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
                                   _cell_seed(seed, cell))
                 samples, label_idx, provenance = batch.samples, None, \
                     batch.provenance
-            row["frechet"] = frechet_distance(references[seed], samples)
-            row["model_calls_per_chain"] = provenance["model_calls_per_chain"]
-            row["normals_per_chain"] = provenance["normals_per_chain"]
-            if config.mixture.labels is not None:
-                probs = posterior_classifier(config.mixture, samples)
-                row["inception_score"] = inception_score(probs)
-                if label_idx is not None:
-                    row["accuracy"] = accuracy(probs, label_idx)
+            # finite but huge samples overflow the scores: fail the cell
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                row["frechet"] = frechet_distance(references[seed], samples)
+                row["model_calls_per_chain"] = \
+                    provenance["model_calls_per_chain"]
+                row["normals_per_chain"] = provenance["normals_per_chain"]
+                if config.mixture.labels is not None:
+                    probs = posterior_classifier(config.mixture, samples)
+                    row["inception_score"] = inception_score(probs)
+                    if label_idx is not None:
+                        row["accuracy"] = accuracy(probs, label_idx)
         except (ValueError, ArithmeticError, ConvergenceError) as err:
             row["status"] = "failed"
             row["error"] = f"{type(err).__name__}: {err}"
@@ -360,10 +380,8 @@ def inspect_schedule(descriptor: dict, kind: str, variant: str,
                      num_steps: int) -> dict:
     """Machine-readable dump of a shortened schedule, with diagnostics."""
     schedule = load_schedule(descriptor)
-    fast = build_fast_schedule(
-        schedule, NoiseLevelMap(schedule), _checked("kind", kind, _KINDS),
-        _checked("variant", variant, _VARIANTS),
-        _checked("S", num_steps, range(1, schedule.num_steps + 1)))
+    fast = build_fast_schedule(schedule, NoiseLevelMap(schedule), kind,
+                               variant, num_steps)
     out = fast.to_dict()
     out["eta_tilde"] = fast.eta_tildes.tolist()
     if fast.is_step_kind:

@@ -62,6 +62,31 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "constraint residual" in out
 
+    @pytest.mark.parametrize("run,flags", [({"kind": "full"}, []),
+                                           ({}, ["--kind", "full"])])
+    def test_full_chain(self, tmp_path, capsys, run, flags):
+        config = write_config(tmp_path, "full.json", {
+            "schedule": dict(SCHEDULE, T=50), "run": run})
+        assert main(["inspect", "--config", config, *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "kind=full S=50"
+        assert len(lines) == 2 + 50 + 1  # headers, one row per step, check
+        assert lines[-1] == "step-as-var identity: ok"
+        assert main(["inspect", "--config", config, "--json", *flags]) == 0
+        dump = json.loads(capsys.readouterr().out)
+        assert dump["tau"] == list(range(1, 51))
+        assert dump["step_var_identity"] is True
+
+    def test_run_defaults_to_step_linear(self, tmp_path, capsys):
+        bare = write_config(tmp_path, "bare.json", {
+            "schedule": SCHEDULE, "run": {"S": 10}})
+        assert main(["inspect", "--config", bare, "--json"]) == 0
+        dump = capsys.readouterr().out
+        assert main(["inspect", "--config", bare, "--json", "--kind", "step",
+                     "--variant", "linear"]) == 0
+        assert capsys.readouterr().out == dump
+        assert json.loads(dump)["kind"] == "step_linear"
+
     def test_missing_pieces(self, tmp_path, capsys):
         config = write_config(tmp_path, "inspect.json",
                               {"schedule": SCHEDULE})
@@ -136,6 +161,17 @@ class TestSample:
         assert provenance["fast_schedule"]["kind"] == "full"
         assert provenance["model_calls_per_chain"] == 50
         assert provenance["normals_per_chain"] == 2  # dim: the initial state
+
+    def test_top_level_final_step_noise(self, tmp_path):
+        config = write_config(tmp_path, "literal.json", {
+            "schedule": SCHEDULE, "data": {"preset": "std_normal_2d"},
+            "final_step_noise": "literal",
+            "run": {"kind": "step", "S": 10, "batch": 20}})
+        out = tmp_path / "out"
+        assert main(["sample", "--config", config, "--out", str(out)]) == 0
+        provenance = json.loads((out / "samples.json").read_text())[
+            "provenance"]
+        assert provenance["final_step_noise"] == "literal"
 
 
 class TestEvaluate:
@@ -333,6 +369,9 @@ BAD_SIDECARS["one_sample"] = (dict(SIDECAR, shape=[1, 2]),
 BAD_SIDECARS["three_dims"] = (dict(SIDECAR, shape=[20, 3]), bytes(8 * 60))
 BAD_SIDECARS["nan_sample"] = (SIDECAR, SIDECAR_SAMPLES[:-8]
                               + np.array([np.nan], "<f8").tobytes())
+# finite, but the scores overflow
+BAD_SIDECARS["huge_samples"] = (SIDECAR, (np.frombuffer(SIDECAR_SAMPLES)
+                                          * 1e200).tobytes())
 
 
 def trained(prefix):
@@ -411,6 +450,18 @@ BAD_INPUTS = [
     ("regressor_dim_off_data", ("sample", "sweep"), trained("dim_3")),
     ("nan_regressor_parameter", ("sample", "sweep"),
      trained("nan_parameter")),
+    ("ddpm_with_kappa", ("sample", "sweep"), config_with(
+        run={"kappa": 0.5}, sweep={"samplers": [{"name": "ddpm",
+                                                 "kappa": 0.5}]})),
+    ("string_run_kappa", ("sample",), config_with(
+        run={"sampler": "ddim", "kappa": "x"})),
+    ("run_final_step_noise", ("sample",), config_with(
+        run={"final_step_noise": "literal"})),
+    ("bogus_final_step_noise", ("sample", "sweep"),
+     config_with(final_step_noise="bogus")),
+    ("conditional_fewer_samples_than_classes", ("sweep",), config_with(
+        conditional=True, data={"preset": "four_class_2d"},
+        samples_per_cell=3)),
 ]
 # (name, verbs, extra flags, config)
 BAD_FLAGS = [
@@ -421,6 +472,11 @@ BAD_FLAGS = [
     ("seed_over_list_run", ("sample",), ["--seed", "3"],
      dict(config_with(), run=[1])),
     ("zero_S_flag", ("inspect",), ["-S", "0"], config_with()),
+    ("bogus_kind_flag", ("inspect",), ["--kind", "bogus"], config_with()),
+    ("cubic_variant_flag", ("inspect",), ["--variant", "cubic"],
+     config_with()),
+    ("huge_samples_labelled", ("evaluate",),
+     ["--samples", "huge_samples", "--preset", "two_blob_2d"], config_with()),
 ] + [(f"sidecar_{prefix}", ("evaluate",), ["--samples", prefix], config_with())
      for prefix in BAD_SIDECARS]
 

@@ -158,6 +158,26 @@ class TestSweep:
         with pytest.raises(TypeError, match="synthetic bug"):
             run_sweep(ExperimentConfig(copy.deepcopy(BASE_CONFIG)))
 
+    def test_huge_samples_fail_only_their_cell(self, monkeypatch):
+        import fastdiff.experiment as exp
+        real = exp.run_sampler
+
+        def huge(fast, model, config, sampler):
+            batch = real(fast, model, config, sampler)
+            if fast.kind == "var_linear" and fast.num_steps == 10 \
+                    and sampler == "ddim":
+                batch.samples = batch.samples * 1e200
+            return batch
+
+        monkeypatch.setattr(exp, "run_sampler", huge)
+        raw = config_with(data={"preset": "two_blob_2d"})
+        rows = run_sweep(ExperimentConfig(raw))
+        failed = [r for r in rows if r["status"] == "failed"]
+        assert [(r["kind"], r["S"], r["sampler"]) for r in failed] == [
+            ("var", 10, "ddim")]
+        assert failed[0]["error"].startswith("FloatingPointError")
+        assert sum(r["status"] == "ok" for r in rows) == 11
+
     def test_conditional_sweep_scores_accuracy(self):
         raw = config_with(data={"preset": "two_blob_2d"}, conditional=True,
                           samples_per_cell=300)
