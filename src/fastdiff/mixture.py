@@ -24,18 +24,22 @@ positive.  The marginal covariance at alpha_bar shares the eigenvectors,
     lambda~_k = alpha_bar lambda_k + 1 - alpha_bar >= min(lambda_k, 1),
 
 so its precision and log-determinant are closed-form and no noise level
-needs a factorization.  The log density, the score and the label posterior
-come from one pass per query over all K components as stacked arrays: one
-batched product gives the K precisions, the offsets x - m_k and their
-solves are (K, d, n) arrays, the log-domain component densities one (K, n)
-array, and the log-sum-exp and the responsibilities reduce over its leading
-axis.  A mixture is immutable once built and holds no cache, so its
-methods are safe to call concurrently.
+needs a factorization.  Fixed at construction, and read-only from then on,
+are the weights, means and covariances, the factors L_k, U_k and lambda_k,
+and the log weights log w_k; none of them depends on alpha_bar.  The log
+density, the score and the label posterior come from one pass per query
+over all K components as stacked arrays: one batched product gives the K
+precisions, the offsets x - m_k and their solves are (K, d, n) arrays, the
+log-domain component densities one (K, n) array, and the log-sum-exp and
+the responsibilities reduce over its leading axis.  A mixture is immutable
+once built and holds no cache, so its methods are safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 from scipy.linalg import cholesky
@@ -87,12 +91,13 @@ class GaussianMixture:
         # covariance that the Cholesky factorization accepted.
         self._eigvecs, singular, _ = np.linalg.svd(self._chols)
         self._eigvals = singular ** 2
+        self._log_weights = np.log(self.weights)[:, None]
         if self.labels is not None and self.labels.shape != (k,):
             raise ConstructionError("labels must give one class per component")
         self.num_components = k
         self.dim = d
         for a in (self.weights, self.means, self.covariances, self._chols,
-                  self._eigvecs, self._eigvals):
+                  self._eigvecs, self._eigvals, self._log_weights):
             a.flags.writeable = False
 
     # -- basic facts ---------------------------------------------------------
@@ -144,14 +149,14 @@ class GaussianMixture:
         diff = np.ascontiguousarray(x.T) - means
         solved = precisions @ diff
         diff *= solved  # the summands of the Mahalanobis terms
-        logs = np.sum(diff, axis=1)
-        logs += (self.dim * _LOG_2PI + np.sum(np.log(noisy), axis=1))[:, None]
+        logs = diff.sum(axis=1)
+        logs += (self.dim * _LOG_2PI + np.log(noisy).sum(axis=1))[:, None]
         logs *= -0.5
-        logs += np.log(self.weights)[:, None]
-        peak = np.max(logs, axis=0)
+        logs += self._log_weights
+        peak = logs.max(axis=0)
         logs -= peak
         resp = np.exp(logs, out=logs)
-        total = np.sum(resp, axis=0)
+        total = resp.sum(axis=0)
         resp /= total
         return peak + np.log(total), resp, solved
 
@@ -163,9 +168,14 @@ class GaussianMixture:
     def score(self, x: np.ndarray, alpha_bar: float = 1.0) -> np.ndarray:
         """grad_x log q(x) of the marginal at alpha_bar; (n, d)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        return np.negative(self._weighted_solves(x, alpha_bar), order="C")
+
+    def _weighted_solves(self, x: np.ndarray, alpha_bar: float) -> np.ndarray:
+        """-grad_x log q(x) = sum_k r_k C_k^-1 (x - m_k) for x of shape
+        (n, d), as an (n, d) transposed view of a (d, n) array."""
         _, resp, solved = self._marginal(x, alpha_bar)
         solved *= resp[:, None, :]
-        return np.negative(np.sum(solved, axis=0).T, order="C")
+        return solved.sum(axis=0).T
 
     # -- serialization -------------------------------------------------------
 
@@ -199,10 +209,13 @@ def analytic_epsilon(gm: GaussianMixture, level_map: NoiseLevelMap,
 
     eps*(x, t) = -sqrt(1 - alpha_bar(t)) * grad_x log q(x); for a single
     standard normal component this reduces to sqrt(1 - alpha_bar) * x.
+    It is computed as sqrt(1 - alpha_bar) * sum_k r_k C_k^-1 (x - m_k),
+    which has the same bits: (-a)(-b) = ab exactly.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     alpha_bar = float(np.exp(level_map.log_alpha_bar(t_cont)))
-    return -np.sqrt(1.0 - alpha_bar) * gm.score(x, alpha_bar)
+    return np.multiply(math.sqrt(1.0 - alpha_bar),
+                       gm._weighted_solves(x, alpha_bar), order="C")
 
 
 def posterior_classifier(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:

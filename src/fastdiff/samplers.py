@@ -117,7 +117,7 @@ def forward_jump(schedule: VarianceSchedule, x0: np.ndarray, t: int,
 
 
 def _check_finite(x, step):
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError(f"non-finite state at reverse step {step}", step=step)
 
 

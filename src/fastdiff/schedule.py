@@ -118,6 +118,15 @@ def alpha_bar_product(schedule: VarianceSchedule, t: int) -> float:
     return float(np.prod(1.0 - schedule.betas[:t]))
 
 
+def _check_steps(t, upper, closed=False) -> None:
+    """Raise ValueError unless every continuous step in t lies in [0, upper),
+    or in [0, upper] when closed; a NaN step lies in neither."""
+    inside = (0.0 <= t) & ((t <= upper) if closed else (t < upper))
+    if not inside.all():
+        interval = f"[0, {upper}]" if closed else f"[0, {upper:.3f})"
+        raise ValueError(f"continuous step outside {interval}")
+
+
 class NoiseLevelMap:
     """Bijection between continuous diffusion steps and noise levels.
 
@@ -143,10 +152,13 @@ class NoiseLevelMap:
         lgamma values of magnitude ~5e5 loses ~6 digits to cancellation;
         this arrangement keeps absolute error near 1e-13, which the
         inversion tolerance relies on.
+
+        A scalar step runs as an ``np.float64`` through the same ufuncs, in
+        the same order, as each entry of an array, so both give the same
+        bits.  A NaN step, like one outside the domain, raises ValueError.
         """
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t >= self._limit):
-            raise ValueError(f"continuous step outside [0, {self._limit:.3f})")
+        t = np.asarray(t, dtype=float)[()]
+        _check_steps(t, self._limit)
         L = self._limit
         s = self.schedule
         # t*log(d) + t*log(L - t) combined: d*(L - t) = 1 - beta_start - t*d
@@ -176,9 +188,7 @@ class NoiseLevelMap:
         r(0.5) = 1.0031, a level that `invert` rejects.
         """
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t > self.schedule.num_steps):
-            raise ValueError(
-                f"continuous step outside [0, {self.schedule.num_steps}]")
+        _check_steps(t, self.schedule.num_steps, closed=True)
         out = np.exp(0.5 * self.log_alpha_bar(t))
         return out if out.ndim else float(out)
 
@@ -191,8 +201,7 @@ class NoiseLevelMap:
         reference schedules.
         """
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t >= self._limit):
-            raise ValueError(f"continuous step outside [0, {self._limit:.3f})")
+        _check_steps(t, self._limit)
         L = self._limit
         out = (t * self._log_delta
                + (L + 0.5) * np.log(L)

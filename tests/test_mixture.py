@@ -198,6 +198,22 @@ class TestAnalyticEpsilon:
         assert np.array_equal(a, b)
         assert a.shape == x.shape
 
+    def test_predict_returns_a_fresh_array(self, two_blob_2d, map_200):
+        model = AnalyticEpsilonModel(two_blob_2d, map_200)
+        x = np.array([[0.1, 0.2], [-1.0, 0.5], [2.0, -0.3]])
+        first = model.predict(x, 12.3)
+        want = first.copy()
+        first[...] = np.nan
+        second = model.predict(x, 12.3)
+        assert np.array_equal(second, want)
+        assert not np.shares_memory(second, x)
+
+    @pytest.mark.parametrize("t", [float("nan"), np.float64("nan")])
+    def test_nan_step_is_rejected(self, two_blob_2d, map_200, t):
+        model = AnalyticEpsilonModel(two_blob_2d, map_200)
+        with pytest.raises(ValueError, match="continuous step outside"):
+            model.predict(np.zeros((4, 2)), t)
+
     def test_shared_model_is_safe_across_threads(self, map_200):
         model = AnalyticEpsilonModel(
             random_mixture(np.random.default_rng(5), 3, 2), map_200)
@@ -330,7 +346,7 @@ class TestSpectralOracle:
 
     def test_factors_are_read_only(self, two_blob_2d):
         for a in (two_blob_2d._chols, two_blob_2d._eigvecs,
-                  two_blob_2d._eigvals):
+                  two_blob_2d._eigvals, two_blob_2d._log_weights):
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
@@ -369,3 +385,123 @@ class TestStackedOutputs:
                       lambda: analytic_epsilon(two_blob_2d, map_200, x, 9.0)):
             with pytest.raises(ValueError, match="shape"):
                 query()
+
+
+# A 3-d mixture whose covariances are full, not diagonal.
+FULL_COV_3D = GaussianMixture(
+    [0.2, 0.5, 0.3],
+    [[1.0, -0.5, 0.25], [-1.25, 0.75, 0.0], [0.0, 1.5, -1.0]],
+    [[[0.5, 0.2, -0.1], [0.2, 0.4, 0.05], [-0.1, 0.05, 0.3]],
+     [[0.3, -0.12, 0.0], [-0.12, 0.6, 0.15], [0.0, 0.15, 0.45]],
+     [[0.8, 0.3, 0.2], [0.3, 0.5, -0.1], [0.2, -0.1, 0.35]]])
+GOLDEN_X = np.array([[0.3, -1.2, 0.8], [2.0, 0.5, -0.4], [-1.75, 0.25, 1.1]])
+GOLDEN_ALPHA_BAR = 0.3
+# float.hex of the oracle's outputs at GOLDEN_X (first `dim` columns), row
+# by row: `predict` at three steps of a T = 1000 schedule, then
+# `log_density` and `score` at GOLDEN_ALPHA_BAR.
+GOLDEN_BITS = {
+    'two_blob_2d': {
+        0.5: [
+            '-0x1.f9ec11016a34dp-6', '-0x1.0effa14c1dbf3p-5',
+            '0x1.c3b24a5fc5a73p-7', '0x1.c3aa0cd431940p-7',
+            '-0x1.c3ba882d17e48p-8', '0x1.c3aa0cd431940p-8',
+        ],
+        37.25: [
+            '-0x1.155a5630160c7p-1', '-0x1.31249db9263e4p-1',
+            '0x1.04cf70def91b0p-2', '0x1.fc925c3495127p-3',
+            '-0x1.0b55b41ae7291p-3', '0x1.fc925c3495126p-4',
+        ],
+        999.0: [
+            '0x1.332cb8ed3d0c7p-2', '-0x1.3334027a446c9p+0',
+            '0x1.fff534962e836p+0', '0x1.0000acbb39052p-1',
+            '-0x1.bff68def3ef16p+0', '0x1.0000acbb39053p-2',
+        ],
+        'log_density': [
+            '-0x1.7a586b685b2bap+1', '-0x1.a8d62eedf7a1dp+1',
+            '-0x1.6c97c717fd67ap+1',
+        ],
+        'score': [
+            '-0x1.f2ac285a4c040p-5', '0x1.8c6318c6318c6p+0',
+            '-0x1.8cf6942cd9463p+0', '-0x1.4a5294a5294a6p-1',
+            '0x1.3fa3f0ed22482p+0', '-0x1.4a5294a5294a6p-2',
+        ],
+    },
+    'four_class_2d': {
+        0.5: [
+            '-0x1.32621b132590bp-5', '0x1.2d19da64cea07p-6',
+            '0x1.2500349004be5p-20', '-0x1.19551f2c1a5bep-5',
+            '0x1.7853c7dd4fc7ap-8', '-0x1.2f662d6426e78p-5',
+        ],
+        37.25: [
+            '-0x1.562cebcb9ef5bp-1', '0x1.4f6be7e09d283p-2',
+            '0x1.d50733c276960p-8', '-0x1.3c317980c60cap-1',
+            '0x1.8f1fb37699287p-4', '-0x1.51407a68d3709p-1',
+        ],
+        999.0: [
+            '0x1.3326e481bd75fp-2', '-0x1.3326e4c0ac887p+0',
+            '0x1.ffeb7e07f9626p+0', '0x1.ffeb7ce4aa738p-2',
+            '-0x1.bfee0e0743f7bp+0', '0x1.ffeb7cd618bcdp-3',
+        ],
+        'log_density': [
+            '-0x1.7fe907e038847p+1', '-0x1.c07aab3e623b3p+1',
+            '-0x1.a63fe8e980187p+1',
+        ],
+        'score': [
+            '0x1.53e4564851b60p-3', '0x1.d3b561b977609p-3',
+            '-0x1.27e159bfc5e44p+0', '0x1.980371bd41182p-3',
+            '0x1.b33637e331d96p-1', '0x1.2aba9c9b1b19ap-3',
+        ],
+    },
+    'full_cov_3d': {
+        0.5: [
+            '-0x1.743d694f44b03p-10', '-0x1.adafee18d3b61p-7',
+            '0x1.d52993591542ep-7', '0x1.d8111bc8c2e91p-9',
+            '0x1.1adec5621cfafp-6', '-0x1.12cb82ee399f7p-6',
+            '-0x1.1c2ed4e2c2101p-6', '-0x1.dfce4f474f310p-7',
+            '0x1.640159fed041ap-6',
+        ],
+        37.25: [
+            '-0x1.0acbecc4a6cfdp-5', '-0x1.e91c461f00e39p-3',
+            '0x1.07fc625394a03p-2', '0x1.6151171fb1f6dp-4',
+            '0x1.36f78a768a125p-2', '-0x1.2e9c37af95adfp-2',
+            '-0x1.40e40dca40107p-2', '-0x1.0dd43ab525d9dp-2',
+            '0x1.96a301a574e38p-2',
+        ],
+        999.0: [
+            '0x1.35f93a1b1fa60p-2', '-0x1.3461c60231802p+0',
+            '0x1.9a69c171b1057p-1', '0x1.0057588920dbbp+1',
+            '0x1.fb3caf7ade7e3p-2', '-0x1.97f2cd928a5f6p-2',
+            '-0x1.bf495c060eb7fp+0', '0x1.f67474204a7f1p-3',
+            '0x1.1a02661f91025p+0',
+        ],
+        'log_density': [
+            '-0x1.1c8e83cf3f9bep+2', '-0x1.46ffbed413c6dp+2',
+            '-0x1.23d21757c1de5p+2',
+        ],
+        'score': [
+            '-0x1.0a5c9e82b09d3p-2', '0x1.6b42c98664d76p+0',
+            '-0x1.ea433a67c7211p-1', '-0x1.f768bec9908b4p+0',
+            '-0x1.b9f85a5cd6f2bp-3', '0x1.7a8eca145ec4dp-2',
+            '0x1.7218ca10e9891p+0', '0x1.17ba1931a5c1dp-2',
+            '-0x1.60a2f3d3a4603p+0',
+        ],
+    },
+}
+
+
+class TestGoldenBits:
+    """The oracle's outputs are pinned bit for bit: a rewrite that moves a
+    single bit of `predict`, `log_density` or `score` must say so."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_BITS))
+    def test_outputs_match_recorded_bits(self, name):
+        gm = FULL_COV_3D if name == "full_cov_3d" else builtin_presets()[name]
+        x = GOLDEN_X[:, :gm.dim]
+        model = AnalyticEpsilonModel(
+            gm, NoiseLevelMap(VarianceSchedule(1e-4, 0.02, 1000)))
+        want = GOLDEN_BITS[name]
+        got = {t: model.predict(x, t) for t in (0.5, 37.25, 999.0)}
+        got["log_density"] = gm.log_density(x, GOLDEN_ALPHA_BAR)
+        got["score"] = gm.score(x, GOLDEN_ALPHA_BAR)
+        assert {key: [float(v).hex() for v in out.ravel()]
+                for key, out in got.items()} == want

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import gammaln
 
 import fastdiff.schedule
@@ -155,6 +156,41 @@ class TestStirling:
 
 def map_many_logs(level_map, grid):
     return 2.0 * np.log(level_map.noise_level(grid))
+
+
+STEP_FUNCTIONS = ["log_alpha_bar", "noise_level", "log_noise_level_stirling"]
+
+
+class TestStepDomain:
+    """The three forward functions share one range check on their steps."""
+
+    @pytest.mark.parametrize("t", [float("nan"), np.array([1.0, np.nan, 2.0])],
+                             ids=["scalar", "array"])
+    @pytest.mark.parametrize("name", STEP_FUNCTIONS)
+    def test_nan_step_is_rejected(self, map_200, name, t):
+        with pytest.raises(ValueError, match="continuous step outside"):
+            getattr(map_200, name)(t)
+
+    @pytest.mark.parametrize("name", STEP_FUNCTIONS)
+    def test_empty_steps_pass(self, map_200, name):
+        out = getattr(map_200, name)(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @given(st.floats(0.0, 1000.0), st.integers(0, 1000))
+    def test_scalar_and_array_steps_agree(self, map_1000, t, k):
+        grid = np.linspace(0.0, 1000.0, 17)
+        for step in (t, k):
+            got = map_1000.log_alpha_bar(float(step))
+            assert type(got) is float
+            grid[5] = step
+            want = map_1000.log_alpha_bar(grid)
+            assert float(want[5]).hex() == got.hex()
+            for form in (step, np.float64(step), np.array(step, dtype=float)):
+                same = map_1000.log_alpha_bar(form)
+                assert type(same) is float and same.hex() == got.hex()
+            listed = map_1000.log_alpha_bar([step])
+            assert isinstance(listed, np.ndarray) and listed.shape == (1,)
+            assert float(listed[0]).hex() == got.hex()
 
 
 class TestInversion:
