@@ -28,14 +28,15 @@ from .experiment import (ExperimentConfig, _NUMBER, _RUN_DEFAULTS, _SAMPLERS,
                          _checked, _seed, _typed, csv_value,
                          format_schedule_dump, inspect_schedule, load_mixture,
                          load_run, run_sweep, CSV_SCHEMA_VERSION)
-from .fast_schedule import FULL, KINDS
+from .fast_schedule import KINDS
 from .metrics import frechet_distance, inception_score
 from .mixture import posterior_classifier
 from .samplers import run_sampler
 # The three reverse samplers stay importable for perfbench's call tracer.
 from .samplers import (ddpm_reverse, fast_ddim_reverse,  # noqa: F401
                        fast_ddpm_reverse)
-from .storage import ensure_dir, load_samples, samples_to_csv, save_samples
+from .storage import (CSV_DIM_LIMIT, ensure_dir, load_samples,
+                      samples_to_csv, save_samples)
 
 ENV_OUT = "FASTDIFF_OUT"
 
@@ -87,7 +88,7 @@ def _cmd_sample(args):
     out = _resolve_out(args)
     prefix = os.path.join(out, "samples")
     save_samples(batch, prefix)
-    if config.dim <= 16:
+    if config.dim <= CSV_DIM_LIMIT:
         samples_to_csv(batch, prefix + ".csv")
     print(f"wrote {batch.samples.shape[0]} samples to {prefix}.bin")
     return 0
@@ -112,19 +113,19 @@ def _cmd_evaluate(args):
     # value that `fastdiff sample` can have written.
     provenance = batch.provenance
     fast = _typed("provenance fast_schedule",
-                  provenance.get("fast_schedule", {}), dict)
+                  provenance.get("fast_schedule"), dict)
     kappa = provenance.get("kappa")
     if kappa is not None:
         _typed("provenance kappa", kappa, _NUMBER)
-    num_steps = fast.get("S", provenance.get("model_calls_per_chain"))
+    num_steps = fast.get("S")
     if _typed("provenance S", num_steps, int) < 1:
         raise ValidationError(f"provenance S must be >= 1, got {num_steps}")
     run = {"sampler": _checked("provenance sampler", provenance.get("sampler"),
-                               _SAMPLERS + ("ddpm_full",)),
+                               _SAMPLERS),
            "kappa": kappa,
            "seed": _seed("provenance seed", provenance.get("seed")),
            "schedule_kind": _checked("provenance fast_schedule kind",
-                                     fast.get("kind", FULL), KINDS),
+                                     fast.get("kind"), KINDS),
            "S": num_steps}
     seed = args.seed if args.seed is not None else 0
     reference = mixture.sample(Generator(Philox(seed)), num)

@@ -42,7 +42,6 @@ import json
 import math
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from .errors import ConstructionError
 from .schedule import NoiseLevelMap
@@ -81,7 +80,7 @@ class GaussianMixture:
             if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12):
                 raise ConstructionError(f"covariance {i} is not symmetric")
             try:
-                chols.append(cholesky(cov, lower=True))
+                chols.append(np.linalg.cholesky(cov))
             except np.linalg.LinAlgError:
                 raise ConstructionError(
                     f"covariance {i} is not positive definite")

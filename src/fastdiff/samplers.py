@@ -121,12 +121,14 @@ def _check_finite(x, step):
         raise NumericError(f"non-finite state at reverse step {step}", step=step)
 
 
-def _reverse_chain(fast, model, config, provenance, initial, kappa):
-    """Shared driver: the one update of the module docstring, with DDPM's
-    (kappa None) or DDIM's b and c tables.  Both draw identical noise for
-    kappa > 0, so kappa = 1 is testable against DDPM draw for draw."""
+def _reverse_chain(fast, model, config, initial, sampler):
+    """Shared driver: the one update of the module docstring, with the b and
+    c tables of `sampler`, "ddpm" or "ddim" (with noise scale config.kappa).
+    Both draw identical noise for kappa > 0, so kappa = 1 is testable
+    against DDPM draw for draw."""
     num_steps = fast.num_steps
     d = np.sqrt(fast.gammas)
+    kappa = config.kappa if sampler == "ddim" else None
     if kappa is None:
         b = fast.etas / np.sqrt(1.0 - fast.gamma_bars)
         c = np.sqrt(fast.eta_tildes)
@@ -174,9 +176,12 @@ def _reverse_chain(fast, model, config, provenance, initial, kappa):
         if trace is not None:
             trace.append(x.copy())
 
-    provenance = dict(
-        provenance, batch=config.batch, dim=config.dim, seed=config.seed,
-        final_step_noise=config.final_step_noise,
+    provenance = {"sampler": sampler}
+    if kappa is not None:
+        provenance["kappa"] = kappa
+    provenance.update(
+        fast_schedule=fast.to_dict(), batch=config.batch, dim=config.dim,
+        seed=config.seed, final_step_noise=config.final_step_noise,
         model_calls_per_chain=num_steps, normals_per_chain=rows * config.dim)
     return SampleBatch(samples=x, provenance=provenance, step_trace=trace)
 
@@ -184,18 +189,17 @@ def _reverse_chain(fast, model, config, provenance, initial, kappa):
 def ddpm_reverse(schedule: VarianceSchedule, model: EpsilonModel,
                  config: SamplerConfig, initial: np.ndarray | None = None
                  ) -> SampleBatch:
-    """Full-length ancestral sampling over all num_steps reverse steps."""
-    provenance = {"sampler": "ddpm_full", "schedule": schedule.to_descriptor()}
+    """Full-length ancestral sampling over all num_steps reverse steps: the
+    fast sampler on `FastSchedule.full(schedule)`, provenance included."""
     return _reverse_chain(FastSchedule.full(schedule), model, config,
-                          provenance, initial, None)
+                          initial, "ddpm")
 
 
 def fast_ddpm_reverse(fast: FastSchedule, model: EpsilonModel,
                       config: SamplerConfig,
                       initial: np.ndarray | None = None) -> SampleBatch:
     """Ancestral sampling over a shortened schedule."""
-    provenance = {"sampler": "ddpm", "fast_schedule": fast.to_dict()}
-    return _reverse_chain(fast, model, config, provenance, initial, None)
+    return _reverse_chain(fast, model, config, initial, "ddpm")
 
 
 def fast_ddim_reverse(fast: FastSchedule, model: EpsilonModel,
@@ -207,10 +211,7 @@ def fast_ddim_reverse(fast: FastSchedule, model: EpsilonModel,
     state and consumes no randomness after drawing it; with kappa = 1 it
     matches `fast_ddpm_reverse` under shared noise streams.
     """
-    provenance = {"sampler": "ddim", "kappa": config.kappa,
-                  "fast_schedule": fast.to_dict()}
-    return _reverse_chain(fast, model, config, provenance, initial,
-                          config.kappa)
+    return _reverse_chain(fast, model, config, initial, "ddim")
 
 
 def run_sampler(fast: FastSchedule, model: EpsilonModel,

@@ -92,10 +92,6 @@ class VarianceSchedule:
 
     # -- descriptor (canonical on-disk form) --------------------------------
 
-    def to_descriptor(self) -> dict:
-        return {"beta_1": self.beta_start, "beta_T": self.beta_end,
-                "T": self.num_steps}
-
     @classmethod
     def from_descriptor(cls, descriptor: dict) -> "VarianceSchedule":
         try:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ValidationError
 from .samplers import SampleBatch
 
-_CSV_DIM_LIMIT = 16
+CSV_DIM_LIMIT = 16
 
 
 def save_samples(batch: SampleBatch, prefix: str) -> None:
@@ -57,9 +57,9 @@ def load_samples(prefix: str) -> SampleBatch:
 def samples_to_csv(batch: SampleBatch, path: str) -> None:
     samples = np.atleast_2d(batch.samples)
     dim = samples.shape[1]
-    if dim > _CSV_DIM_LIMIT:
+    if dim > CSV_DIM_LIMIT:
         raise ValueError(
-            f"CSV export is meant for small dimensions (<= {_CSV_DIM_LIMIT}), "
+            f"CSV export is meant for small dimensions (<= {CSV_DIM_LIMIT}), "
             f"got {dim}; use the binary format")
     header = ",".join(f"x{i}" for i in range(dim))
     with open(path, "w", newline="") as fh:

@@ -8,6 +8,7 @@ from fastdiff import (AnalyticEpsilonModel, NoiseLevelMap, SamplerConfig,
                       VarianceSchedule, ddpm_reverse, save_samples)
 from fastdiff.cli import main
 from fastdiff.experiment import builtin_presets
+from fastdiff.storage import CSV_DIM_LIMIT
 
 SCHEDULE = {"beta_1": 1e-4, "beta_T": 0.02, "T": 200}
 
@@ -106,6 +107,20 @@ class TestSample:
         assert sidecar["shape"] == [300, 2]
         assert sidecar["provenance"]["seed"] == 3
 
+    def test_no_csv_above_the_dimension_limit(self, tmp_path):
+        dim = CSV_DIM_LIMIT + 1
+        mixture = tmp_path / "wide.json"
+        mixture.write_text(json.dumps({
+            "weights": [1.0], "means": [[0.0] * dim],
+            "covariances": [np.eye(dim).tolist()]}))
+        config = write_config(tmp_path, "wide_config.json", {
+            "schedule": SCHEDULE, "data": {"path": str(mixture)},
+            "run": {"kind": "step", "S": 5, "batch": 4}})
+        out = tmp_path / "out"
+        assert main(["sample", "--config", config, "--out", str(out)]) == 0
+        assert (out / "samples.bin").stat().st_size == 8 * 4 * dim
+        assert not (out / "samples.csv").exists()
+
     def test_deterministic_bytes(self, sample_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["sample", "--config", sample_config, "--out", str(a)])
@@ -201,7 +216,7 @@ class TestEvaluate:
                      "--samples", str(tmp_path / "full"),
                      "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["config"] == {"sampler": "ddpm_full", "kappa": None,
+        assert report["config"] == {"sampler": "ddpm", "kappa": None,
                                     "seed": 2, "schedule_kind": "full",
                                     "S": 200}
 
@@ -328,13 +343,20 @@ BAD_REGRESSORS = {
 
 # a sidecar as `fastdiff sample` writes it, for 20 samples in 2-d
 SIDECAR = {"shape": [20, 2], "dtype": "<f8", "order": "C",
-           "provenance": {"sampler": "ddpm", "seed": 0,
-                          "model_calls_per_chain": 5}}
+           "provenance": {"sampler": "ddpm",
+                          "fast_schedule": {"kind": "step_linear", "S": 5},
+                          "seed": 0, "model_calls_per_chain": 5}}
 SIDECAR_SAMPLES = np.random.default_rng(0).normal(size=(20, 2)).tobytes()
 
 
 def with_provenance(**entries):
     return dict(SIDECAR, provenance=dict(SIDECAR["provenance"], **entries))
+
+
+def without_provenance(key):
+    return dict(SIDECAR, provenance={k: v for k, v in
+                                     SIDECAR["provenance"].items()
+                                     if k != key})
 
 
 # prefix: (sidecar, .bin contents); written next to each bad config and read
@@ -348,20 +370,26 @@ BAD_SIDECARS = {prefix: (sidecar, SIDECAR_SAMPLES) for prefix, sidecar in {
     "list_provenance": dict(SIDECAR, provenance=[1]),
     "list_sidecar": list(SIDECAR.values()),
     "list_fast_schedule": with_provenance(fast_schedule=[1]),
+    "no_fast_schedule": without_provenance("fast_schedule"),
+    # the full-chain schema that ddpm_reverse once wrote
+    "legacy_ddpm_full": {**SIDECAR, "provenance": {
+        "sampler": "ddpm_full", "schedule": SCHEDULE, "batch": 20, "dim": 2,
+        "seed": 0, "final_step_noise": "zero", "model_calls_per_chain": 200,
+        "normals_per_chain": 400}},
     # provenance entries that report.csv would copy unquoted
     "list_kind": with_provenance(fast_schedule={"kind": [1, 2], "S": 5}),
     "bogus_kind": with_provenance(fast_schedule={"kind": "bogus", "S": 5}),
     "object_S": with_provenance(fast_schedule={"kind": "step_linear",
                                                "S": {"x": 1}}),
     "zero_S": with_provenance(fast_schedule={"kind": "step_linear", "S": 0}),
-    "float_calls": with_provenance(model_calls_per_chain=5.0),
+    "float_S": with_provenance(fast_schedule={"kind": "step_linear",
+                                              "S": 5.0}),
     "object_sampler": with_provenance(sampler={"a": 1}),
     "bogus_sampler": with_provenance(sampler="dimm"),
     "string_kappa": with_provenance(sampler="ddim", kappa="0,1"),
     "negative_seed": with_provenance(seed=-1),
     "boolean_seed": with_provenance(seed=True),
-    "no_seed": {**SIDECAR, "provenance": {"sampler": "ddpm",
-                                          "model_calls_per_chain": 5}},
+    "no_seed": without_provenance("seed"),
 }.items()}
 # batches that load but cannot be scored against the 2-d config data
 BAD_SIDECARS["one_sample"] = (dict(SIDECAR, shape=[1, 2]),

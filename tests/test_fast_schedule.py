@@ -194,9 +194,7 @@ class TestFullChain:
         full = ddpm_reverse(schedule, model, config)
         fast = fast_ddpm_reverse(FastSchedule.full(schedule), model, config)
         assert np.array_equal(full.samples, fast.samples)
-        assert full.provenance["sampler"] == "ddpm_full"
-        assert full.provenance["normals_per_chain"] \
-            == fast.provenance["normals_per_chain"]
+        assert full.provenance == fast.provenance
 
     @settings(max_examples=15, deadline=None)
     @given(schedules, st.integers(0, 2**32 - 1))

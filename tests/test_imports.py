@@ -1,7 +1,11 @@
 """Every name that a library module imports is used, exported through
-`__all__` or kept on purpose with `# noqa: F401` on its import statement."""
+`__all__` or kept on purpose with `# noqa: F401` on its import statement;
+and the library runs on numpy alone, with scipy left to the tests."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +54,15 @@ def test_checker_flags_only_unused_unmarked_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_library_imports_no_scipy():
+    code = ("import sys, fastdiff, fastdiff.cli, fastdiff.experiment\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name.split('.')[0] == 'scipy'))\n")
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -103,6 +103,21 @@ class TestConstruction:
             GaussianMixture([1.0], [[0.0, 0.0]],
                             [np.array([[1.0, 2.0], [2.0, 1.0]])])
 
+    def test_non_positive_definite_component_is_named(self):
+        with pytest.raises(ConstructionError,
+                           match="covariance 1 is not positive definite"):
+            GaussianMixture([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]],
+                            [np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_cholesky_factors_match_scipy(self, d):
+        """numpy's factor of a full covariance is scipy's to 1e-12; the two
+        LAPACK builds can round differently from d = 5 on."""
+        gm = random_mixture(np.random.default_rng(d), 3, d)
+        want = np.stack([cholesky(c, lower=True) for c in gm.covariances])
+        assert gm._chols.shape == want.shape
+        np.testing.assert_allclose(gm._chols, want, rtol=0.0, atol=1e-12)
+
     def test_moments_by_hand(self):
         gm = GaussianMixture([0.25, 0.75], [[2.0, 0.0], [-2.0, 2.0]],
                              [np.eye(2), 2.0 * np.eye(2)])
