@@ -9,11 +9,16 @@ for a fixed numpy version.
 `chain_normals` draws a block of normals for every chain at once: it
 derives all the chains' Philox keys in one pass of integer arithmetic and
 re-keys a single generator per chain, so it builds no per-chain objects.
-Row i equals `substream(seed, i).standard_normal(count)` bit for bit; the
-samplers take each chain's noise from it.  Consumers that draw lazily (the
-regressor, reference sets, `forward_jump`) take a `numpy.random.Generator`
-directly: `substream`, `chain_streams`, or `Generator(Philox(seed))` for
-the root stream of a seed.
+It re-keys through numpy's public `bit_generator.state` setter, with plain
+Python ints in the state dict (the chain's key via `tolist()`, a zero
+counter and buffer): the setter casts its ten words one by one, and
+re-keying from numpy arrays, which makes a numpy scalar for each word,
+takes about 2.5 times as long.  Row i equals
+`substream(seed, i).standard_normal(count)` bit for bit; the samplers take
+each chain's noise from it.  Consumers that draw lazily (the regressor,
+reference sets, `forward_jump`) take a `numpy.random.Generator` directly:
+`substream`, `chain_streams`, or `Generator(Philox(seed))` for the root
+stream of a seed.
 """
 
 from __future__ import annotations
@@ -104,13 +109,14 @@ def chain_normals(seed: int, num_chains: int, count: int) -> np.ndarray:
     if count == 0:
         return out
     bit_generator = Philox(0)
-    generator = Generator(bit_generator)
-    key_state = {"counter": np.zeros(4, np.uint64), "key": None}
+    standard_normal = Generator(bit_generator).standard_normal
+    # Plain ints only (see the module docstring).
+    key_state = {"counter": [0, 0, 0, 0], "key": None}
     state = {"bit_generator": "Philox", "state": key_state,
-             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     for row, key in zip(out, keys):
-        key_state["key"] = key
+        key_state["key"] = key.tolist()
         bit_generator.state = state
-        generator.standard_normal(out=row)
+        standard_normal(out=row)
     return out

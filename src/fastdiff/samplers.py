@@ -54,7 +54,9 @@ class EpsilonModel(Protocol):
 
     `predict(x, t)` maps a batch of states (n, d) and a scalar (possibly
     non-integer) diffusion step to predicted noise of shape (n, d).  It must
-    be deterministic in (x, t) and safe to call concurrently.
+    be deterministic in (x, t) and safe to call concurrently.  The samplers
+    only read the returned array, so it may be reused or read-only; they
+    update the state x in place after the call, so a model must not keep x.
     """
 
     def predict(self, x: np.ndarray, t: float) -> np.ndarray: ...
@@ -151,27 +153,35 @@ def _reverse_chain(fast, model, config, initial, sampler):
     literal = config.final_step_noise == FINAL_STEP_LITERAL
     noisy_steps = 0 if kappa == 0.0 else num_steps - (not literal)
 
+    if initial is not None:
+        initial = np.array(initial, dtype=float)
+        if initial.shape != (config.batch, config.dim):
+            raise ValueError(
+                f"initial state must have shape {(config.batch, config.dim)}")
+
     # One block of normals per chain: row 0 is the initial state (unless
     # given), then one row per noisy step in reverse-step order.
     rows = noisy_steps + (initial is None)
     normals = chain_normals(config.seed, config.batch,
                             rows * config.dim).reshape(
                                 config.batch, rows, config.dim)
-    if initial is None:
-        x = np.ascontiguousarray(normals[:, 0, :])
-    else:
-        x = np.array(initial, dtype=float)
-        if x.shape != (config.batch, config.dim):
-            raise ValueError(
-                f"initial state must have shape {(config.batch, config.dim)}")
+    x = np.ascontiguousarray(normals[:, 0, :]) if initial is None else initial
     noise = normals[:, rows - noisy_steps:, :]
     trace = [] if config.record_trace else None
 
+    # The update runs in place in x and scratch, both owned here, through
+    # the same ufuncs in the same order as (x - b eps_hat) / d + c z, so
+    # the bits are those of the expression; eps_hat (the model's, possibly
+    # reused or read-only) is only read.
+    scratch = np.empty_like(x)
     for k, i in enumerate(range(num_steps - 1, -1, -1)):
         eps_hat = model.predict(x, float(fast.cont_steps[i]))
-        x = (x - b[i] * eps_hat) / d[i]
+        np.multiply(b[i], eps_hat, out=scratch)
+        np.subtract(x, scratch, out=x)
+        np.divide(x, d[i], out=x)
         if k < noisy_steps:
-            x = x + c[i] * noise[:, k, :]
+            np.multiply(c[i], noise[:, k, :], out=scratch)
+            np.add(x, scratch, out=x)
         _check_finite(x, i + 1)
         if trace is not None:
             trace.append(x.copy())

@@ -17,6 +17,7 @@ from .errors import ValidationError
 from .samplers import SampleBatch
 
 CSV_DIM_LIMIT = 16
+_CSV_BLOCK_ROWS = 128
 
 
 def save_samples(batch: SampleBatch, prefix: str) -> None:
@@ -64,8 +65,12 @@ def samples_to_csv(batch: SampleBatch, path: str) -> None:
     header = ",".join(f"x{i}" for i in range(dim))
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in samples:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        # One tolist() and one write per block of rows: converting the
+        # whole batch at once would hold every row as Python floats.
+        for start in range(0, len(samples), _CSV_BLOCK_ROWS):
+            block = samples[start:start + _CSV_BLOCK_ROWS].tolist()
+            fh.write("".join([",".join(map(repr, row)) + "\n"
+                              for row in block]))
 
 
 def ensure_dir(path: str) -> str:

@@ -50,10 +50,12 @@ SEEDS = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(SEEDS, st.integers(1, 40), st.integers(0, 50))
+@given(SEEDS, st.integers(0, 40), st.integers(0, 50))
 def test_chain_normals_rows_equal_substreams(seed, num_chains, count):
     got = chain_normals(seed, num_chains, count)
     assert got.shape == (num_chains, count)
+    assert got.dtype == np.float64
+    assert got.flags.c_contiguous
     for i, row in enumerate(got):
         assert np.array_equal(row, substream(seed, i).standard_normal(count))
 

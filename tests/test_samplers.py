@@ -10,7 +10,7 @@ from fastdiff import (AnalyticEpsilonModel, ConstructionError, NoiseLevelMap,
                       ZeroEpsilonModel, build_step_schedule,
                       build_var_schedule, chain_normals, ddpm_reverse,
                       fast_ddim_reverse, fast_ddpm_reverse, forward_jump,
-                      sample_moments, substream)
+                      sample_moments, samplers, substream)
 from fastdiff.experiment import build_fast_schedule
 from test_fast_schedule import schedules
 
@@ -207,13 +207,53 @@ class TestFastReverse:
         assert counter.calls == 10
         assert out.provenance["model_calls_per_chain"] == 10
 
-    def test_bad_initial_shape(self, sched_200, oracle_200):
+    def test_bad_initial_shape(self, sched_200, oracle_200, monkeypatch):
+        # the shape is checked before any normals are drawn
         model, level_map = oracle_200
         fast = build_step_schedule(sched_200, 5, "linear")
-        with pytest.raises(ValueError):
+
+        def no_draws(*args):
+            raise AssertionError("normals drawn before the shape check")
+
+        monkeypatch.setattr(samplers, "chain_normals", no_draws)
+        with pytest.raises(ValueError, match="initial state must have shape"):
             fast_ddpm_reverse(fast, model,
                               SamplerConfig(dim=2, batch=2, seed=0),
                               initial=np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("kappa", [None, 0.0, 0.5])
+    def test_driver_owns_its_buffers(self, sched_200, oracle_200, kappa):
+        # a model may hand back one reused, read-only array; the driver
+        # reads it, leaves `initial` alone and traces copies
+        model, _ = oracle_200
+
+        class ReusedOutputModel:
+            def __init__(self):
+                self.out = np.empty((4, 2))
+                self.out.flags.writeable = False
+
+            def predict(self, x, t):
+                self.out.flags.writeable = True
+                self.out[...] = model.predict(x, t)
+                self.out.flags.writeable = False
+                return self.out
+
+        fast = build_step_schedule(sched_200, 6, "quadratic")
+        config = SamplerConfig(dim=2, batch=4, seed=5, kappa=kappa or 0.0,
+                               record_trace=True)
+        run = fast_ddpm_reverse if kappa is None else fast_ddim_reverse
+        initial = np.linspace(-1.0, 1.0, 8).reshape(4, 2)
+        kept = initial.copy()
+        reused = ReusedOutputModel()
+        got = run(fast, reused, config, initial=initial)
+        want = run(fast, model, config, initial=kept.copy())
+        assert np.array_equal(initial, kept)
+        assert np.array_equal(got.samples, want.samples)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(got.step_trace, want.step_trace))
+        arrays = got.step_trace + [got.samples, initial, reused.out]
+        for i, a in enumerate(got.step_trace):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
 class ScaledModel:

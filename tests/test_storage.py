@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fastdiff import (SampleBatch, ValidationError, load_samples,
-                      samples_to_csv, save_samples)
+                      samples_to_csv, save_samples, storage)
 
 
 @pytest.fixture
@@ -50,6 +50,24 @@ def test_csv_export(batch, tmp_path):
     assert len(lines) == 21
     first = [float(v) for v in lines[1].split(",")]
     np.testing.assert_allclose(first, batch.samples[0], rtol=0)
+
+
+def test_csv_bytes_equal_per_row_repr(tmp_path):
+    # more than one block of rows; the awkward values sit in the first
+    # row, at the block boundary and in the last row
+    samples = np.random.default_rng(3).normal(
+        size=(2 * storage._CSV_BLOCK_ROWS + 5, 3))
+    block = storage._CSV_BLOCK_ROWS
+    samples[0] = [-0.0, 5e-324, 1e300]
+    samples[block - 1] = [0.1, 1 / 3, -1e-300]
+    samples[block] = [1e300, 0.1, 1 / 3]
+    samples[-1] = [-0.0, 5e-324, 0.1]
+    path = tmp_path / "run.csv"
+    samples_to_csv(SampleBatch(samples=samples, provenance={}), str(path))
+    want = "x0,x1,x2\n" + "".join(
+        ",".join(map(repr, row.tolist())) + "\n" for row in samples)
+    assert path.read_bytes() == want.encode()
+    assert "-0.0,5e-324,1e+300" in want
 
 
 def test_csv_dimension_limit(tmp_path):
