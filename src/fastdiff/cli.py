@@ -8,9 +8,9 @@ Verbs:
     sweep     run the full (kind x variant x S x sampler x seed) grid
 
 All verbs are driven by a JSON config (--config); `--preset` swaps in a
-built-in data distribution, `--seed` overrides the config seed(s), and
-`--out` (or the FASTDIFF_OUT environment variable) picks the output
-directory.
+built-in data distribution, `--seed` overrides the config seed(s) of
+`sample` and `sweep`, and `--out` (or the FASTDIFF_OUT environment
+variable) picks the output directory.
 """
 
 from __future__ import annotations
@@ -20,17 +20,16 @@ import json
 import os
 import sys
 
-import numpy as np
-from numpy.random import Generator, Philox
-
 from .errors import ConstructionError, ValidationError
-from .experiment import (ExperimentConfig, _NUMBER, _RUN_DEFAULTS, _SAMPLERS,
-                         _checked, _seed, _typed, csv_value,
+from .experiment import (ExperimentConfig, _RUN_DEFAULTS, _checked,
+                         _sampler_kappa, _seed, _typed, csv_value,
                          format_schedule_dump, inspect_schedule, load_mixture,
-                         load_run, run_sweep, CSV_SCHEMA_VERSION)
+                         load_run, run_sweep, score_samples,
+                         CSV_SCHEMA_VERSION)
 from .fast_schedule import KINDS
-from .metrics import frechet_distance, inception_score
-from .mixture import posterior_classifier
+# The scorers stay importable for perfbench's call tracer.
+from .metrics import frechet_distance, inception_score  # noqa: F401
+from .mixture import posterior_classifier  # noqa: F401
 from .samplers import run_sampler
 # The three reverse samplers stay importable for perfbench's call tracer.
 from .samplers import (ddpm_reverse, fast_ddim_reverse,  # noqa: F401
@@ -114,42 +113,33 @@ def _cmd_evaluate(args):
     provenance = batch.provenance
     fast = _typed("provenance fast_schedule",
                   provenance.get("fast_schedule"), dict)
-    kappa = provenance.get("kappa")
-    if kappa is not None:
-        _typed("provenance kappa", kappa, _NUMBER)
+    sampler, kappa = _sampler_kappa("provenance", provenance, "sampler")
     num_steps = fast.get("S")
     if _typed("provenance S", num_steps, int) < 1:
         raise ValidationError(f"provenance S must be >= 1, got {num_steps}")
-    run = {"sampler": _checked("provenance sampler", provenance.get("sampler"),
-                               _SAMPLERS),
-           "kappa": kappa,
+    run = {"sampler": sampler,
+           # a DDPM sidecar carries no kappa, and reports none
+           "kappa": kappa if "kappa" in provenance else None,
            "seed": _seed("provenance seed", provenance.get("seed")),
            "schedule_kind": _checked("provenance fast_schedule kind",
                                      fast.get("kind"), KINDS),
            "S": num_steps}
-    seed = args.seed if args.seed is not None else 0
-    reference = mixture.sample(Generator(Philox(seed)), num)
-    score = None
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            if mixture.labels is not None:
-                probs = posterior_classifier(mixture, batch.samples)
-                score = inception_score(probs)
-            frechet = frechet_distance(reference, batch.samples)
+        scores = score_samples(mixture, batch.samples)
     except FloatingPointError as err:
         raise ValidationError(
             f"{args.samples} cannot be scored: {err}") from err
+    frechet, score = scores["frechet"], scores["inception_score"]
     out = _resolve_out(args)
     with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump({"frechet": frechet, "inception_score": score,
-                   "accuracy": None, "num_generated": num,
-                   "num_reference": num, "config": run}, fh, indent=2)
+        json.dump({**scores, "num_generated": num, "config": run}, fh,
+                  indent=2)
     with open(os.path.join(out, "report.csv"), "w", newline="") as fh:
         fh.write("schedule_kind,S,sampler,kappa,seed,frechet,"
                  "inception_score,accuracy\n")
         fh.write(",".join(csv_value(v) for v in (
             run["schedule_kind"], run["S"], run["sampler"], run["kappa"],
-            run["seed"], frechet, score, None)) + "\n")
+            run["seed"], frechet, score, scores["accuracy"])) + "\n")
     print(f"frechet={frechet:.6f}"
           + (f" inception_score={score:.4f}" if score is not None else ""))
     return 0
@@ -176,8 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config path")
     common.add_argument("--out", help=f"output directory (or ${ENV_OUT})")
-    common.add_argument("--seed", type=int, help="seed override")
     common.add_argument("--preset", help="built-in data preset name")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, help="seed override")
 
     p_inspect = sub.add_parser("inspect", parents=[common],
                                help="dump a shortened schedule")
@@ -188,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="machine-readable output")
     p_inspect.set_defaults(func=_cmd_inspect)
 
-    p_sample = sub.add_parser("sample", parents=[common],
+    p_sample = sub.add_parser("sample", parents=[common, seeded],
                               help="generate and store a sample batch")
     p_sample.set_defaults(func=_cmd_sample)
 
@@ -197,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--samples", help="prefix of a stored batch")
     p_eval.set_defaults(func=_cmd_evaluate)
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
+    p_sweep = sub.add_parser("sweep", parents=[common, seeded],
                              help="run the full experiment grid")
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser
@@ -206,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             _seed("--seed", args.seed)
         return args.func(args)
     except (ValidationError, ConstructionError, OSError,

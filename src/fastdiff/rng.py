@@ -16,7 +16,7 @@ re-keying from numpy arrays, which makes a numpy scalar for each word,
 takes about 2.5 times as long.  Row i equals
 `substream(seed, i).standard_normal(count)` bit for bit; the samplers take
 each chain's noise from it.  Consumers that draw lazily (the regressor,
-reference sets, `forward_jump`) take a `numpy.random.Generator` directly:
+`forward_jump`) take a `numpy.random.Generator` directly:
 `substream`, `chain_streams`, or `Generator(Philox(seed))` for the root
 stream of a seed.
 """

@@ -43,9 +43,10 @@ import numpy as np
 
 from .errors import ConstructionError, NumericError, ValidationError
 from .fast_schedule import FastSchedule
+from .rng import chain_normals
 # chain_streams is unused here but stays importable: perfbench's call
 # tracer patches samplers.chain_streams by name.
-from .rng import chain_normals, chain_streams  # noqa: F401
+from .rng import chain_streams  # noqa: F401
 from .schedule import VarianceSchedule
 
 

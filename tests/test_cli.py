@@ -5,7 +5,8 @@ import pytest
 
 import fastdiff.cli
 from fastdiff import (AnalyticEpsilonModel, NoiseLevelMap, SamplerConfig,
-                      VarianceSchedule, ddpm_reverse, save_samples)
+                      VarianceSchedule, ddpm_reverse, frechet_gaussian,
+                      load_samples, sample_moments, save_samples)
 from fastdiff.cli import main
 from fastdiff.experiment import builtin_presets
 from fastdiff.storage import CSV_DIM_LIMIT
@@ -204,6 +205,20 @@ class TestEvaluate:
         assert csv_lines[0].startswith("schedule_kind,S,sampler")
         assert len(csv_lines) == 2
 
+    def test_frechet_is_to_the_exact_moments(self, sample_config, tmp_path):
+        out = tmp_path / "out"
+        main(["sample", "--config", sample_config, "--out", str(out)])
+        assert main(["evaluate", "--config", sample_config,
+                     "--samples", str(out / "samples"),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        samples = load_samples(str(out / "samples")).samples
+        mixture = builtin_presets()["std_normal_2d"]
+        assert report["frechet"] == frechet_gaussian(
+            *sample_moments(samples), *mixture.moments())
+        assert list(report) == ["frechet", "inception_score", "accuracy",
+                                "num_generated", "config"]
+
     def test_ddpm_full_sidecar(self, sample_config, tmp_path):
         schedule = VarianceSchedule(1e-4, 0.02, 200)
         model = AnalyticEpsilonModel(builtin_presets()["std_normal_2d"],
@@ -223,16 +238,6 @@ class TestEvaluate:
     def test_requires_samples_flag(self, sample_config, tmp_path):
         assert main(["evaluate", "--config", sample_config,
                      "--out", str(tmp_path)]) == 1
-
-    def test_negative_seed_exit_1(self, sample_config, tmp_path, capsys):
-        out = tmp_path / "out"
-        main(["sample", "--config", sample_config, "--out", str(out)])
-        capsys.readouterr()
-        assert main(["evaluate", "--config", sample_config, "--seed", "-1",
-                     "--samples", str(out / "samples"),
-                     "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_truncated_samples_exit_1(self, sample_config, tmp_path, capsys):
         out = tmp_path / "out"
@@ -387,6 +392,9 @@ BAD_SIDECARS = {prefix: (sidecar, SIDECAR_SAMPLES) for prefix, sidecar in {
     "object_sampler": with_provenance(sampler={"a": 1}),
     "bogus_sampler": with_provenance(sampler="dimm"),
     "string_kappa": with_provenance(sampler="ddim", kappa="0,1"),
+    "nan_kappa": with_provenance(sampler="ddim", kappa=float("nan")),
+    "kappa_above_one": with_provenance(sampler="ddim", kappa=5.0),
+    "ddpm_with_kappa": with_provenance(kappa=0.5),
     "negative_seed": with_provenance(seed=-1),
     "boolean_seed": with_provenance(seed=True),
     "no_seed": without_provenance("seed"),
@@ -515,6 +523,17 @@ class TestErrorBoundary:
         config = write_config(tmp_path, "ok.json", config_with())
         assert main([verb, "--config", config,
                      "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("verb", ("inspect", "evaluate"))
+    def test_seed_flag_exit_2(self, tmp_path, capsys, verb):
+        # only sample and sweep draw noise (evaluate scores against exact
+        # moments), so the other verbs reject --seed like any unknown flag
+        config = write_config(tmp_path, "ok.json", config_with())
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--config", config, "--out", str(tmp_path / "out"),
+                  "--seed", "0"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb,flags,payload", [
         pytest.param(verb, [], payload, id=f"{verb}-{name}")

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fastdiff import ConvergenceError, ValidationError
+from fastdiff import (ConvergenceError, GaussianMixture, ValidationError,
+                      frechet_gaussian, sample_moments)
 from fastdiff.experiment import (ExperimentConfig, builtin_presets,
                                  format_schedule_dump, inspect_schedule,
                                  run_sweep)
@@ -127,10 +128,37 @@ class TestSweep:
         config = ExperimentConfig(raw)
         run_sweep(config, str(tmp_path))
         lines = (tmp_path / "results.csv").read_text().splitlines()
-        assert lines[0] == (f"# fastdiff-sweep schema=1 "
+        assert lines[0] == (f"# fastdiff-sweep schema=2 "
                             f"config={config.config_hash()}")
         assert lines[1].startswith("seed,kind,variant,S,sampler,kappa")
         assert len(lines) == 3
+
+    def test_draws_no_reference_set(self, monkeypatch):
+        def no_draws(self, stream, n):
+            raise AssertionError("the sweep drew from the data distribution")
+
+        monkeypatch.setattr(GaussianMixture, "sample", no_draws)
+        raw = config_with(data={"preset": "two_blob_2d"},
+                          samples_per_cell=100)
+        rows = run_sweep(ExperimentConfig(raw))
+        assert [r["status"] for r in rows] == ["ok"] * 12
+
+    def test_frechet_is_to_the_exact_moments(self, monkeypatch):
+        import fastdiff.experiment as exp
+        real, batches = exp.run_sampler, []
+
+        def kept(fast, model, config, sampler):
+            batch = real(fast, model, config, sampler)
+            batches.append(batch.samples)
+            return batch
+
+        monkeypatch.setattr(exp, "run_sampler", kept)
+        config = ExperimentConfig(config_with(samples_per_cell=100))
+        rows = run_sweep(config)
+        assert len(batches) == len(rows) == 12
+        for row, samples in zip(rows, batches):
+            assert row["frechet"] == frechet_gaussian(
+                *sample_moments(samples), *config.mixture.moments())
 
     def test_cell_failure_is_isolated(self, monkeypatch):
         import fastdiff.experiment as exp
