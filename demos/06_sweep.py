@@ -1,8 +1,10 @@
 """The experiment grid, as the CLI runs it.
 
 A sweep crosses schedule kinds, lengths, samplers, and seeds, scoring each
-cell; identical configs always give byte-identical result files.  The same
-grid is available from the command line:
+cell; identical configs always give byte-identical result files.  Every
+cell of a seed draws the same noise, so a row does not move when other
+cells are added to the grid.  The same grid is available from the command
+line:
 
     fastdiff sweep --config sweep.json --out results/
 

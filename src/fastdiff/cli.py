@@ -22,9 +22,9 @@ import sys
 
 from .errors import ConstructionError, ValidationError
 from .experiment import (ExperimentConfig, _RUN_DEFAULTS, _checked,
-                         _sampler_kappa, _seed, _typed, csv_value,
-                         format_schedule_dump, inspect_schedule, load_mixture,
-                         load_run, run_sweep, score_samples,
+                         _sampler_kappa, _seed, _typed, format_schedule_dump,
+                         hash_config, inspect_schedule, load_mixture,
+                         load_run, run_sweep, score_samples, write_rows_csv,
                          CSV_SCHEMA_VERSION)
 from .fast_schedule import KINDS
 # The scorers stay importable for perfbench's call tracer.
@@ -38,6 +38,8 @@ from .storage import (CSV_DIM_LIMIT, ensure_dir, load_samples,
                       samples_to_csv, save_samples)
 
 ENV_OUT = "FASTDIFF_OUT"
+REPORT_COLUMNS = ("schedule_kind", "S", "sampler", "kappa", "seed", "frechet",
+                  "inception_score", "accuracy")
 
 
 def _load_config(args) -> dict:
@@ -131,15 +133,13 @@ def _cmd_evaluate(args):
             f"{args.samples} cannot be scored: {err}") from err
     frechet, score = scores["frechet"], scores["inception_score"]
     out = _resolve_out(args)
+    config_hash = hash_config(raw)
     with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump({**scores, "num_generated": num, "config": run}, fh,
+        json.dump({"schema": CSV_SCHEMA_VERSION, "config_hash": config_hash,
+                   **scores, "num_generated": num, "config": run}, fh,
                   indent=2)
-    with open(os.path.join(out, "report.csv"), "w", newline="") as fh:
-        fh.write("schedule_kind,S,sampler,kappa,seed,frechet,"
-                 "inception_score,accuracy\n")
-        fh.write(",".join(csv_value(v) for v in (
-            run["schedule_kind"], run["S"], run["sampler"], run["kappa"],
-            run["seed"], frechet, score, scores["accuracy"])) + "\n")
+    write_rows_csv([{**run, **scores}], os.path.join(out, "report.csv"),
+                   REPORT_COLUMNS, "fastdiff-evaluate", config_hash)
     print(f"frechet={frechet:.6f}"
           + (f" inception_score={score:.4f}" if score is not None else ""))
     return 0

@@ -8,13 +8,17 @@ with the config hash in a header comment) and JSON; wall-clock timings go to
 a separate file because the CSV/JSON outputs are byte-identical across runs
 of the same config.
 
-Each cell draws from an isolated stream derived from (seed, cell index), so
-adding cells or reordering the grid cannot perturb existing cells.
+Every cell of a seed runs what `fastdiff sample` runs with that seed and
+`batch = samples_per_cell`, so chain i of each cell starts from the same
+latent and meets the same noise rows (a conditional cell keys class j by
+(seed, j)).  A row depends only on its own (seed, kind, variant, S,
+sampler, kappa): adding cells or reordering the grid cannot perturb it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import time
@@ -36,7 +40,7 @@ from .samplers import fast_ddim_reverse, fast_ddpm_reverse  # noqa: F401
 from .schedule import NoiseLevelMap, VarianceSchedule
 from .storage import ensure_dir
 
-CSV_SCHEMA_VERSION = 2
+CSV_SCHEMA_VERSION = 3
 CSV_COLUMNS = ("seed", "kind", "variant", "S", "sampler", "kappa", "frechet",
                "inception_score", "accuracy", "model_calls_per_chain",
                "normals_per_chain", "status", "error")
@@ -80,17 +84,13 @@ class ExperimentConfig:
         self.variants = self._listed(sweep, "variants", _VARIANTS)
         self.num_steps_list = self._listed(
             sweep, "num_steps", range(1, self.schedule.num_steps + 1))
-        self.samplers = [
+        self.samplers = _axis("sweep.samplers", [
             _sampler_kappa("sweep.samplers entry", spec, "name")
             for spec in _typed("sweep.samplers", sweep.get("samplers", []),
-                               list)]
-        if not self.samplers:
-            raise ValidationError("sweep.samplers must be non-empty")
-
-        self.seeds = [_seed("seeds entry", s)
-                      for s in _typed("seeds", raw.get("seeds", []), list)]
-        if not self.seeds:
-            raise ValidationError("config needs a non-empty 'seeds' list")
+                               list)])
+        self.seeds = _axis("seeds", [
+            _seed("seeds entry", s)
+            for s in _typed("seeds", raw.get("seeds", []), list)])
         self.samples_per_cell = _typed(
             "samples_per_cell", raw.get("samples_per_cell", 2000), int)
         if self.samples_per_cell < self.mixture.dim + 1:
@@ -113,34 +113,40 @@ class ExperimentConfig:
     @staticmethod
     def _listed(sweep, key, allowed):
         values = _typed(f"sweep.{key}", sweep.get(key, []), list)
-        if not values:
-            raise ValidationError(f"sweep.{key} must be non-empty")
         for v in values:
             _checked(f"sweep.{key} entry", v, allowed)
-        return values
+        return _axis(f"sweep.{key}", values)
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.raw, sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return hash_config(self.raw)
 
     def grid(self):
-        """Cells in a fixed order; the enumeration index keys each cell's
-        noise stream."""
-        cells = []
-        for seed in self.seeds:
-            for kind in self.kinds:
-                for variant in self.variants:
-                    for s in self.num_steps_list:
-                        for name, kappa in self.samplers:
-                            cells.append((seed, kind, variant, s,
-                                          name, kappa))
-        return cells
+        """(seed, kind, variant, S, sampler, kappa) cells in a fixed order;
+        a cell's noise does not depend on its place in it."""
+        return [(*head, *sampler) for *head, sampler in itertools.product(
+            self.seeds, self.kinds, self.variants, self.num_steps_list,
+            self.samplers)]
 
 
-def _cell_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(index,))
+def _class_seed(seed: int, class_index: int) -> int:
+    return int(np.random.SeedSequence(seed, spawn_key=(class_index,))
                .generate_state(1, dtype=np.uint64)[0])
+
+
+def hash_config(raw: dict) -> str:
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def _axis(name, values):
+    """`values`, one axis of the grid, if it is non-empty and no entry
+    repeats (a repeat would only repeat rows)."""
+    if not values:
+        raise ValidationError(f"{name} must be non-empty")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValidationError(f"{name} repeats {repeated[0]!r}")
+    return values
 
 
 def _checked(name, value, allowed):
@@ -286,7 +292,7 @@ def _conditional_generate(config, fast, sampler, kappa, seed):
         model = AnalyticEpsilonModel(config.mixture.restrict(int(label)),
                                      config.level_map)
         batch = _generate(config, model, fast, sampler, kappa,
-                          int(per_class[j]), _cell_seed(seed, j + 1))
+                          int(per_class[j]), _class_seed(seed, j))
         chunks.append(batch.samples)
         labels.append(np.full(int(per_class[j]), j))
         provenance = batch.provenance
@@ -323,15 +329,10 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     a bug and propagates.  Config validation happens before this function
     is reachable.
     """
-    grid = config.grid()
-    cells_per_seed = len(grid) // len(config.seeds)
     rows, timings = [], []
-    for index, (seed, kind, variant, s, sampler, kappa) in enumerate(grid):
-        cell = index % cells_per_seed  # index within this seed's grid
-        row = {"seed": seed, "kind": kind, "variant": variant, "S": s,
-               "sampler": sampler, "kappa": kappa, "frechet": None,
-               "inception_score": None, "accuracy": None,
-               "model_calls_per_chain": None, "normals_per_chain": None,
+    for index, cell in enumerate(config.grid()):
+        seed, kind, variant, s, sampler, kappa = cell
+        row = {**dict.fromkeys(CSV_COLUMNS), **dict(zip(CSV_COLUMNS, cell)),
                "status": "ok", "error": ""}
         started = time.perf_counter()
         try:
@@ -339,11 +340,10 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
                                        kind, variant, s)
             if config.conditional:
                 samples, label_idx, provenance = _conditional_generate(
-                    config, fast, sampler, kappa, _cell_seed(seed, cell))
+                    config, fast, sampler, kappa, seed)
             else:
                 batch = _generate(config, config.model, fast, sampler, kappa,
-                                  config.samples_per_cell,
-                                  _cell_seed(seed, cell))
+                                  config.samples_per_cell, seed)
                 samples, label_idx, provenance = batch.samples, None, \
                     batch.provenance
             row["model_calls_per_chain"] = provenance["model_calls_per_chain"]
@@ -358,7 +358,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     if out_dir is not None:
         ensure_dir(out_dir)
         write_rows_csv(rows, os.path.join(out_dir, "results.csv"),
-                       config.config_hash())
+                       CSV_COLUMNS, "fastdiff-sweep", config.config_hash())
         with open(os.path.join(out_dir, "results.json"), "w") as fh:
             json.dump({"schema": CSV_SCHEMA_VERSION,
                        "config_hash": config.config_hash(),
@@ -376,13 +376,13 @@ def csv_value(value) -> str:
     return str(value)
 
 
-def write_rows_csv(rows, path, config_hash: str) -> None:
+def write_rows_csv(rows, path, columns, tag: str, config_hash: str) -> None:
+    """`columns` of `rows` under a `# <tag> schema=... config=...` line."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# fastdiff-sweep schema={CSV_SCHEMA_VERSION} "
-                 f"config={config_hash}\n")
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.write(f"# {tag} schema={CSV_SCHEMA_VERSION} config={config_hash}\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(csv_value(row[c]) for c in CSV_COLUMNS) + "\n")
+            fh.write(",".join(csv_value(row[c]) for c in columns) + "\n")
 
 
 def inspect_schedule(descriptor: dict, kind: str, variant: str,

@@ -8,7 +8,7 @@ from fastdiff import (AnalyticEpsilonModel, NoiseLevelMap, SamplerConfig,
                       VarianceSchedule, ddpm_reverse, frechet_gaussian,
                       load_samples, sample_moments, save_samples)
 from fastdiff.cli import main
-from fastdiff.experiment import builtin_presets
+from fastdiff.experiment import builtin_presets, score_samples
 from fastdiff.storage import CSV_DIM_LIMIT
 
 SCHEDULE = {"beta_1": 1e-4, "beta_T": 0.02, "T": 200}
@@ -198,12 +198,17 @@ class TestEvaluate:
                      "--samples", str(out / "samples"), "--out", str(out)])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
+        assert report["schema"] == 3
         assert report["frechet"] >= 0.0
         assert report["num_generated"] == 300
         assert report["config"]["schedule_kind"] == "step_linear"
         csv_lines = (out / "report.csv").read_text().splitlines()
-        assert csv_lines[0].startswith("schedule_kind,S,sampler")
-        assert len(csv_lines) == 2
+        assert csv_lines[0] == (f"# fastdiff-evaluate schema=3 "
+                                f"config={report['config_hash']}")
+        assert csv_lines[1] == ("schedule_kind,S,sampler,kappa,seed,frechet,"
+                                "inception_score,accuracy")
+        assert csv_lines[2].startswith("step_linear,10,ddpm,,0,")
+        assert len(csv_lines) == 3
 
     def test_frechet_is_to_the_exact_moments(self, sample_config, tmp_path):
         out = tmp_path / "out"
@@ -216,7 +221,8 @@ class TestEvaluate:
         mixture = builtin_presets()["std_normal_2d"]
         assert report["frechet"] == frechet_gaussian(
             *sample_moments(samples), *mixture.moments())
-        assert list(report) == ["frechet", "inception_score", "accuracy",
+        assert list(report) == ["schema", "config_hash", "frechet",
+                                "inception_score", "accuracy",
                                 "num_generated", "config"]
 
     def test_ddpm_full_sidecar(self, sample_config, tmp_path):
@@ -290,6 +296,33 @@ class TestSweepVerb:
                                       capsys):
         monkeypatch.delenv("FASTDIFF_OUT", raising=False)
         assert main(["sweep", "--config", sweep_config]) == 1
+
+    def test_sample_reproduces_each_row(self, tmp_path):
+        sweep = {"schedule": SCHEDULE, "data": {"preset": "two_blob_2d"},
+                 "sweep": {"kinds": ["step", "var"], "variants": ["quadratic"],
+                           "num_steps": [5, 10],
+                           "samplers": [{"name": "ddpm"},
+                                        {"name": "ddim", "kappa": 0.5}]},
+                 "samples_per_cell": 150, "seeds": [0, 4]}
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config",
+                     write_config(tmp_path, "sweep.json", sweep),
+                     "--out", str(out)]) == 0
+        rows = json.loads((out / "results.json").read_text())["rows"]
+        assert len(rows) == 16
+        mixture = builtin_presets()["two_blob_2d"]
+        for i, row in enumerate(rows):
+            config = write_config(tmp_path, f"run{i}.json", {
+                "schedule": SCHEDULE, "data": {"preset": "two_blob_2d"},
+                "run": {"kind": row["kind"], "variant": row["variant"],
+                        "S": row["S"], "sampler": row["sampler"],
+                        "kappa": row["kappa"], "seed": row["seed"],
+                        "batch": sweep["samples_per_cell"]}})
+            assert main(["sample", "--config", config,
+                         "--out", str(tmp_path / f"run{i}")]) == 0
+            samples = load_samples(str(tmp_path / f"run{i}" / "samples"))
+            assert score_samples(mixture, samples.samples)["frechet"] \
+                == row["frechet"]
 
 
 def config_with(run=(), sweep=(), **top):
@@ -498,6 +531,15 @@ BAD_INPUTS = [
     ("conditional_fewer_samples_than_classes", ("sweep",), config_with(
         conditional=True, data={"preset": "four_class_2d"},
         samples_per_cell=3)),
+    # a repeated grid entry would only repeat rows
+    ("repeated_kind", ("sweep",), config_with(sweep={"kinds": ["var",
+                                                               "var"]})),
+    ("repeated_variant", ("sweep",), config_with(
+        sweep={"variants": ["linear", "quadratic", "linear"]})),
+    ("repeated_S", ("sweep",), config_with(sweep={"num_steps": [5, 5]})),
+    ("repeated_sampler", ("sweep",), config_with(sweep={"samplers": [
+        {"name": "ddim", "kappa": 0}, {"name": "ddim", "kappa": 0.0}]})),
+    ("repeated_seed", ("sweep",), config_with(seeds=[0, 2, 0])),
 ]
 # (name, verbs, extra flags, config)
 BAD_FLAGS = [

@@ -1,14 +1,17 @@
 import copy
+import functools
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastdiff import (ConvergenceError, GaussianMixture, ValidationError,
                       frechet_gaussian, sample_moments)
-from fastdiff.experiment import (ExperimentConfig, builtin_presets,
+from fastdiff.experiment import (CSV_COLUMNS, ExperimentConfig,
+                                 builtin_presets, csv_value,
                                  format_schedule_dump, inspect_schedule,
                                  run_sweep)
 
@@ -105,6 +108,16 @@ class TestSweep:
         for row in rows:
             assert row["model_calls_per_chain"] == row["S"]
 
+    def test_collapsed_step_reports_effective_S(self):
+        raw = config_with(schedule=dict(BASE_CONFIG["schedule"], T=40),
+                          samples_per_cell=10)
+        raw["sweep"] = dict(raw["sweep"], kinds=["step"],
+                            variants=["quadratic"], num_steps=[10],
+                            samplers=[{"name": "ddpm"}])
+        with pytest.warns(UserWarning, match="collapsed from 10 to 9"):
+            [row] = run_sweep(ExperimentConfig(raw))
+        assert (row["S"], row["model_calls_per_chain"]) == (10, 9)
+
     def test_unlabelled_data_has_no_classifier_metrics(self, rows):
         for row in rows:
             assert row["inception_score"] is None
@@ -128,7 +141,7 @@ class TestSweep:
         config = ExperimentConfig(raw)
         run_sweep(config, str(tmp_path))
         lines = (tmp_path / "results.csv").read_text().splitlines()
-        assert lines[0] == (f"# fastdiff-sweep schema=2 "
+        assert lines[0] == (f"# fastdiff-sweep schema=3 "
                             f"config={config.config_hash()}")
         assert lines[1].startswith("seed,kind,variant,S,sampler,kappa")
         assert len(lines) == 3
@@ -145,20 +158,37 @@ class TestSweep:
 
     def test_frechet_is_to_the_exact_moments(self, monkeypatch):
         import fastdiff.experiment as exp
-        real, batches = exp.run_sampler, []
+        real, runs = exp.run_sampler, []
 
         def kept(fast, model, config, sampler):
             batch = real(fast, model, config, sampler)
-            batches.append(batch.samples)
+            runs.append((config, batch.samples))
             return batch
 
         monkeypatch.setattr(exp, "run_sampler", kept)
-        config = ExperimentConfig(config_with(samples_per_cell=100))
+        config = ExperimentConfig(config_with(samples_per_cell=100,
+                                              seeds=[0, 3]))
         rows = run_sweep(config)
-        assert len(batches) == len(rows) == 12
-        for row, samples in zip(rows, batches):
+        assert len(runs) == len(rows) == 24
+        for row, (sampler_config, samples) in zip(rows, runs):
+            # each cell runs what `fastdiff sample` runs with its seed
+            assert sampler_config.seed == row["seed"]
+            assert sampler_config.batch == config.samples_per_cell
             assert row["frechet"] == frechet_gaussian(
                 *sample_moments(samples), *config.mixture.moments())
+
+    def test_adding_an_S_leaves_other_rows(self, tmp_path):
+        raw = config_with(data={"preset": "two_blob_2d"},
+                          samples_per_cell=200, seeds=[0, 1])
+        raw["sweep"] = dict(raw["sweep"], num_steps=[5, 50])
+        run_sweep(ExperimentConfig(copy.deepcopy(raw)), str(tmp_path / "a"))
+        raw["sweep"]["num_steps"] = [5, 10, 50]
+        run_sweep(ExperimentConfig(raw), str(tmp_path / "b"))
+        before = (tmp_path / "a" / "results.csv").read_text().splitlines()
+        after = (tmp_path / "b" / "results.csv").read_text().splitlines()
+        assert len(after) == 2 + 24  # 2 seeds x 2 kinds x 3 S x 2 samplers
+        assert before[2:] == [line for line in after[2:]
+                              if line.split(",")[3] != "10"]
 
     def test_cell_failure_is_isolated(self, monkeypatch):
         import fastdiff.experiment as exp
@@ -227,6 +257,53 @@ class TestSweep:
         row = run_sweep(ExperimentConfig(raw))[0]
         assert row["inception_score"] is not None
         assert row["accuracy"] is None
+
+
+# Axes of the grid that the property test below draws sub-grids from.
+AXES = {"kinds": ["step", "var"], "variants": ["linear", "quadratic"],
+        "num_steps": [2, 5, 10],
+        "samplers": [{"name": "ddpm"}, {"name": "ddim", "kappa": 0.0},
+                     {"name": "ddim", "kappa": 0.5}]}
+AXIS_SEEDS = [0, 7]
+
+
+def small_sweep(axes, seeds, conditional):
+    # T = 80 keeps every quadratic STEP length of AXES free of collapses
+    return {"schedule": {"beta_1": 1e-4, "beta_T": 0.02, "T": 80},
+            "data": {"preset": "two_blob_2d"}, "sweep": axes,
+            "samples_per_cell": 8, "seeds": seeds, "conditional": conditional}
+
+
+def rows_by_cell(raw):
+    """(seed, kind, variant, S, sampler, kappa) -> the row's CSV fields."""
+    rows = run_sweep(ExperimentConfig(raw))
+    return {tuple(row[c] for c in CSV_COLUMNS[:6]):
+            [csv_value(row[c]) for c in CSV_COLUMNS] for row in rows}
+
+
+@functools.lru_cache(maxsize=None)
+def full_grid_rows(conditional):
+    return rows_by_cell(small_sweep(AXES, AXIS_SEEDS, conditional))
+
+
+def sub_list(values):
+    """A non-empty subset of `values` in any order."""
+    return st.lists(st.sampled_from(values), min_size=1,
+                    max_size=len(values), unique_by=json.dumps)
+
+
+@settings(max_examples=25)
+@given(axes=st.fixed_dictionaries({key: sub_list(values)
+                                   for key, values in AXES.items()}),
+       seeds=sub_list(AXIS_SEEDS), conditional=st.booleans())
+def test_row_depends_only_on_its_own_cell(axes, seeds, conditional):
+    rows = rows_by_cell(small_sweep(axes, seeds, conditional))
+    full = full_grid_rows(conditional)
+    assert len(rows) == len(seeds) * len(axes["kinds"]) \
+        * len(axes["variants"]) * len(axes["num_steps"]) \
+        * len(axes["samplers"])
+    for cell, fields in rows.items():
+        assert fields == full[cell]
 
 
 class TestInspect:
