@@ -20,12 +20,12 @@ import json
 import os
 import sys
 
-from .errors import ConstructionError, ValidationError
-from .experiment import (ExperimentConfig, _RUN_DEFAULTS, _checked,
-                         _sampler_kappa, _seed, _typed, format_schedule_dump,
-                         hash_config, inspect_schedule, load_mixture,
-                         load_run, run_sweep, score_samples, write_rows_csv,
-                         CSV_SCHEMA_VERSION)
+from .errors import (ConstructionError, ValidationError, checked,
+                     int_at_least, typed)
+from .experiment import (ExperimentConfig, format_schedule_dump, hash_config,
+                         inspect_schedule, load_mixture, load_run, run_section,
+                         run_sweep, sampler_kappa, score_samples,
+                         write_rows_csv, CSV_SCHEMA_VERSION)
 from .fast_schedule import KINDS
 # The scorers stay importable for perfbench's call tracer.
 from .metrics import frechet_distance, inception_score  # noqa: F401
@@ -48,10 +48,9 @@ def _load_config(args) -> dict:
         raise ValidationError("--config is required for this verb")
     with open(args.config) as fh:
         raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValidationError("config must be a JSON object")
+    typed("config", raw, dict)
     if args.preset is not None:
-        data = _typed("data", raw.setdefault("data", {}), dict)
+        data = typed("data", raw.setdefault("data", {}), dict)
         data["preset"] = args.preset
         data.pop("path", None)
     return raw
@@ -67,9 +66,8 @@ def _resolve_out(args) -> str:
 
 def _cmd_inspect(args):
     raw = _load_config(args)
-    flags = {"kind": args.kind, "variant": args.variant, "S": args.num_steps}
-    run = {**_RUN_DEFAULTS, **_typed("run", raw.get("run", {}), dict),
-           **{key: value for key, value in flags.items() if value is not None}}
+    run = run_section(raw, kind=args.kind, variant=args.variant,
+                      S=args.num_steps)
     dump = inspect_schedule(raw.get("schedule"), run["kind"], run["variant"],
                             run.get("S"))
     if args.json:
@@ -80,11 +78,7 @@ def _cmd_inspect(args):
 
 
 def _cmd_sample(args):
-    raw = _load_config(args)
-    run = raw.get("run")
-    if args.seed is not None and isinstance(run, dict) and run:
-        run["seed"] = args.seed
-    fast, model, config, sampler = load_run(raw)
+    fast, model, config, sampler = load_run(_load_config(args), args.seed)
     batch = run_sampler(fast, model, config, sampler)
     out = _resolve_out(args)
     prefix = os.path.join(out, "samples")
@@ -113,19 +107,17 @@ def _cmd_evaluate(args):
     # The provenance fields go into report.csv unquoted, so each must be a
     # value that `fastdiff sample` can have written.
     provenance = batch.provenance
-    fast = _typed("provenance fast_schedule",
-                  provenance.get("fast_schedule"), dict)
-    sampler, kappa = _sampler_kappa("provenance", provenance, "sampler")
-    num_steps = fast.get("S")
-    if _typed("provenance S", num_steps, int) < 1:
-        raise ValidationError(f"provenance S must be >= 1, got {num_steps}")
+    where = f"{args.samples}.json provenance"
+    fast = typed(f"{where} fast_schedule", provenance.get("fast_schedule"),
+                 dict)
+    sampler, kappa = sampler_kappa(where, provenance, "sampler")
     run = {"sampler": sampler,
            # a DDPM sidecar carries no kappa, and reports none
            "kappa": kappa if "kappa" in provenance else None,
-           "seed": _seed("provenance seed", provenance.get("seed")),
-           "schedule_kind": _checked("provenance fast_schedule kind",
-                                     fast.get("kind"), KINDS),
-           "S": num_steps}
+           "seed": int_at_least(f"{where} seed", provenance.get("seed"), 0),
+           "schedule_kind": checked(f"{where} fast_schedule kind",
+                                    fast.get("kind"), KINDS),
+           "S": int_at_least(f"{where} fast_schedule S", fast.get("S"), 1)}
     try:
         scores = score_samples(mixture, batch.samples)
     except FloatingPointError as err:
@@ -198,7 +190,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", None) is not None:
-            _seed("--seed", args.seed)
+            int_at_least("--seed", args.seed, 0)
         return args.func(args)
     except (ValidationError, ConstructionError, OSError,
             json.JSONDecodeError) as err:

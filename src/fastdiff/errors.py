@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one definition of
+each check on outside input: configs, mixture files, sample sidecars and
+regressor metadata are read through `typed`, `checked` and `int_at_least`,
+which raise `ValidationError` naming the field and an abbreviated value.
+Library constructors keep their own guards."""
+
+import reprlib
+
+NUMBER = (int, float)
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
+               NUMBER: "a number", int: "an integer", bool: "a boolean"}
 
 
 class ConstructionError(ValueError):
@@ -32,3 +42,30 @@ class TrainingError(RuntimeError):
     def __init__(self, message, loss_trace=None):
         super().__init__(message)
         self.loss_trace = loss_trace
+
+
+def typed(name, value, kind):
+    """`value` if it is an instance of `kind` (a key of _TYPE_NAMES); a
+    boolean is not a number."""
+    if not isinstance(value, kind) or (isinstance(value, bool)
+                                       and kind is not bool):
+        raise ValidationError(
+            f"{name} must be {_TYPE_NAMES[kind]}, got {reprlib.repr(value)}")
+    return value
+
+
+def checked(name, value, allowed):
+    """`value` if it is in `allowed`; a range admits integers only."""
+    if isinstance(allowed, range):
+        typed(name, value, int)
+    if value not in allowed:
+        raise ValidationError(
+            f"{name} must be one of {allowed}, got {reprlib.repr(value)}")
+    return value
+
+
+def int_at_least(name, value, low):
+    """`value` if it is an integer >= `low`."""
+    if typed(name, value, int) < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value!r}")
+    return value

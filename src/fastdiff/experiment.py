@@ -26,7 +26,8 @@ import time
 import numpy as np
 
 from . import fast_schedule as fs
-from .errors import ConvergenceError, ValidationError
+from .errors import (NUMBER, ConvergenceError, ValidationError, checked,
+                     int_at_least, typed)
 from .metrics import (accuracy, frechet_gaussian, inception_score,
                       sample_moments)
 # frechet_distance stays importable for perfbench's call tracer.
@@ -50,9 +51,6 @@ _VARIANTS = ("linear", "quadratic")
 _SAMPLERS = ("ddpm", "ddim")
 _RUN_DEFAULTS = {"kind": "step", "variant": "linear", "sampler": "ddpm",
                  "batch": 1000, "seed": 0}
-_NUMBER = (int, float)
-_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
-               _NUMBER: "a number", int: "an integer", bool: "a boolean"}
 
 
 def builtin_presets() -> dict[str, GaussianMixture]:
@@ -79,26 +77,24 @@ class ExperimentConfig:
         sweep = raw.get("sweep")
         if not sweep:
             raise ValidationError("config needs a non-empty 'sweep' section")
-        _typed("sweep", sweep, dict)
+        typed("sweep", sweep, dict)
         self.kinds = self._listed(sweep, "kinds", _KINDS)
         self.variants = self._listed(sweep, "variants", _VARIANTS)
         self.num_steps_list = self._listed(
             sweep, "num_steps", range(1, self.schedule.num_steps + 1))
         self.samplers = _axis("sweep.samplers", [
-            _sampler_kappa("sweep.samplers entry", spec, "name")
-            for spec in _typed("sweep.samplers", sweep.get("samplers", []),
-                               list)])
+            sampler_kappa("sweep.samplers entry", spec, "name")
+            for spec in typed("sweep.samplers", sweep.get("samplers", []),
+                              list)])
         self.seeds = _axis("seeds", [
-            _seed("seeds entry", s)
-            for s in _typed("seeds", raw.get("seeds", []), list)])
-        self.samples_per_cell = _typed(
-            "samples_per_cell", raw.get("samples_per_cell", 2000), int)
-        if self.samples_per_cell < self.mixture.dim + 1:
-            raise ValidationError(
-                f"samples_per_cell must be at least dim + 1 "
-                f"= {self.mixture.dim + 1}")
-        self.conditional = _typed("conditional",
-                                  raw.get("conditional", False), bool)
+            int_at_least("seeds entry", s, 0)
+            for s in typed("seeds", raw.get("seeds", []), list)])
+        # a moment fit in d dimensions needs d + 1 samples
+        self.samples_per_cell = int_at_least(
+            "samples_per_cell", raw.get("samples_per_cell", 2000),
+            self.mixture.dim + 1)
+        self.conditional = typed("conditional",
+                                 raw.get("conditional", False), bool)
         if self.conditional and self.mixture.labels is None:
             raise ValidationError("conditional sweep needs a labelled mixture")
         if self.conditional and not isinstance(self.model,
@@ -112,9 +108,9 @@ class ExperimentConfig:
 
     @staticmethod
     def _listed(sweep, key, allowed):
-        values = _typed(f"sweep.{key}", sweep.get(key, []), list)
+        values = typed(f"sweep.{key}", sweep.get(key, []), list)
         for v in values:
-            _checked(f"sweep.{key} entry", v, allowed)
+            checked(f"sweep.{key} entry", v, allowed)
         return _axis(f"sweep.{key}", values)
 
     def config_hash(self) -> str:
@@ -149,39 +145,12 @@ def _axis(name, values):
     return values
 
 
-def _checked(name, value, allowed):
-    """`value` if it is in `allowed`; a range admits integers only."""
-    if isinstance(allowed, range):
-        _typed(name, value, int)
-    if value not in allowed:
-        raise ValidationError(
-            f"{name} must be one of {allowed}, got {value!r}")
-    return value
-
-
-def _typed(name, value, kind):
-    """`value` if it is an instance of `kind` (a key of _TYPE_NAMES); a
-    boolean is not a number."""
-    if not isinstance(value, kind) or (isinstance(value, bool)
-                                       and kind is not bool):
-        raise ValidationError(
-            f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return value
-
-
-def _seed(name, value):
-    """`value` if it is a non-negative integer."""
-    if _typed(name, value, int) < 0:
-        raise ValidationError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
-def _sampler_kappa(where, spec, key):
+def sampler_kappa(where, spec, key):
     """(sampler, kappa) of a `run` section or a `sweep.samplers` entry;
     kappa is DDIM's noise scale, so DDPM admits only 0."""
-    sampler = _checked(f"{where} {key}", _typed(where, spec, dict).get(key),
-                       _SAMPLERS)
-    kappa = float(_typed(f"{where} kappa", spec.get("kappa", 0.0), _NUMBER))
+    sampler = checked(f"{where} {key}", typed(where, spec, dict).get(key),
+                      _SAMPLERS)
+    kappa = float(typed(f"{where} kappa", spec.get("kappa", 0.0), NUMBER))
     if not 0.0 <= kappa <= 1.0 or (sampler == "ddpm" and kappa != 0.0):
         raise ValidationError(f"{where} kappa must lie in [0, 1] and be 0 "
                               f"with ddpm, got {kappa}")
@@ -192,35 +161,35 @@ def load_schedule(descriptor) -> VarianceSchedule:
     """The variance schedule of a config's `schedule` descriptor."""
     if descriptor is None:
         raise ValidationError("config needs a 'schedule' descriptor")
-    _typed("schedule", descriptor, dict)
-    for key, kind in (("beta_1", _NUMBER), ("beta_T", _NUMBER), ("T", int)):
+    typed("schedule", descriptor, dict)
+    for key, kind in (("beta_1", NUMBER), ("beta_T", NUMBER), ("T", int)):
         if key in descriptor:
-            _typed(f"schedule.{key}", descriptor[key], kind)
+            typed(f"schedule.{key}", descriptor[key], kind)
     return VarianceSchedule.from_descriptor(descriptor)
 
 
 def load_mixture(raw: dict) -> GaussianMixture:
     """The data distribution of a config: `data.preset` or `data.path`."""
-    data = _typed("data", raw.get("data", {}), dict)
+    data = typed("data", raw.get("data", {}), dict)
     if "preset" in data:
         presets = builtin_presets()
-        if _typed("data.preset", data["preset"], str) not in presets:
+        if typed("data.preset", data["preset"], str) not in presets:
             raise ValidationError(
                 f"unknown preset {data['preset']!r}; "
                 f"available: {sorted(presets)}")
         return presets[data["preset"]]
     if "path" in data:
         return GaussianMixture.from_json(
-            _typed("data.path", data["path"], str))
+            typed("data.path", data["path"], str))
     raise ValidationError(
         "config needs data.preset or data.path (or --preset)")
 
 
 def build_model(raw: dict, mixture: GaussianMixture, level_map: NoiseLevelMap):
     """The config's noise model: analytic (default) or trained."""
-    spec = _typed("model", raw.get("model", {}), dict)
-    kind = _checked("model.kind", spec.get("kind", "analytic"),
-                    ("analytic", "trained"))
+    spec = typed("model", raw.get("model", {}), dict)
+    kind = checked("model.kind", spec.get("kind", "analytic"),
+                   ("analytic", "trained"))
     if kind == "analytic":
         return AnalyticEpsilonModel(mixture, level_map)
     if not spec.get("path"):
@@ -238,25 +207,33 @@ def _load_shared(raw: dict):
     level_map = NoiseLevelMap(schedule)
     mixture = load_mixture(raw)
     model = build_model(raw, mixture, level_map)
-    return schedule, level_map, mixture, model, _checked(
+    return schedule, level_map, mixture, model, checked(
         "final_step_noise", raw.get("final_step_noise", FINAL_STEP_ZERO),
         (FINAL_STEP_ZERO, FINAL_STEP_LITERAL))
 
 
-def load_run(raw: dict):
-    """The `run` section of a sample config, checked as a sweep's cells are;
-    returns (fast schedule, model, sampler config, sampler name)."""
-    run = raw.get("run")
-    if not run:
+def run_section(raw: dict, **overrides) -> dict:
+    """The config's `run` section over the run defaults, with each override
+    that is not None (a CLI flag) laid over both."""
+    return {**_RUN_DEFAULTS, **typed("run", raw.get("run", {}), dict),
+            **{key: value for key, value in overrides.items()
+               if value is not None}}
+
+
+def load_run(raw: dict, seed: int | None = None):
+    """The `run` section of a sample config, checked as a sweep's cells are,
+    with `seed` (when given) in place of its seed; returns (fast schedule,
+    model, sampler config, sampler name)."""
+    if not raw.get("run"):
         raise ValidationError("sample needs a 'run' section in the config")
-    run = {**_RUN_DEFAULTS, **_typed("run", run, dict)}
+    run = run_section(raw, seed=seed)
     if "final_step_noise" in run:
         raise ValidationError("run.final_step_noise: move it to the top level")
     schedule, level_map, mixture, model, final_step_noise = _load_shared(raw)
-    sampler, kappa = _sampler_kappa("run", run, "sampler")
+    sampler, kappa = sampler_kappa("run", run, "sampler")
     config = SamplerConfig(
-        dim=mixture.dim, batch=_typed("run.batch", run["batch"], int),
-        seed=_seed("run.seed", run["seed"]), kappa=kappa,
+        dim=mixture.dim, batch=typed("run.batch", run["batch"], int),
+        seed=int_at_least("run.seed", run["seed"], 0), kappa=kappa,
         final_step_noise=final_step_noise)
     fast = build_fast_schedule(schedule, level_map, run["kind"],
                                run["variant"], run.get("S"))
@@ -265,10 +242,10 @@ def load_run(raw: dict):
 
 def build_fast_schedule(schedule, level_map, kind, variant, num_steps):
     """The one check of a run's or a sweep cell's kind, variant and S."""
-    if _checked("kind", kind, _KINDS + ("full",)) == "full":
+    if checked("kind", kind, _KINDS + ("full",)) == "full":
         return fs.FastSchedule.full(schedule)
-    _checked("variant", variant, _VARIANTS)
-    _checked("S", num_steps, range(1, schedule.num_steps + 1))
+    checked("variant", variant, _VARIANTS)
+    checked("S", num_steps, range(1, schedule.num_steps + 1))
     if kind == "step":
         return fs.build_step_schedule(schedule, num_steps, variant)
     return fs.build_var_schedule(schedule, level_map, num_steps, variant)

@@ -58,6 +58,8 @@ class FastSchedule:
         if np.any(etas <= 0.0) or np.any(etas >= 1.0):
             raise ConstructionError("every eta must lie in (0, 1)")
         self.kind = kind
+        if (taus is None) == self.is_step_kind:
+            raise ConstructionError(f"kind {kind!r} disagrees with taus")
         self.num_steps = int(etas.size)
         self.etas = etas
         self.gammas = 1.0 - etas

@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from .errors import ConstructionError
+from .errors import ConstructionError, typed
 from .schedule import NoiseLevelMap
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -187,14 +187,17 @@ class GaussianMixture:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GaussianMixture":
-        if not isinstance(data, dict):
-            raise ConstructionError(
-                f"a mixture must be an object, got {type(data).__name__}")
+        typed("mixture", data, dict)
         for key in ("weights", "means", "covariances"):
             if key not in data:
                 raise ConstructionError(f"mixture has no {key!r} entry")
+        labels = data.get("labels")
+        if labels is not None:
+            # a class is a JSON integer: 0.9 or true would pass as 0 or 1
+            for label in typed("mixture labels", labels, list):
+                typed("mixture labels entry", label, int)
         return cls(data["weights"], data["means"], data["covariances"],
-                   data.get("labels"))
+                   labels)
 
     @classmethod
     def from_json(cls, path) -> "GaussianMixture":

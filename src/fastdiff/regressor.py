@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrainingError, ValidationError
+from .errors import (NUMBER, TrainingError, ValidationError, checked,
+                     int_at_least, typed)
 from .mixture import GaussianMixture
 from .rng import chain_streams
 from .schedule import NoiseLevelMap
@@ -123,24 +124,24 @@ class ToyRegressor:
     def load(cls, prefix: str) -> "ToyRegressor":
         """Read a regressor written by `save`; raises `ValidationError` when
         the metadata or the parameter file does not describe one."""
-        with open(f"{prefix}.json") as fh:
-            meta = json.load(fh)
-        if not isinstance(meta, dict):
-            raise ValidationError(f"{prefix}.json must hold an object")
-        dim = _meta_field(meta, "dim", _is_count, "a positive integer")
-        hidden = _meta_field(
-            meta, "hidden", lambda v: isinstance(v, list)
-            and all(_is_count(h) for h in v), "a list of positive integers")
-        time_scale = _meta_field(
-            meta, "time_scale", lambda v: isinstance(v, (int, float))
-            and not isinstance(v, bool) and math.isfinite(v) and v > 0,
-            "a positive number")
-        model = cls(dim, tuple(hidden), time_scale)
+        name = f"{prefix}.json"
+        with open(name) as fh:
+            meta = typed(name, json.load(fh), dict)
+        dim = int_at_least(f"{name} dim", meta.get("dim"), 1)
+        hidden = [int_at_least(f"{name} hidden entry", h, 1)
+                  for h in typed(f"{name} hidden", meta.get("hidden"), list)]
+        time_scale = typed(f"{name} time_scale", meta.get("time_scale"),
+                           NUMBER)
+        if not 0.0 < time_scale < math.inf:
+            raise ValidationError(f"{name} time_scale must be positive and "
+                                  f"finite, got {time_scale!r}")
+        model = cls(dim, hidden, time_scale)
         expected = sum(w.size + b.size
                        for w, b in zip(model.weights, model.biases))
-        _meta_field(meta, "parameter_count",
-                    lambda v: _is_count(v) and v == expected,
-                    f"{expected}, the architecture's count")
+        checked(f"{name} parameter_count", typed(
+            f"{name} parameter_count", meta.get("parameter_count"), int),
+            (expected,))
+        checked(f"{name} activation", meta.get("activation"), ("tanh",))
         size = os.path.getsize(f"{prefix}.bin")
         if size != 8 * expected:
             raise ValidationError(
@@ -156,20 +157,6 @@ class ToyRegressor:
                 attr[idx] = flat[offset:offset + block.size].reshape(block.shape)
                 offset += block.size
         return model
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and value >= 1
-
-
-def _meta_field(meta: dict, key: str, valid, kind: str):
-    """meta[key] if `valid` accepts it; `kind` says what it must be."""
-    value = meta.get(key)
-    if not valid(value):
-        raise ValidationError(
-            f"regressor metadata {key} must be {kind}, got {value!r}")
-    return value
 
 
 def _denoising_batch(gm, level_map, stream: np.random.Generator, n):

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked, int_at_least, typed
 from .samplers import SampleBatch
 
 CSV_DIM_LIMIT = 16
@@ -30,21 +30,17 @@ def save_samples(batch: SampleBatch, prefix: str) -> None:
 
 
 def load_samples(prefix: str) -> SampleBatch:
-    with open(f"{prefix}.json") as fh:
-        sidecar = json.load(fh)
-    if not isinstance(sidecar, dict):
-        raise ValidationError(f"{prefix}.json must hold an object")
-    shape = sidecar.get("shape")
-    for key, valid, kind in (
-            ("shape", isinstance(shape, list) and len(shape) == 2
-             and all(type(n) is int and n >= 1 for n in shape),
-             "a list of two positive integers"),
-            ("dtype", sidecar.get("dtype") == "<f8", "'<f8'"),
-            ("provenance", isinstance(sidecar.get("provenance"), dict),
-             "an object")):
-        if not valid:
-            raise ValidationError(f"{prefix}.json {key} must be {kind}, "
-                                  f"got {sidecar.get(key)!r}")
+    name = f"{prefix}.json"
+    with open(name) as fh:
+        sidecar = typed(name, json.load(fh), dict)
+    shape = typed(f"{name} shape", sidecar.get("shape"), list)
+    if len(shape) != 2:
+        raise ValidationError(f"{name} shape must hold two entries, "
+                              f"got {len(shape)}")
+    for n in shape:
+        int_at_least(f"{name} shape entry", n, 1)
+    checked(f"{name} dtype", sidecar.get("dtype"), ("<f8",))
+    typed(f"{name} provenance", sidecar.get("provenance"), dict)
     size = 8 * shape[0] * shape[1]
     if os.path.getsize(f"{prefix}.bin") != size:
         raise ValidationError(f"{prefix}.bin does not hold {size} bytes, the "

@@ -353,6 +353,11 @@ BAD_MIXTURES = {
     "list_mixture.json": [[1.0], [[0.0]], [[[1.0]]]],
     "string_labels.json": {"weights": [1.0], "means": [[0.0]],
                            "covariances": [[[1.0]]], "labels": ["x"]},
+    # numpy would read these as the one class [0, 0] and as [1, 0]
+    **{name: {"weights": [0.5, 0.5], "means": [[0.0, 0.0], [1.0, 0.0]],
+              "covariances": [np.eye(2).tolist()] * 2, "labels": labels}
+       for name, labels in (("fractional_labels.json", [0.9, 0.1]),
+                            ("boolean_labels.json", [True, False]))},
     # json.dumps writes these as NaN and Infinity, which json.load reads
     "nan_weight.json": {"weights": [float("nan"), 1.0],
                         "means": [[0.0, 0.0], [1.0, 0.0]],
@@ -377,6 +382,7 @@ BAD_REGRESSORS = {
     "string_count": (dict(REGRESSOR, parameter_count="20"), np.zeros(20)),
     "dim_3": (dict(REGRESSOR, dim=3, parameter_count=27), np.zeros(27)),
     "nan_parameter": (REGRESSOR, np.r_[np.zeros(19), np.nan]),
+    "relu": (dict(REGRESSOR, activation="relu"), np.zeros(20)),
 }
 
 # a sidecar as `fastdiff sample` writes it, for 20 samples in 2-d
@@ -474,6 +480,10 @@ BAD_INPUTS = [
      config_with(data={"path": "list_mixture.json"})),
     ("string_mixture_labels", ("sample", "sweep"),
      config_with(data={"path": "string_labels.json"})),
+    ("fractional_mixture_labels", ("sample", "sweep"), config_with(
+        conditional=True, data={"path": "fractional_labels.json"})),
+    ("boolean_mixture_labels", ("sample", "sweep"), config_with(
+        conditional=True, data={"path": "boolean_labels.json"})),
     ("nan_mixture_weight", ("sample", "sweep"),
      config_with(data={"path": "nan_weight.json"})),
     ("infinite_mixture_mean", ("sample", "sweep"),
@@ -519,6 +529,7 @@ BAD_INPUTS = [
     ("regressor_dim_off_data", ("sample", "sweep"), trained("dim_3")),
     ("nan_regressor_parameter", ("sample", "sweep"),
      trained("nan_parameter")),
+    ("relu_regressor", ("sample", "sweep"), trained("relu")),
     ("ddpm_with_kappa", ("sample", "sweep"), config_with(
         run={"kappa": 0.5}, sweep={"samplers": [{"name": "ddpm",
                                                  "kappa": 0.5}]})),

@@ -167,6 +167,15 @@ class TestSerialization:
         with pytest.raises(ConstructionError):
             FastSchedule("bogus", np.array([0.1]), np.array([1.0]))
 
+    @pytest.mark.parametrize("kind,taus", [("step_linear", None),
+                                           ("full", None),
+                                           ("var_linear", [3, 7])])
+    def test_rejects_taus_off_kind(self, kind, taus):
+        # STEP kinds need taus for the step-as-VAR check; VAR kinds have
+        # none to report
+        with pytest.raises(ConstructionError, match="taus"):
+            FastSchedule(kind, [0.1, 0.2], [3.0, 7.0], taus)
+
 
 # Any beta_T <= 0.05 keeps the Gamma extension's domain beyond T.
 schedules = st.builds(VarianceSchedule, st.floats(1e-5, 1e-3),

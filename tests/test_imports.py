@@ -1,8 +1,9 @@
 """Every name that a library module imports is used, exported through
 `__all__` or kept on purpose with `# noqa: F401` on its import statement;
 a name kept that way is one that perfbench's call tracer patches, and every
-site the tracer patches exists; and the library runs on numpy alone, with
-scipy left to the tests."""
+site the tracer patches exists; no library module imports another's
+underscore-prefixed names; and the library runs on numpy alone, with scipy
+left to the tests."""
 
 import ast
 import importlib.util
@@ -68,6 +69,32 @@ def test_checker_flags_only_unused_unmarked_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """`line name` for each underscore-prefixed name that `source` imports
+    from a fastdiff module."""
+    tree = ast.parse(source)
+    return [f"{node.lineno} {alias.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "fastdiff")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_private_import_checker():
+    source = ("from __future__ import annotations\n"
+              "from os import _exit\n"
+              "from . import _x, y\n"
+              "from .errors import (typed,\n"
+              "                     _TYPE_NAMES)\n"
+              "from fastdiff.cli import _cmd_sample\n")
+    assert private_imports(source) == ["3 _x", "4 _TYPE_NAMES",
+                                       "6 _cmd_sample"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
 
 
 def load_tracing() -> ModuleType:
