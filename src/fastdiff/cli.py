@@ -20,8 +20,8 @@ import json
 import os
 import sys
 
-from .errors import (ConstructionError, ValidationError, checked,
-                     int_at_least, typed)
+from .errors import (ConstructionError, InsufficientDataError,
+                     ValidationError, checked, int_at_least, typed)
 from .experiment import (ExperimentConfig, format_schedule_dump, hash_config,
                          inspect_schedule, load_mixture, load_run, run_section,
                          run_sweep, sampler_kappa, score_samples,
@@ -34,8 +34,8 @@ from .samplers import run_sampler
 # The three reverse samplers stay importable for perfbench's call tracer.
 from .samplers import (ddpm_reverse, fast_ddim_reverse,  # noqa: F401
                        fast_ddpm_reverse)
-from .storage import (CSV_DIM_LIMIT, ensure_dir, load_samples,
-                      samples_to_csv, save_samples)
+from .storage import (CSV_DIM_LIMIT, load_samples, samples_to_csv,
+                      save_samples)
 
 ENV_OUT = "FASTDIFF_OUT"
 REPORT_COLUMNS = ("schedule_kind", "S", "sampler", "kappa", "seed", "frechet",
@@ -61,7 +61,8 @@ def _resolve_out(args) -> str:
     if out is None:
         raise ValidationError(
             f"no output directory: pass --out or set {ENV_OUT}")
-    return ensure_dir(out)
+    os.makedirs(out, exist_ok=True)
+    return out
 
 
 def _cmd_inspect(args):
@@ -100,10 +101,6 @@ def _cmd_evaluate(args):
         raise ValidationError(
             f"{args.samples} holds {dim}-d samples, the data distribution "
             f"is {mixture.dim}-d")
-    if num < dim + 1:
-        raise ValidationError(
-            f"{args.samples} holds {num} samples, scoring {dim}-d samples "
-            f"needs at least {dim + 1}")
     # The provenance fields go into report.csv unquoted, so each must be a
     # value that `fastdiff sample` can have written.
     provenance = batch.provenance
@@ -120,7 +117,7 @@ def _cmd_evaluate(args):
            "S": int_at_least(f"{where} fast_schedule S", fast.get("S"), 1)}
     try:
         scores = score_samples(mixture, batch.samples)
-    except FloatingPointError as err:
+    except (FloatingPointError, InsufficientDataError) as err:
         raise ValidationError(
             f"{args.samples} cannot be scored: {err}") from err
     frechet, score = scores["frechet"], scores["inception_score"]

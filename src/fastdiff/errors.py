@@ -5,6 +5,7 @@ which raise `ValidationError` naming the field and an abbreviated value.
 Library constructors keep their own guards."""
 
 import reprlib
+import sys
 
 NUMBER = (int, float)
 _TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
@@ -46,11 +47,16 @@ class TrainingError(RuntimeError):
 
 def typed(name, value, kind):
     """`value` if it is an instance of `kind` (a key of _TYPE_NAMES); a
-    boolean is not a number."""
+    boolean is not a number, and a number must fit a float."""
     if not isinstance(value, kind) or (isinstance(value, bool)
                                        and kind is not bool):
         raise ValidationError(
             f"{name} must be {_TYPE_NAMES[kind]}, got {reprlib.repr(value)}")
+    # a JSON integer is unbounded, and float() of a huge one overflows
+    if kind is NUMBER and isinstance(value, int) \
+            and abs(value) > sys.float_info.max:
+        raise ValidationError(
+            f"{name} must fit a float, got {reprlib.repr(value)}")
     return value
 
 

@@ -25,9 +25,10 @@ import time
 
 import numpy as np
 
-from . import fast_schedule as fs
 from .errors import (NUMBER, ConvergenceError, ValidationError, checked,
                      int_at_least, typed)
+from .fast_schedule import (CONSTRUCTIONS, VARIANTS, build_fast_schedule,
+                            step_as_var_equivalence)
 from .metrics import (accuracy, frechet_gaussian, inception_score,
                       sample_moments)
 # frechet_distance stays importable for perfbench's call tracer.
@@ -39,15 +40,12 @@ from .samplers import (FINAL_STEP_LITERAL, FINAL_STEP_ZERO, SamplerConfig,
 # fast_ddpm_reverse and fast_ddim_reverse stay for perfbench's call tracer.
 from .samplers import fast_ddim_reverse, fast_ddpm_reverse  # noqa: F401
 from .schedule import NoiseLevelMap, VarianceSchedule
-from .storage import ensure_dir
 
 CSV_SCHEMA_VERSION = 3
 CSV_COLUMNS = ("seed", "kind", "variant", "S", "sampler", "kappa", "frechet",
                "inception_score", "accuracy", "model_calls_per_chain",
                "normals_per_chain", "status", "error")
 
-_KINDS = ("step", "var")
-_VARIANTS = ("linear", "quadratic")
 _SAMPLERS = ("ddpm", "ddim")
 _RUN_DEFAULTS = {"kind": "step", "variant": "linear", "sampler": "ddpm",
                  "batch": 1000, "seed": 0}
@@ -78,8 +76,8 @@ class ExperimentConfig:
         if not sweep:
             raise ValidationError("config needs a non-empty 'sweep' section")
         typed("sweep", sweep, dict)
-        self.kinds = self._listed(sweep, "kinds", _KINDS)
-        self.variants = self._listed(sweep, "variants", _VARIANTS)
+        self.kinds = self._listed(sweep, "kinds", CONSTRUCTIONS)
+        self.variants = self._listed(sweep, "variants", VARIANTS)
         self.num_steps_list = self._listed(
             sweep, "num_steps", range(1, self.schedule.num_steps + 1))
         self.samplers = _axis("sweep.samplers", [
@@ -161,11 +159,8 @@ def load_schedule(descriptor) -> VarianceSchedule:
     """The variance schedule of a config's `schedule` descriptor."""
     if descriptor is None:
         raise ValidationError("config needs a 'schedule' descriptor")
-    typed("schedule", descriptor, dict)
-    for key, kind in (("beta_1", NUMBER), ("beta_T", NUMBER), ("T", int)):
-        if key in descriptor:
-            typed(f"schedule.{key}", descriptor[key], kind)
-    return VarianceSchedule.from_descriptor(descriptor)
+    return VarianceSchedule.from_descriptor(
+        typed("schedule", descriptor, dict))
 
 
 def load_mixture(raw: dict) -> GaussianMixture:
@@ -238,17 +233,6 @@ def load_run(raw: dict, seed: int | None = None):
     fast = build_fast_schedule(schedule, level_map, run["kind"],
                                run["variant"], run.get("S"))
     return fast, model, config, sampler
-
-
-def build_fast_schedule(schedule, level_map, kind, variant, num_steps):
-    """The one check of a run's or a sweep cell's kind, variant and S."""
-    if checked("kind", kind, _KINDS + ("full",)) == "full":
-        return fs.FastSchedule.full(schedule)
-    checked("variant", variant, _VARIANTS)
-    checked("S", num_steps, range(1, schedule.num_steps + 1))
-    if kind == "step":
-        return fs.build_step_schedule(schedule, num_steps, variant)
-    return fs.build_var_schedule(schedule, level_map, num_steps, variant)
 
 
 def _generate(config, model, fast, sampler, kappa, batch, seed):
@@ -333,7 +317,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
         rows.append(row)
 
     if out_dir is not None:
-        ensure_dir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
         write_rows_csv(rows, os.path.join(out_dir, "results.csv"),
                        CSV_COLUMNS, "fastdiff-sweep", config.config_hash())
         with open(os.path.join(out_dir, "results.json"), "w") as fh:
@@ -371,7 +355,7 @@ def inspect_schedule(descriptor: dict, kind: str, variant: str,
     out = fast.to_dict()
     out["eta_tilde"] = fast.eta_tildes.tolist()
     if fast.is_step_kind:
-        out["step_var_identity"] = fs.step_as_var_equivalence(fast, schedule)
+        out["step_var_identity"] = step_as_var_equivalence(fast, schedule)
     else:
         log_product = float(np.sum(np.log1p(-fast.etas)))
         log_target = float(np.sum(np.log1p(-schedule.betas)))

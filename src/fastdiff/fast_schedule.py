@@ -25,16 +25,15 @@ import warnings
 
 import numpy as np
 
-from .errors import ConstructionError
+from .errors import ConstructionError, checked
 from .schedule import NoiseLevelMap, VarianceSchedule
 
-STEP_LINEAR = "step_linear"
-STEP_QUADRATIC = "step_quadratic"
-VAR_LINEAR = "var_linear"
-VAR_QUADRATIC = "var_quadratic"
+CONSTRUCTIONS = ("step", "var")
+VARIANTS = ("linear", "quadratic")
 FULL = "full"
-
-KINDS = (STEP_LINEAR, STEP_QUADRATIC, VAR_LINEAR, VAR_QUADRATIC, FULL)
+# A FastSchedule's kind: "<construction>_<variant>", or the full chain.
+KINDS = tuple(f"{construction}_{variant}" for construction in CONSTRUCTIONS
+              for variant in VARIANTS) + (FULL,)
 
 # Largest admissible per-step variance when solving for the VAR ramp slope.
 _ETA_CAP = 1.0 - 1e-6
@@ -89,7 +88,7 @@ class FastSchedule:
 
     @property
     def is_step_kind(self) -> bool:
-        return self.kind in (STEP_LINEAR, STEP_QUADRATIC, FULL)
+        return not self.kind.startswith("var_")
 
     # -- serialization -------------------------------------------------------
 
@@ -144,9 +143,8 @@ def build_step_schedule(schedule: VarianceSchedule, num_steps: int,
     alpha_bar = schedule.alpha_bars[taus - 1]
     prev = np.concatenate([[1.0], alpha_bar[:-1]])
     etas = 1.0 - alpha_bar / prev
-    kind = STEP_LINEAR if variant == "linear" else STEP_QUADRATIC
     # Integer steps are fixed points of the bijection: no inversion needed.
-    return FastSchedule(kind, etas, taus.astype(float), taus)
+    return FastSchedule(f"step_{variant}", etas, taus.astype(float), taus)
 
 
 def build_var_schedule(schedule: VarianceSchedule, level_map: NoiseLevelMap,
@@ -170,13 +168,11 @@ def build_var_schedule(schedule: VarianceSchedule, level_map: NoiseLevelMap,
 
     def log_product(c: float) -> float:
         etas = (1.0 + c * s) ** power * eta0
-        if np.any(etas >= 1.0):
-            return -np.inf
         return float(np.sum(np.log1p(-etas)))
 
     # The residual log_product(c) - target is strictly decreasing in c.
     # Bracket: c = 0 gives the largest product; c_max pushes the last
-    # (largest) eta to the cap.
+    # (largest) eta to the cap, so every eta log_product sees is below 1.
     if log_product(0.0) < target:
         raise ConstructionError(
             f"no admissible ramp: even c = 0 gives prod(1-eta) < alpha_bar(T) "
@@ -205,8 +201,20 @@ def build_var_schedule(schedule: VarianceSchedule, level_map: NoiseLevelMap,
     cont_steps = level_map.invert(noise_levels)[0]
     # The terminal step lands on T up to the root-solve residual.
     cont_steps = np.minimum(cont_steps, float(schedule.num_steps))
-    kind = VAR_LINEAR if variant == "linear" else VAR_QUADRATIC
-    return FastSchedule(kind, etas, cont_steps)
+    return FastSchedule(f"var_{variant}", etas, cont_steps)
+
+
+def build_fast_schedule(schedule: VarianceSchedule, level_map: NoiseLevelMap,
+                        kind: str, variant: str, num_steps) -> FastSchedule:
+    """The schedule a run or a sweep cell names by kind (a construction or
+    "full"), variant and S: the one check of those three."""
+    if checked("kind", kind, CONSTRUCTIONS + (FULL,)) == FULL:
+        return FastSchedule.full(schedule)
+    checked("variant", variant, VARIANTS)
+    checked("S", num_steps, range(1, schedule.num_steps + 1))
+    if kind == "step":
+        return build_step_schedule(schedule, num_steps, variant)
+    return build_var_schedule(schedule, level_map, num_steps, variant)
 
 
 def step_as_var_equivalence(fast: FastSchedule,

@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from .errors import ConstructionError, typed
+from .errors import ConstructionError, ValidationError, typed
 from .schedule import NoiseLevelMap
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -201,8 +201,14 @@ class GaussianMixture:
 
     @classmethod
     def from_json(cls, path) -> "GaussianMixture":
+        """Read a mixture file; raises `ValidationError`, starting with
+        `path`, when its contents do not describe a mixture."""
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except (json.JSONDecodeError, ValidationError,
+                    ConstructionError) as err:
+                raise ValidationError(f"{path}: {err}") from err
 
 
 def analytic_epsilon(gm: GaussianMixture, level_map: NoiseLevelMap,

@@ -41,7 +41,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import ConstructionError, NumericError, ValidationError
+from .errors import NumericError, ValidationError
 from .fast_schedule import FastSchedule
 from .rng import chain_normals
 # chain_streams is unused here but stays importable: perfbench's call
@@ -137,14 +137,9 @@ def _reverse_chain(fast, model, config, initial, sampler):
         c = np.sqrt(fast.eta_tildes)
     else:
         prev_bars = np.concatenate([[1.0], fast.gamma_bars[:-1]])
-        # Interior radicands must stay non-negative; only the terminal step
-        # may go negative (by -kappa^2 eta_1), where it is clamped to zero.
+        # kappa <= 1 keeps every interior radicand positive; only the
+        # terminal one, -kappa^2 eta_1, is negative, so it is clamped.
         radicands = 1.0 - prev_bars - kappa**2 * fast.eta_tildes
-        if np.any(radicands[1:] < -1e-12):
-            bad = int(np.argmax(radicands[1:] < -1e-12)) + 2
-            raise ConstructionError(
-                f"negative radicand {radicands[bad - 1]:.3e} at interior "
-                f"step {bad}; kappa={kappa} is inadmissible here")
         b = np.sqrt(1.0 - fast.gamma_bars) \
             - np.sqrt(fast.gammas * np.maximum(radicands, 0.0))
         c = np.sqrt(kappa**2 * fast.eta_tildes)

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import ConstructionError, ConvergenceError
+from .errors import NUMBER, ConstructionError, ConvergenceError, typed
 
 # Inversion stops once every |log alpha_bar(t) - 2 log r| is at most
 # _INVERT_TOL, and raises ConvergenceError after _INVERT_MAX_ITERS steps.
@@ -94,10 +94,17 @@ class VarianceSchedule:
 
     @classmethod
     def from_descriptor(cls, descriptor: dict) -> "VarianceSchedule":
+        """The schedule of a `{"beta_1", "beta_T", "T"}` descriptor; raises
+        `ValidationError` for an entry of the wrong type."""
         try:
-            return cls(descriptor["beta_1"], descriptor["beta_T"], descriptor["T"])
+            beta_1, beta_T, steps = (descriptor[key]
+                                     for key in ("beta_1", "beta_T", "T"))
         except KeyError as missing:
             raise ConstructionError(f"schedule descriptor missing key {missing}")
+        # T enters float arithmetic: an integer that fits a float
+        typed("schedule.T", typed("schedule.T", steps, int), NUMBER)
+        return cls(typed("schedule.beta_1", beta_1, NUMBER),
+                   typed("schedule.beta_T", beta_T, NUMBER), steps)
 
     def __repr__(self):
         return (f"VarianceSchedule(beta_start={self.beta_start}, "

@@ -67,8 +67,3 @@ def samples_to_csv(batch: SampleBatch, path: str) -> None:
             block = samples[start:start + _CSV_BLOCK_ROWS].tolist()
             fh.write("".join([",".join(map(repr, row)) + "\n"
                               for row in block]))
-
-
-def ensure_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path

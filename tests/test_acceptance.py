@@ -15,7 +15,7 @@ from fastdiff import (AnalyticEpsilonModel, GaussianMixture, NoiseLevelMap,
                       fast_ddim_reverse, fast_ddpm_reverse, forward_jump,
                       frechet_gaussian, inception_score, sample_moments,
                       step_as_var_equivalence, train_toy_regressor)
-from fastdiff.experiment import build_fast_schedule
+from fastdiff.fast_schedule import build_fast_schedule
 
 REFERENCE_SCHEDULES = {
     200: VarianceSchedule(1e-4, 0.02, 200),

@@ -365,6 +365,9 @@ BAD_MIXTURES = {
     "infinite_mean.json": {"weights": [0.5, 0.5],
                            "means": [[float("inf"), 0.0], [1.0, 0.0]],
                            "covariances": [np.eye(2).tolist()] * 2},
+    "indefinite_covariance.json": {"weights": [1.0], "means": [[0.0]],
+                                   "covariances": [[[-1.0]]]},
+    "malformed_mixture.json": '{"weights": ',
 }
 # a regressor for 2-d data with one hidden layer of 3: 3 * 3 + 3 + 3 * 2 + 2
 REGRESSOR = {"dim": 2, "hidden": [3], "time_scale": 200.0,
@@ -383,6 +386,9 @@ BAD_REGRESSORS = {
     "dim_3": (dict(REGRESSOR, dim=3, parameter_count=27), np.zeros(27)),
     "nan_parameter": (REGRESSOR, np.r_[np.zeros(19), np.nan]),
     "relu": (dict(REGRESSOR, activation="relu"), np.zeros(20)),
+    "zero_time_scale": (dict(REGRESSOR, time_scale=0), np.zeros(20)),
+    # json.dumps writes it in full; float() of it overflows
+    "huge_time_scale": (dict(REGRESSOR, time_scale=10**400), np.zeros(20)),
 }
 
 # a sidecar as `fastdiff sample` writes it, for 20 samples in 2-d
@@ -410,6 +416,7 @@ BAD_SIDECARS = {prefix: (sidecar, SIDECAR_SAMPLES) for prefix, sidecar in {
     "no_dtype": {k: v for k, v in SIDECAR.items() if k != "dtype"},
     "string_dtype": dict(SIDECAR, dtype="x"),
     "string_shape": dict(SIDECAR, shape="ab"),
+    "three_entry_shape": dict(SIDECAR, shape=[20, 2, 1]),
     "no_provenance": {k: v for k, v in SIDECAR.items() if k != "provenance"},
     "list_provenance": dict(SIDECAR, provenance=[1]),
     "list_sidecar": list(SIDECAR.values()),
@@ -453,7 +460,9 @@ def trained(prefix):
     return config_with(model={"kind": "trained", "path": prefix})
 
 
+# (name, verbs, config); a None config passes no --config
 BAD_INPUTS = [
+    ("no_config", ALL_VERBS + ("evaluate",), None),
     ("malformed_json", ALL_VERBS, '{"schedule": '),
     ("no_schedule", ALL_VERBS, config_with(schedule=None)),
     ("run_without_S", ("sample", "inspect"), config_with(run={"S": None})),
@@ -488,6 +497,25 @@ BAD_INPUTS = [
      config_with(data={"path": "nan_weight.json"})),
     ("infinite_mixture_mean", ("sample", "sweep"),
      config_with(data={"path": "infinite_mean.json"})),
+    ("indefinite_mixture_covariance", ("sample", "sweep"),
+     config_with(data={"path": "indefinite_covariance.json"})),
+    ("malformed_mixture", ("sample", "sweep"),
+     config_with(data={"path": "malformed_mixture.json"})),
+    ("no_data", ("sample", "sweep"), config_with(data={})),
+    ("trained_without_path", ("sample", "sweep"),
+     config_with(model={"kind": "trained"})),
+    ("sample_without_run", ("sample",), dict(config_with(), run={})),
+    ("conditional_trained", ("sweep",), dict(
+        trained("regressor"), conditional=True,
+        data={"preset": "two_blob_2d"})),
+    # numbers that json.dumps writes in full and float() cannot hold
+    ("huge_run_kappa", ("sample",), config_with(
+        run={"sampler": "ddim", "kappa": 10**400})),
+    ("huge_sweep_kappa", ("sweep",), config_with(
+        sweep={"samplers": [{"name": "ddim", "kappa": 10**400}]})),
+    ("huge_T", ALL_VERBS, config_with(schedule=dict(SCHEDULE, T=10**400))),
+    ("huge_beta_T", ALL_VERBS, config_with(
+        schedule=dict(SCHEDULE, beta_T=10**400))),
     ("list_config", ALL_VERBS, "[1]"),
     ("list_sweep", ("sweep",), dict(config_with(), sweep=[1])),
     ("string_sweep_sampler", ("sweep",), config_with(
@@ -530,6 +558,10 @@ BAD_INPUTS = [
     ("nan_regressor_parameter", ("sample", "sweep"),
      trained("nan_parameter")),
     ("relu_regressor", ("sample", "sweep"), trained("relu")),
+    ("zero_regressor_time_scale", ("sample", "sweep"),
+     trained("zero_time_scale")),
+    ("huge_regressor_time_scale", ("sample", "sweep"),
+     trained("huge_time_scale")),
     ("ddpm_with_kappa", ("sample", "sweep"), config_with(
         run={"kappa": 0.5}, sweep={"samplers": [{"name": "ddpm",
                                                  "kappa": 0.5}]})),
@@ -570,6 +602,27 @@ BAD_FLAGS = [
      for prefix in BAD_SIDECARS]
 
 
+def write_json(path, payload) -> str:
+    """`payload` as JSON at `path`; a string is written as it is."""
+    path.write_text(payload if isinstance(payload, str)
+                    else json.dumps(payload))
+    return str(path)
+
+
+def write_input_files(tmp_path):
+    """Every BAD_* file, and a valid 2-d regressor `regressor`."""
+    for name, mixture in BAD_MIXTURES.items():
+        write_json(tmp_path / name, mixture)
+    for prefix, (meta, values) in {**BAD_REGRESSORS, "regressor": (
+            REGRESSOR, np.zeros(20))}.items():
+        write_json(tmp_path / f"{prefix}.json", meta)
+        (tmp_path / f"{prefix}.bin").write_bytes(
+            values.astype("<f8").tobytes())
+    for prefix, (sidecar, samples) in BAD_SIDECARS.items():
+        write_json(tmp_path / f"{prefix}.json", sidecar)
+        (tmp_path / f"{prefix}.bin").write_bytes(samples)
+
+
 class TestErrorBoundary:
     @pytest.mark.parametrize("verb", ALL_VERBS)
     def test_base_config_is_valid(self, tmp_path, verb):
@@ -596,23 +649,27 @@ class TestErrorBoundary:
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, monkeypatch,
                                          verb, flags, payload):
         monkeypatch.chdir(tmp_path)
-        for name, mixture in BAD_MIXTURES.items():
-            (tmp_path / name).write_text(json.dumps(mixture))
-        for prefix, (meta, values) in BAD_REGRESSORS.items():
-            (tmp_path / f"{prefix}.json").write_text(json.dumps(meta))
-            (tmp_path / f"{prefix}.bin").write_bytes(
-                values.astype("<f8").tobytes())
-        for prefix, (sidecar, samples) in BAD_SIDECARS.items():
-            (tmp_path / f"{prefix}.json").write_text(json.dumps(sidecar))
-            (tmp_path / f"{prefix}.bin").write_bytes(samples)
-        path = tmp_path / "bad.json"
-        path.write_text(payload if isinstance(payload, str)
-                        else json.dumps(payload))
-        code = main([verb, "--config", str(path),
-                     "--out", str(tmp_path / "out"), *flags])
+        write_input_files(tmp_path)
+        args = [verb, "--out", str(tmp_path / "out"), *flags]
+        if payload is not None:
+            args += ["--config", write_json(tmp_path / "bad.json", payload)]
+        code = main(args)
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+        # values are abbreviated: a 401-digit number is not printed in full
+        assert len(err) < 300
+
+    @pytest.mark.parametrize("name", BAD_MIXTURES)
+    def test_mixture_file_error_names_the_file(self, tmp_path, capsys,
+                                                monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        write_input_files(tmp_path)
+        config = write_config(tmp_path, "bad.json",
+                              config_with(data={"path": name}))
+        assert main(["sample", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {name}: ")
 
     @pytest.mark.parametrize("verb", ("sample", "sweep"))
     def test_valid_regressor_files_load(self, tmp_path, monkeypatch, verb):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fastdiff.fast_schedule
 import fastdiff.schedule
 from fastdiff import (AnalyticEpsilonModel, ConstructionError, FastSchedule,
                       GaussianMixture, NoiseLevelMap, SamplerConfig,
                       VarianceSchedule, build_step_schedule,
                       build_var_schedule, ddpm_reverse, fast_ddpm_reverse,
                       run_sampler, step_as_var_equivalence, step_subset)
-from fastdiff.experiment import build_fast_schedule
+from fastdiff.fast_schedule import build_fast_schedule
 
 ALL_BUILDS = [("step", "linear"), ("step", "quadratic"),
               ("var", "linear"), ("var", "quadratic")]
@@ -278,11 +279,16 @@ class TestScheduleProperties:
            st.sampled_from(["linear", "quadratic"]))
     def test_var_terminal_constraint(self, schedule, num_steps, variant):
         try:
-            fast = build_var_schedule(schedule, NoiseLevelMap(schedule),
-                                      num_steps, variant)
+            # the slope bisection takes log1p(-eta) with no guard, so an
+            # eta >= 1 anywhere in its bracket would raise here
+            with np.errstate(divide="raise", invalid="raise"):
+                fast = build_var_schedule(schedule, NoiseLevelMap(schedule),
+                                          num_steps, variant)
         except ConstructionError as err:
             assert "no admissible ramp" in str(err)
             return
+        assert np.all((fast.etas > 0.0)
+                      & (fast.etas <= fastdiff.fast_schedule._ETA_CAP))
         target = schedule.alpha_bars[-1]
         assert abs(np.prod(1.0 - fast.etas) - target) <= 1e-10 * target
         # the ramp slope and the inversion both stop at a residual, so the

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 from numpy.random import Generator, Philox
 
-from fastdiff import (AnalyticEpsilonModel, ConstructionError, NoiseLevelMap,
-                      NumericError, SamplerConfig,
-                      ZeroEpsilonModel, build_step_schedule,
+from fastdiff import (AnalyticEpsilonModel, ConstructionError, FastSchedule,
+                      NoiseLevelMap, NumericError, SamplerConfig,
+                      ValidationError, ZeroEpsilonModel, build_step_schedule,
                       build_var_schedule, chain_normals, ddpm_reverse,
                       fast_ddim_reverse, fast_ddpm_reverse, forward_jump,
-                      sample_moments, samplers, substream)
-from fastdiff.experiment import build_fast_schedule
+                      run_sampler, sample_moments, samplers, substream)
+from fastdiff.fast_schedule import build_fast_schedule
 from test_fast_schedule import schedules
 
 
@@ -207,6 +207,12 @@ class TestFastReverse:
         assert counter.calls == 10
         assert out.provenance["model_calls_per_chain"] == 10
 
+    def test_run_sampler_rejects_unknown_name(self, sched_200):
+        fast = build_step_schedule(sched_200, 10, "linear")
+        with pytest.raises(ValidationError, match="unknown sampler 'dimm'"):
+            run_sampler(fast, ZeroEpsilonModel(), SamplerConfig(dim=2),
+                        "dimm")
+
     def test_bad_initial_shape(self, sched_200, oracle_200, monkeypatch):
         # the shape is checked before any normals are drawn
         model, level_map = oracle_200
@@ -385,7 +391,27 @@ GOLDEN = {
 }
 
 
+# FastSchedules of up to 30 steps with any etas in (0, 1), extremes included
+fast_schedules = st.lists(st.floats(1e-14, 1.0 - 1e-14), min_size=1,
+                          max_size=30).map(lambda etas: FastSchedule(
+                              "var_linear", etas,
+                              np.arange(1.0, len(etas) + 1.0)))
+
+
 class TestOneUpdate:
+    @settings(max_examples=200, deadline=None)
+    @given(fast_schedules, st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_kappa_in_range_keeps_interior_radicands(self, fast, kappa,
+                                                     seed):
+        # the driver clamps every radicand at zero but checks none: for
+        # kappa <= 1 only the terminal one, -kappa^2 eta_1, is negative
+        prev_bars = np.concatenate([[1.0], fast.gamma_bars[:-1]])
+        radicands = 1.0 - prev_bars - kappa**2 * fast.eta_tildes
+        assert np.all(radicands[1:] >= 0.0)
+        config = SamplerConfig(dim=2, batch=3, seed=seed, kappa=kappa)
+        out = fast_ddim_reverse(fast, ZeroEpsilonModel(), config)
+        assert np.isfinite(out.samples).all()
+
     @settings(max_examples=40, deadline=None)
     @given(schedules, st.sampled_from(["step", "var"]),
            st.sampled_from(["linear", "quadratic"]), st.integers(1, 60),
