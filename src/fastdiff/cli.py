@@ -34,7 +34,7 @@ from .samplers import run_sampler
 # The three reverse samplers stay importable for perfbench's call tracer.
 from .samplers import (ddpm_reverse, fast_ddim_reverse,  # noqa: F401
                        fast_ddpm_reverse)
-from .storage import (CSV_DIM_LIMIT, load_samples, samples_to_csv,
+from .storage import (CSV_DIM_LIMIT, load_samples, read_json, samples_to_csv,
                       save_samples)
 
 ENV_OUT = "FASTDIFF_OUT"
@@ -46,9 +46,7 @@ def _load_config(args) -> dict:
     """The --config JSON, with `data` replaced by --preset when given."""
     if args.config is None:
         raise ValidationError("--config is required for this verb")
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    typed("config", raw, dict)
+    raw = read_json(args.config)
     if args.preset is not None:
         data = typed("data", raw.setdefault("data", {}), dict)
         data["preset"] = args.preset
@@ -80,8 +78,8 @@ def _cmd_inspect(args):
 
 def _cmd_sample(args):
     fast, model, config, sampler = load_run(_load_config(args), args.seed)
-    batch = run_sampler(fast, model, config, sampler)
     out = _resolve_out(args)
+    batch = run_sampler(fast, model, config, sampler)
     prefix = os.path.join(out, "samples")
     save_samples(batch, prefix)
     if config.dim <= CSV_DIM_LIMIT:
@@ -189,8 +187,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None:
             int_at_least("--seed", args.seed, 0)
         return args.func(args)
-    except (ValidationError, ConstructionError, OSError,
-            json.JSONDecodeError) as err:
+    except (ValidationError, ConstructionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

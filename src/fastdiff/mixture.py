@@ -38,13 +38,13 @@ concurrently.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
 from .errors import ConstructionError, ValidationError, typed
 from .schedule import NoiseLevelMap
+from .storage import read_json
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -135,9 +135,10 @@ class GaussianMixture:
     # -- noisy-marginal quantities -------------------------------------------
 
     def _marginal(self, x: np.ndarray, alpha_bar: float):
-        """The marginal at alpha_bar for x of shape (n, d), over all K
+        """The marginal at alpha_bar for x as an (n, d) array, over all K
         components at once: returns log q(x) (n,), the responsibilities
         (K, n) and the solves C_k^-1 (x - m_k) as one (K, d, n) array."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValueError(f"x must have shape (n, {self.dim}), "
                              f"got {x.shape}")
@@ -161,12 +162,10 @@ class GaussianMixture:
 
     def log_density(self, x: np.ndarray, alpha_bar: float = 1.0) -> np.ndarray:
         """log q(x) of the marginal at signal fraction alpha_bar; (n,)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         return self._marginal(x, alpha_bar)[0]
 
     def score(self, x: np.ndarray, alpha_bar: float = 1.0) -> np.ndarray:
         """grad_x log q(x) of the marginal at alpha_bar; (n, d)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.negative(self._weighted_solves(x, alpha_bar), order="C")
 
     def _weighted_solves(self, x: np.ndarray, alpha_bar: float) -> np.ndarray:
@@ -203,12 +202,11 @@ class GaussianMixture:
     def from_json(cls, path) -> "GaussianMixture":
         """Read a mixture file; raises `ValidationError`, starting with
         `path`, when its contents do not describe a mixture."""
-        with open(path) as fh:
-            try:
-                return cls.from_dict(json.load(fh))
-            except (json.JSONDecodeError, ValidationError,
-                    ConstructionError) as err:
-                raise ValidationError(f"{path}: {err}") from err
+        data = read_json(path)
+        try:
+            return cls.from_dict(data)
+        except (ValidationError, ConstructionError) as err:
+            raise ValidationError(f"{path}: {err}") from err
 
 
 def analytic_epsilon(gm: GaussianMixture, level_map: NoiseLevelMap,
@@ -220,7 +218,6 @@ def analytic_epsilon(gm: GaussianMixture, level_map: NoiseLevelMap,
     It is computed as sqrt(1 - alpha_bar) * sum_k r_k C_k^-1 (x - m_k),
     which has the same bits: (-a)(-b) = ab exactly.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     alpha_bar = float(np.exp(level_map.log_alpha_bar(t_cont)))
     return np.multiply(math.sqrt(1.0 - alpha_bar),
                        gm._weighted_solves(x, alpha_bar), order="C")
@@ -231,7 +228,6 @@ def posterior_classifier(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     with columns ordered by `gm.class_labels()`."""
     if gm.labels is None:
         raise ValueError("posterior_classifier requires a labelled mixture")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     _, resp, _ = gm._marginal(x, 1.0)
     return np.stack([np.sum(resp[gm.labels == label], axis=0)
                      for label in gm.class_labels()], axis=1)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ from .errors import (NUMBER, TrainingError, ValidationError, checked,
 from .mixture import GaussianMixture
 from .rng import chain_streams
 from .schedule import NoiseLevelMap
+from .storage import read_floats, read_json
 
 _MOMENTUM = 0.9
 # The learning rate is multiplied by _DECAY once, after this fraction of
@@ -125,8 +125,7 @@ class ToyRegressor:
         """Read a regressor written by `save`; raises `ValidationError` when
         the metadata or the parameter file does not describe one."""
         name = f"{prefix}.json"
-        with open(name) as fh:
-            meta = typed(name, json.load(fh), dict)
+        meta = read_json(name)
         dim = int_at_least(f"{name} dim", meta.get("dim"), 1)
         hidden = [int_at_least(f"{name} hidden entry", h, 1)
                   for h in typed(f"{name} hidden", meta.get("hidden"), list)]
@@ -142,14 +141,7 @@ class ToyRegressor:
             f"{name} parameter_count", meta.get("parameter_count"), int),
             (expected,))
         checked(f"{name} activation", meta.get("activation"), ("tanh",))
-        size = os.path.getsize(f"{prefix}.bin")
-        if size != 8 * expected:
-            raise ValidationError(
-                f"{prefix}.bin holds {size} bytes, not the {8 * expected} "
-                f"of {expected} float64 parameters")
-        flat = np.fromfile(f"{prefix}.bin", dtype="<f8")
-        if not np.all(np.isfinite(flat)):
-            raise ValidationError(f"{prefix}.bin holds a non-finite value")
+        flat = read_floats(prefix, expected)
         offset = 0
         for i in range(len(model.weights)):
             for attr, idx in ((model.weights, i), (model.biases, i)):

@@ -57,6 +57,10 @@ class VarianceSchedule:
         self.beta_start = float(beta_start)
         self.beta_end = float(beta_end)
         self.num_steps = int(num_steps)
+        # numpy refuses a table of more bytes than its index type counts
+        if 8 * self.num_steps > np.iinfo(np.intp).max:
+            raise ConstructionError(
+                f"num_steps = {num_steps} is too large for an array")
         self.delta_beta = (self.beta_end - self.beta_start) / (self.num_steps - 1)
         # Continuous steps are only defined below this limit: the extended
         # beta(t) reaches 1 (noise level 0) at t = domain_limit.

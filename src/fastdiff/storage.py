@@ -1,9 +1,12 @@
-"""On-disk formats for sample batches.
+"""On-disk formats for sample batches, and the readers of every input file.
 
 A batch is stored as a flat binary dump of little-endian 64-bit floats in
 row-major order (<prefix>.bin) next to a JSON sidecar (<prefix>.json) that
 carries the array shape and the sampler provenance.  Small-dimensional
 batches can additionally be written as CSV for plotting.
+
+Every input file is read by `read_json` (a JSON object) or `read_floats`
+(a float64 dump), whose `ValidationError`s name the file.
 """
 
 from __future__ import annotations
@@ -29,10 +32,34 @@ def save_samples(batch: SampleBatch, prefix: str) -> None:
         json.dump(sidecar, fh, indent=2)
 
 
+def read_json(path) -> dict:
+    """The JSON object in the file at `path`; a file that does not decode
+    (malformed JSON or UTF-8, an over-long integer, deep nesting) or holds
+    no object raises `ValidationError` starting with `path`."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except (ValueError, RecursionError) as err:
+            raise ValidationError(f"{path}: {err}") from err
+    return typed(f"{path}:", raw, dict)
+
+
+def read_floats(prefix: str, count: int) -> np.ndarray:
+    """The `count` finite little-endian float64 values of `<prefix>.bin`."""
+    name = f"{prefix}.bin"
+    size = os.path.getsize(name)
+    if size != 8 * count:
+        raise ValidationError(f"{name} holds {size} bytes, not the "
+                              f"{8 * count} of {count} float64 values")
+    values = np.fromfile(name, dtype="<f8")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{name} holds a non-finite value")
+    return values
+
+
 def load_samples(prefix: str) -> SampleBatch:
     name = f"{prefix}.json"
-    with open(name) as fh:
-        sidecar = typed(name, json.load(fh), dict)
+    sidecar = read_json(name)
     shape = typed(f"{name} shape", sidecar.get("shape"), list)
     if len(shape) != 2:
         raise ValidationError(f"{name} shape must hold two entries, "
@@ -41,13 +68,7 @@ def load_samples(prefix: str) -> SampleBatch:
         int_at_least(f"{name} shape entry", n, 1)
     checked(f"{name} dtype", sidecar.get("dtype"), ("<f8",))
     typed(f"{name} provenance", sidecar.get("provenance"), dict)
-    size = 8 * shape[0] * shape[1]
-    if os.path.getsize(f"{prefix}.bin") != size:
-        raise ValidationError(f"{prefix}.bin does not hold {size} bytes, the "
-                              f"shape {shape} its sidecar gives")
-    samples = np.fromfile(f"{prefix}.bin", dtype="<f8").reshape(shape)
-    if not np.all(np.isfinite(samples)):
-        raise ValidationError(f"{prefix}.bin holds a non-finite sample")
+    samples = read_floats(prefix, shape[0] * shape[1]).reshape(shape)
     return SampleBatch(samples=samples, provenance=sidecar["provenance"])
 
 

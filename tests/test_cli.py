@@ -514,6 +514,9 @@ BAD_INPUTS = [
     ("huge_sweep_kappa", ("sweep",), config_with(
         sweep={"samplers": [{"name": "ddim", "kappa": 10**400}]})),
     ("huge_T", ALL_VERBS, config_with(schedule=dict(SCHEDULE, T=10**400))),
+    # fits a float, but numpy refuses a table of that many floats
+    ("array_size_T", ALL_VERBS, config_with(schedule=dict(SCHEDULE,
+                                                          T=10**20))),
     ("huge_beta_T", ALL_VERBS, config_with(
         schedule=dict(SCHEDULE, beta_T=10**400))),
     ("list_config", ALL_VERBS, "[1]"),
@@ -670,6 +673,44 @@ class TestErrorBoundary:
         assert main(["sample", "--config", config,
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {name}: ")
+
+    @pytest.mark.parametrize("payload", [
+        b"{", b"[1]", b"\xff",
+        # more digits than Python converts to an integer
+        b'{"x": ' + b"1" * 5000 + b"}",
+        # deeper than the interpreter's recursion limit
+        b"[" * 100000],
+        ids=["malformed", "list", "not_utf8", "long_integer", "deep"])
+    @pytest.mark.parametrize("kind,verb,flags,config", [
+        pytest.param("config", "sample", [], None, id="config"),
+        pytest.param("mixture", "sample", [],
+                     config_with(data={"path": "mixture.json"}),
+                     id="mixture"),
+        pytest.param("sidecar", "evaluate", ["--samples", "sidecar"],
+                     config_with(), id="sidecar"),
+        pytest.param("regressor", "sample", [], trained("regressor"),
+                     id="regressor")])
+    def test_json_file_error_names_the_file(self, tmp_path, capsys,
+                                            monkeypatch, kind, verb, flags,
+                                            config, payload):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / f"{kind}.json").write_bytes(payload)
+        if config is not None:
+            write_json(tmp_path / "config.json", config)
+        assert main([verb, "--config", "config.json", *flags,
+                     "--out", "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind}.json: ")
+        assert err.count(f"{kind}.json") == 1 and err.count("\n") == 1
+
+    def test_sample_checks_out_before_sampling(self, sample_config,
+                                               monkeypatch):
+        calls = []
+        monkeypatch.setattr(fastdiff.cli, "run_sampler",
+                            lambda *args: calls.append(args))
+        monkeypatch.delenv("FASTDIFF_OUT", raising=False)
+        assert main(["sample", "--config", sample_config]) == 1
+        assert calls == []
 
     @pytest.mark.parametrize("verb", ("sample", "sweep"))
     def test_valid_regressor_files_load(self, tmp_path, monkeypatch, verb):

@@ -2,8 +2,8 @@
 `__all__` or kept on purpose with `# noqa: F401` on its import statement;
 a name kept that way is one that perfbench's call tracer patches, and every
 site the tracer patches exists; no library module imports another's
-underscore-prefixed names; and the library runs on numpy alone, with scipy
-left to the tests."""
+underscore-prefixed names; only `storage` reads input files; and the
+library runs on numpy alone, with scipy left to the tests."""
 
 import ast
 import importlib.util
@@ -95,6 +95,23 @@ def test_private_import_checker():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
+
+
+FILE_READERS = ("json.load", "np.fromfile", "os.path.getsize")
+
+
+def file_reads(source: str) -> list[str]:
+    """The name of each call in `source` of a FILE_READERS function."""
+    return sorted(ast.unparse(node.func)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) in FILE_READERS)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_storage_reads_input_files(path):
+    assert file_reads(path.read_text()) == (
+        sorted(FILE_READERS) if path.name == "storage.py" else [])
 
 
 def load_tracing() -> ModuleType:

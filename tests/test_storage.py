@@ -38,7 +38,7 @@ def test_truncated_binary_is_rejected(batch, tmp_path):
     save_samples(batch, prefix)
     raw = (tmp_path / "run.bin").read_bytes()
     (tmp_path / "run.bin").write_bytes(raw[:-8])
-    with pytest.raises(ValidationError, match="sidecar"):
+    with pytest.raises(ValidationError, match=r"run\.bin holds 312 bytes"):
         load_samples(prefix)
 
 
