@@ -7,10 +7,10 @@ Verbs:
     evaluate  score a stored batch against the configured data distribution
     sweep     run the full (kind x variant x S x sampler x seed) grid
 
-All verbs are driven by a JSON config (--config); `--preset` swaps in a
-built-in data distribution, `--seed` overrides the config seed(s) of
-`sample` and `sweep`, and `--out` (or the FASTDIFF_OUT environment
-variable) picks the output directory.
+All verbs are driven by a JSON config (--config). For `sample`,
+`evaluate` and `sweep`, `--preset` swaps in a built-in data distribution
+and `--out` (or the FASTDIFF_OUT environment variable) picks the output
+directory; `--seed` overrides the config seed(s) of `sample` and `sweep`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,11 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .errors import (ConstructionError, InsufficientDataError,
-                     ValidationError, checked, int_at_least, typed)
+                     NumericError, ValidationError, checked, int_at_least,
+                     typed)
 from .experiment import (ExperimentConfig, format_schedule_dump, hash_config,
                          inspect_schedule, load_mixture, load_run, run_section,
                          run_sweep, sampler_kappa, score_samples,
@@ -42,14 +45,14 @@ REPORT_COLUMNS = ("schedule_kind", "S", "sampler", "kappa", "seed", "frechet",
                   "inception_score", "accuracy")
 
 
-def _load_config(args) -> dict:
+def _load_config(path, preset=None) -> dict:
     """The --config JSON, with `data` replaced by --preset when given."""
-    if args.config is None:
+    if path is None:
         raise ValidationError("--config is required for this verb")
-    raw = read_json(args.config)
-    if args.preset is not None:
+    raw = read_json(path)
+    if preset is not None:
         data = typed("data", raw.setdefault("data", {}), dict)
-        data["preset"] = args.preset
+        data["preset"] = preset
         data.pop("path", None)
     return raw
 
@@ -64,7 +67,7 @@ def _resolve_out(args) -> str:
 
 
 def _cmd_inspect(args):
-    raw = _load_config(args)
+    raw = _load_config(args.config)
     run = run_section(raw, kind=args.kind, variant=args.variant,
                       S=args.num_steps)
     dump = inspect_schedule(raw.get("schedule"), run["kind"], run["variant"],
@@ -77,9 +80,16 @@ def _cmd_inspect(args):
 
 
 def _cmd_sample(args):
-    fast, model, config, sampler = load_run(_load_config(args), args.seed)
+    fast, model, config, sampler = load_run(
+        _load_config(args.config, args.preset), args.seed)
     out = _resolve_out(args)
-    batch = run_sampler(fast, model, config, sampler)
+    # numpy's overflow warnings stay off stderr: the sampler's own finiteness
+    # check names the reverse step where a chain overflows
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = run_sampler(fast, model, config, sampler)
+    except NumericError as err:
+        raise ValidationError(f"sampling failed: {err}") from err
     prefix = os.path.join(out, "samples")
     save_samples(batch, prefix)
     if config.dim <= CSV_DIM_LIMIT:
@@ -89,7 +99,7 @@ def _cmd_sample(args):
 
 
 def _cmd_evaluate(args):
-    raw = _load_config(args)
+    raw = _load_config(args.config, args.preset)
     if args.samples is None:
         raise ValidationError("evaluate needs --samples <prefix>")
     batch = load_samples(args.samples)
@@ -133,7 +143,7 @@ def _cmd_evaluate(args):
 
 
 def _cmd_sweep(args):
-    raw = _load_config(args)
+    raw = _load_config(args.config, args.preset)
     if args.seed is not None:
         raw["seeds"] = [args.seed]
     config = ExperimentConfig(raw)
@@ -152,8 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config path")
-    common.add_argument("--out", help=f"output directory (or ${ENV_OUT})")
-    common.add_argument("--preset", help="built-in data preset name")
+    output = argparse.ArgumentParser(add_help=False, parents=[common])
+    output.add_argument("--out", help=f"output directory (or ${ENV_OUT})")
+    output.add_argument("--preset", help="built-in data preset name")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, help="seed override")
 
@@ -166,16 +177,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="machine-readable output")
     p_inspect.set_defaults(func=_cmd_inspect)
 
-    p_sample = sub.add_parser("sample", parents=[common, seeded],
+    p_sample = sub.add_parser("sample", parents=[output, seeded],
                               help="generate and store a sample batch")
     p_sample.set_defaults(func=_cmd_sample)
 
-    p_eval = sub.add_parser("evaluate", parents=[common],
+    p_eval = sub.add_parser("evaluate", parents=[output],
                             help="score a stored sample batch")
     p_eval.add_argument("--samples", help="prefix of a stored batch")
     p_eval.set_defaults(func=_cmd_evaluate)
 
-    p_sweep = sub.add_parser("sweep", parents=[common, seeded],
+    p_sweep = sub.add_parser("sweep", parents=[output, seeded],
                              help="run the full experiment grid")
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser

@@ -227,7 +227,7 @@ def load_run(raw: dict, seed: int | None = None):
     schedule, level_map, mixture, model, final_step_noise = _load_shared(raw)
     sampler, kappa = sampler_kappa("run", run, "sampler")
     config = SamplerConfig(
-        dim=mixture.dim, batch=typed("run.batch", run["batch"], int),
+        dim=mixture.dim, batch=int_at_least("run.batch", run["batch"], 1),
         seed=int_at_least("run.seed", run["seed"], 0), kappa=kappa,
         final_step_noise=final_step_noise)
     fast = build_fast_schedule(schedule, level_map, run["kind"],

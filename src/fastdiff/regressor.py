@@ -12,7 +12,8 @@ with x_0 drawn from the data mixture, eps standard normal, and t uniform.
 Steps t are drawn continuously on (0, T], matching how the few-step
 samplers query the model.
 
-The output layer starts at zero, so the initial objective sits at
+Only the output layer's weights start at zero (hidden weights are standard
+normals over sqrt(fan_in), biases zero), so the initial objective sits at
 E||eps||^2 = d, a useful baseline for training tests.
 """
 
@@ -49,7 +50,8 @@ class TrainingParams:
 
 
 class ToyRegressor:
-    """Tanh MLP noise predictor over (x, t / time_scale)."""
+    """Tanh MLP noise predictor over (x, t / time_scale); `weights` and
+    `biases` are tuples of views into the one parameter vector `params`."""
 
     def __init__(self, dim: int, hidden: tuple, time_scale: float,
                  init_stream: np.random.Generator | None = None):
@@ -57,18 +59,28 @@ class ToyRegressor:
         self.hidden = tuple(int(h) for h in hidden)
         self.time_scale = float(time_scale)
         widths = [self.dim + 1, *self.hidden, self.dim]
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            if init_stream is None or fan_out == self.dim:
-                w = np.zeros((fan_in, fan_out))
-            else:
-                w = init_stream.standard_normal((fan_in, fan_out)) \
-                    / np.sqrt(fan_in)
-            self.weights.append(w)
-            self.biases.append(np.zeros(fan_out))
+        self._shapes = tuple(zip(widths[:-1], widths[1:]))
+        self.params = np.zeros(sum((fan_in + 1) * fan_out
+                                   for fan_in, fan_out in self._shapes))
+        self.weights, self.biases = self._layers(self.params)
+        if init_stream is not None:
+            for w in self.weights[:-1]:
+                w[...] = init_stream.standard_normal(w.shape) \
+                    / np.sqrt(w.shape[0])
         self.loss_trace: list[float] = []
         self.holdout_loss: float | None = None
+
+    def _layers(self, flat: np.ndarray):
+        """(weights, biases) as tuples of views into `flat`, laid out as the
+        .bin file: w_1, b_1, ..., w_L, b_L, each w_i fan_in x fan_out."""
+        weights, biases = [], []
+        offset = 0
+        for fan_in, fan_out in self._shapes:
+            end = offset + fan_in * fan_out
+            weights.append(flat[offset:end].reshape(fan_in, fan_out))
+            biases.append(flat[end:end + fan_out])
+            offset = end + fan_out
+        return tuple(weights), tuple(biases)
 
     # -- forward / backward --------------------------------------------------
 
@@ -94,29 +106,28 @@ class ToyRegressor:
         return out
 
     def _gradients(self, activations, grad_out):
-        """Reverse pass; grad_out is dLoss/d(output)."""
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+        """Reverse pass; grad_out is dLoss/d(output).  Returns the gradient
+        in the layout of `params`."""
+        grads = np.empty_like(self.params)
+        grads_w, grads_b = self._layers(grads)
         delta = grad_out
         for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i] = activations[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
+            grads_w[i][...] = activations[i].T @ delta
+            grads_b[i][...] = delta.sum(axis=0)
             if i > 0:
                 delta = (delta @ self.weights[i].T) \
                     * (1.0 - activations[i] ** 2)
-        return grads_w, grads_b
+        return grads
 
     # -- persistence ---------------------------------------------------------
 
     def save(self, prefix: str) -> None:
-        """Write <prefix>.bin (flat little-endian float64 parameters) and
+        """Write <prefix>.bin (`params` as little-endian float64) and
         <prefix>.json (architecture metadata)."""
-        flat = np.concatenate(
-            [a.ravel() for pair in zip(self.weights, self.biases) for a in pair])
-        flat.astype("<f8").tofile(f"{prefix}.bin")
+        self.params.astype("<f8").tofile(f"{prefix}.bin")
         meta = {"dim": self.dim, "hidden": list(self.hidden),
                 "time_scale": self.time_scale, "activation": "tanh",
-                "parameter_count": int(flat.size)}
+                "parameter_count": self.params.size}
         with open(f"{prefix}.json", "w") as fh:
             json.dump(meta, fh, indent=2)
 
@@ -135,19 +146,11 @@ class ToyRegressor:
             raise ValidationError(f"{name} time_scale must be positive and "
                                   f"finite, got {time_scale!r}")
         model = cls(dim, hidden, time_scale)
-        expected = sum(w.size + b.size
-                       for w, b in zip(model.weights, model.biases))
         checked(f"{name} parameter_count", typed(
             f"{name} parameter_count", meta.get("parameter_count"), int),
-            (expected,))
+            (model.params.size,))
         checked(f"{name} activation", meta.get("activation"), ("tanh",))
-        flat = read_floats(prefix, expected)
-        offset = 0
-        for i in range(len(model.weights)):
-            for attr, idx in ((model.weights, i), (model.biases, i)):
-                block = attr[idx]
-                attr[idx] = flat[offset:offset + block.size].reshape(block.shape)
-                offset += block.size
+        model.params[...] = read_floats(prefix, model.params.size)
         return model
 
 
@@ -187,8 +190,7 @@ def train_toy_regressor(gm: GaussianMixture, level_map: NoiseLevelMap,
         gm, level_map, holdout_stream, params.holdout_size)
     held_feats = model._features(held_x, held_t)
 
-    velocity_w = [np.zeros_like(w) for w in model.weights]
-    velocity_b = [np.zeros_like(b) for b in model.biases]
+    velocity = np.zeros_like(model.params)
     decay_at = int(_DECAY_AFTER_FRACTION * params.num_updates)
     lr = params.learning_rate
 
@@ -206,13 +208,10 @@ def train_toy_regressor(gm: GaussianMixture, level_map: NoiseLevelMap,
         if not np.isfinite(loss):
             raise TrainingError(f"loss diverged at update {update}",
                                 loss_trace=model.loss_trace)
-        grads_w, grads_b = model._gradients(
-            activations, 2.0 * residual / params.batch_size)
-        for i in range(len(model.weights)):
-            velocity_w[i] = _MOMENTUM * velocity_w[i] - lr * grads_w[i]
-            velocity_b[i] = _MOMENTUM * velocity_b[i] - lr * grads_b[i]
-            model.weights[i] = model.weights[i] + velocity_w[i]
-            model.biases[i] = model.biases[i] + velocity_b[i]
+        grads = model._gradients(activations,
+                                 2.0 * residual / params.batch_size)
+        velocity = _MOMENTUM * velocity - lr * grads
+        model.params += velocity
 
     held_out, _ = model._forward(held_feats)
     model.holdout_loss = float(np.mean(np.sum((held_out - held_eps)**2,

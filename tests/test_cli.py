@@ -95,6 +95,17 @@ class TestInspect:
         assert main(["inspect", "--config", config]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--out", "x"),
+                                            ("--preset", "bogus")])
+    def test_takes_no_out_or_preset(self, tmp_path, capsys, flag, value):
+        # inspect writes nothing and reads no data, so these are unknown
+        config = write_config(tmp_path, "ok.json", config_with())
+        with pytest.raises(SystemExit) as exit_info:
+            main(["inspect", "--config", config, flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" \
+            in capsys.readouterr().err
+
 
 class TestSample:
     def test_writes_batch_files(self, sample_config, tmp_path):
@@ -345,6 +356,12 @@ def config_with(run=(), sweep=(), **top):
 
 
 ALL_VERBS = ("sample", "inspect", "sweep")
+
+
+def out_flag(verb, tmp_path):
+    """--out for every verb but inspect, which writes nothing."""
+    return [] if verb == "inspect" else ["--out", str(tmp_path / "out")]
+
 # written next to each bad config; read through data.path
 BAD_MIXTURES = {
     "mixture.json": {"weights": [1.0], "means": "x",
@@ -389,6 +406,8 @@ BAD_REGRESSORS = {
     "zero_time_scale": (dict(REGRESSOR, time_scale=0), np.zeros(20)),
     # json.dumps writes it in full; float() of it overflows
     "huge_time_scale": (dict(REGRESSOR, time_scale=10**400), np.zeros(20)),
+    # finite, so it loads, but its predictions overflow
+    "huge_parameters": (REGRESSOR, np.full(20, 1e308)),
 }
 
 # a sidecar as `fastdiff sample` writes it, for 20 samples in 2-d
@@ -481,6 +500,7 @@ BAD_INPUTS = [
     ("number_data", ("sample", "sweep"), config_with(data=5)),
     ("list_schedule", ALL_VERBS, config_with(schedule=[1, 2])),
     ("string_batch", ("sample",), config_with(run={"batch": "x"})),
+    ("zero_batch", ("sample",), config_with(run={"batch": 0})),
     ("string_mixture_means", ("sample", "sweep"),
      config_with(data={"path": "mixture.json"})),
     ("mixture_without_covariances", ("sample", "sweep"),
@@ -565,6 +585,8 @@ BAD_INPUTS = [
      trained("zero_time_scale")),
     ("huge_regressor_time_scale", ("sample", "sweep"),
      trained("huge_time_scale")),
+    # a sweep marks the cell failed instead
+    ("overflowing_regressor", ("sample",), trained("huge_parameters")),
     ("ddpm_with_kappa", ("sample", "sweep"), config_with(
         run={"kappa": 0.5}, sweep={"samplers": [{"name": "ddpm",
                                                  "kappa": 0.5}]})),
@@ -589,7 +611,8 @@ BAD_INPUTS = [
 ]
 # (name, verbs, extra flags, config)
 BAD_FLAGS = [
-    ("preset_over_number_data", ALL_VERBS, ["--preset", "two_blob_2d"],
+    ("preset_over_number_data", ("sample", "sweep"),
+     ["--preset", "two_blob_2d"],
      config_with(data=5)),
     ("negative_seed_flag", ("sample", "sweep"), ["--seed", "-1"],
      config_with()),
@@ -631,7 +654,7 @@ class TestErrorBoundary:
     def test_base_config_is_valid(self, tmp_path, verb):
         config = write_config(tmp_path, "ok.json", config_with())
         assert main([verb, "--config", config,
-                     "--out", str(tmp_path / "out")]) == 0
+                     *out_flag(verb, tmp_path)]) == 0
 
     @pytest.mark.parametrize("verb", ("inspect", "evaluate"))
     def test_seed_flag_exit_2(self, tmp_path, capsys, verb):
@@ -639,7 +662,7 @@ class TestErrorBoundary:
         # moments), so the other verbs reject --seed like any unknown flag
         config = write_config(tmp_path, "ok.json", config_with())
         with pytest.raises(SystemExit) as exit_info:
-            main([verb, "--config", config, "--out", str(tmp_path / "out"),
+            main([verb, "--config", config, *out_flag(verb, tmp_path),
                   "--seed", "0"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
@@ -653,7 +676,7 @@ class TestErrorBoundary:
                                          verb, flags, payload):
         monkeypatch.chdir(tmp_path)
         write_input_files(tmp_path)
-        args = [verb, "--out", str(tmp_path / "out"), *flags]
+        args = [verb, *out_flag(verb, tmp_path), *flags]
         if payload is not None:
             args += ["--config", write_json(tmp_path / "bad.json", payload)]
         code = main(args)
@@ -720,6 +743,25 @@ class TestErrorBoundary:
         config = write_config(tmp_path, "trained.json", trained("ok"))
         assert main([verb, "--config", config,
                      "--out", str(tmp_path / "out")]) == 0
+
+    def test_overflowing_chain_names_its_step(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_input_files(tmp_path)
+        config = write_config(tmp_path, "bad.json",
+                              trained("huge_parameters"))
+        assert main(["sample", "--config", config, "--out", "out"]) == 1
+        # S = 5, so the first reverse step is step 5
+        assert capsys.readouterr().err == (
+            "error: sampling failed: non-finite state at reverse step 5\n")
+
+    def test_zero_batch_names_its_field(self, tmp_path, capsys):
+        config = write_config(tmp_path, "bad.json",
+                              config_with(run={"batch": 0}))
+        assert main(["sample", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            "error: run.batch must be >= 1, got 0\n"
 
     def test_valid_sidecar_evaluates(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

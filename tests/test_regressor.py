@@ -32,10 +32,27 @@ class TestArchitecture:
         model = train_toy_regressor(gm, level_map, params)
         assert model.loss_trace[0] == pytest.approx(gm.dim, rel=0.1)
 
+    def test_only_the_output_layer_starts_at_zero(self):
+        # a hidden layer as wide as the data is drawn like any other
+        model = ToyRegressor(2, (2, 5), 200.0, Generator(Philox(0)))
+        assert all(np.all(w != 0) for w in model.weights[:-1])
+        assert not model.weights[-1].any()
+        assert not any(b.any() for b in model.biases)
+
+    def test_layers_are_views_of_params(self):
+        model = ToyRegressor(3, (4, 5), 100.0, Generator(Philox(0)))
+        layers = model.weights + model.biases
+        assert all(np.shares_memory(model.params, layer) for layer in layers)
+        assert sum(layer.size for layer in layers) == model.params.size
+        with pytest.raises(TypeError):
+            model.weights[0] = np.zeros((4, 4))
+        with pytest.raises(TypeError):
+            model.biases[-1] = np.zeros(3)
+
     def test_gradients_match_finite_differences(self):
         model = ToyRegressor(2, (5,), 100.0, Generator(Philox(7)))
         # give the zero output layer some structure for the check
-        model.weights[-1] = Generator(Philox(8)).standard_normal(
+        model.weights[-1][...] = Generator(Philox(8)).standard_normal(
             model.weights[-1].shape) * 0.3
         rng = np.random.default_rng(9)
         feats = model._features(rng.normal(size=(4, 2)),
@@ -47,23 +64,19 @@ class TestArchitecture:
             return float(np.mean(np.sum((out - target) ** 2, axis=1)))
 
         out, acts = model._forward(feats)
-        grads_w, grads_b = model._gradients(acts, 2.0 * (out - target) / 4)
+        grads = model._gradients(acts, 2.0 * (out - target) / 4)
+        assert grads.shape == model.params.shape
         h = 1e-6
-        for layer in range(len(model.weights)):
-            for arr, grad in ((model.weights[layer], grads_w[layer]),
-                              (model.biases[layer], grads_b[layer])):
-                flat = arr.ravel()
-                idx = rng.integers(0, flat.size, size=min(6, flat.size))
-                for i in idx:
-                    keep = flat[i]
-                    flat[i] = keep + h
-                    up = loss()
-                    flat[i] = keep - h
-                    down = loss()
-                    flat[i] = keep
-                    fd = (up - down) / (2 * h)
-                    assert grad.ravel()[i] == pytest.approx(fd, rel=1e-4,
-                                                            abs=1e-8)
+        # every parameter, through the vector that the layers view
+        for i in range(model.params.size):
+            keep = model.params[i]
+            model.params[i] = keep + h
+            up = loss()
+            model.params[i] = keep - h
+            down = loss()
+            model.params[i] = keep
+            fd = (up - down) / (2 * h)
+            assert grads[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 class TestTraining:
@@ -119,6 +132,27 @@ class TestTraining:
         (tmp_path / "regressor.bin").write_bytes(b"\x00" * 64)
         with pytest.raises(ValueError):
             ToyRegressor.load(prefix)
+
+    def test_bin_file_is_each_layer_then_its_bias(self, tmp_path):
+        model = ToyRegressor(2, (3, 4), 50.0)
+        model.params[...] = np.arange(1, model.params.size + 1) / 7.0
+        prefix = str(tmp_path / "regressor")
+        model.save(prefix)
+        stored = (tmp_path / "regressor.bin").read_bytes()
+        expected = np.concatenate([
+            a.ravel() for w, b in zip(model.weights, model.biases)
+            for a in (w, b)])
+        assert expected.size == len(set(expected.tolist()))
+        assert stored == expected.astype("<f8").tobytes()
+        # w_1 is 3 x 3 (two data dimensions and t), then b_1, w_2 3 x 4, ...
+        assert [w.shape for w in model.weights] == [(3, 3), (3, 4), (4, 2)]
+        assert np.frombuffer(stored, "<f8")[9:12].tolist() \
+            == model.biases[0].tolist()
+        again = ToyRegressor.load(prefix)
+        again.save(str(tmp_path / "again"))
+        assert (tmp_path / "again.bin").read_bytes() == stored
+        assert (tmp_path / "again.json").read_bytes() \
+            == (tmp_path / "regressor.json").read_bytes()
 
     def test_degenerate_mixture_learns_analytic_target(self, blob_and_map):
         # near-point-mass data: the trained predictor should approach the
