@@ -20,8 +20,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .errors import (ConstructionError, InsufficientDataError,
                      NumericError, ValidationError, checked, int_at_least,
                      typed)
@@ -83,11 +81,8 @@ def _cmd_sample(args):
     fast, model, config, sampler = load_run(
         _load_config(args.config, args.preset), args.seed)
     out = _resolve_out(args)
-    # numpy's overflow warnings stay off stderr: the sampler's own finiteness
-    # check names the reverse step where a chain overflows
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            batch = run_sampler(fast, model, config, sampler)
+        batch = run_sampler(fast, model, config, sampler)
     except NumericError as err:
         raise ValidationError(f"sampling failed: {err}") from err
     prefix = os.path.join(out, "samples")

@@ -91,18 +91,25 @@ class ExperimentConfig:
         self.samples_per_cell = int_at_least(
             "samples_per_cell", raw.get("samples_per_cell", 2000),
             self.mixture.dim + 1)
-        self.conditional = typed("conditional",
-                                 raw.get("conditional", False), bool)
-        if self.conditional and self.mixture.labels is None:
-            raise ValidationError("conditional sweep needs a labelled mixture")
-        if self.conditional and not isinstance(self.model,
-                                               AnalyticEpsilonModel):
-            raise ValidationError(
-                "conditional sweep supports the analytic model only")
-        if self.conditional and \
-                self.samples_per_cell < self.mixture.class_labels().size:
-            raise ValidationError("conditional sweep needs samples_per_cell "
-                                  ">= the number of classes")
+        # The sampler runs of every cell, each (model, batch, class index):
+        # a conditional cell runs class j's oracle on a round-robin share.
+        self.runs = [(self.model, self.samples_per_cell, None)]
+        if typed("conditional", raw.get("conditional", False), bool):
+            if self.mixture.labels is None:
+                raise ValidationError(
+                    "conditional sweep needs a labelled mixture")
+            if not isinstance(self.model, AnalyticEpsilonModel):
+                raise ValidationError(
+                    "conditional sweep supports the analytic model only")
+            classes = self.mixture.class_labels()
+            if self.samples_per_cell < classes.size:
+                raise ValidationError("conditional sweep needs samples_per_"
+                                      "cell >= the number of classes")
+            share, extra = divmod(self.samples_per_cell, classes.size)
+            self.runs = [
+                (AnalyticEpsilonModel(self.mixture.restrict(int(label)),
+                                      self.level_map), share + (j < extra), j)
+                for j, label in enumerate(classes)]
 
     @staticmethod
     def _listed(sweep, key, allowed):
@@ -235,29 +242,21 @@ def load_run(raw: dict, seed: int | None = None):
     return fast, model, config, sampler
 
 
-def _generate(config, model, fast, sampler, kappa, batch, seed):
-    sampler_config = SamplerConfig(
-        dim=config.mixture.dim, batch=batch, seed=seed, kappa=kappa,
-        final_step_noise=config.final_step_noise)
-    return run_sampler(fast, model, sampler_config, sampler)
-
-
-def _conditional_generate(config, fast, sampler, kappa, seed):
-    """Round-robin class-conditional generation via per-class restricted
-    mixtures; returns (samples, specified label indices)."""
-    classes = config.mixture.class_labels()
-    per_class = np.full(classes.size, config.samples_per_cell // classes.size)
-    per_class[:config.samples_per_cell % classes.size] += 1
-    chunks, labels, provenance = [], [], None
-    for j, label in enumerate(classes):
-        model = AnalyticEpsilonModel(config.mixture.restrict(int(label)),
-                                     config.level_map)
-        batch = _generate(config, model, fast, sampler, kappa,
-                          int(per_class[j]), _class_seed(seed, j))
-        chunks.append(batch.samples)
-        labels.append(np.full(int(per_class[j]), j))
-        provenance = batch.provenance
-    return np.concatenate(chunks), np.concatenate(labels), provenance
+def _generate(config, fast, sampler, kappa, seed):
+    """A cell's (samples, class index of each or None, provenance): each of
+    `config.runs`, keyed by the cell's seed or by (seed, j) for class j."""
+    chunks, labels = [], []
+    for model, batch, j in config.runs:
+        result = run_sampler(fast, model, SamplerConfig(
+            dim=config.mixture.dim, batch=batch,
+            seed=seed if j is None else _class_seed(seed, j), kappa=kappa,
+            final_step_noise=config.final_step_noise), sampler)
+        chunks.append(result.samples)
+        if j is not None:
+            labels.append(np.full(batch, j))
+    # an unconditional cell's one batch is not copied
+    return (chunks[0] if len(chunks) == 1 else np.concatenate(chunks),
+            np.concatenate(labels) if labels else None, result.provenance)
 
 
 def score_samples(mixture: GaussianMixture, samples: np.ndarray,
@@ -299,14 +298,8 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
         try:
             fast = build_fast_schedule(config.schedule, config.level_map,
                                        kind, variant, s)
-            if config.conditional:
-                samples, label_idx, provenance = _conditional_generate(
-                    config, fast, sampler, kappa, seed)
-            else:
-                batch = _generate(config, config.model, fast, sampler, kappa,
-                                  config.samples_per_cell, seed)
-                samples, label_idx, provenance = batch.samples, None, \
-                    batch.provenance
+            samples, label_idx, provenance = _generate(config, fast, sampler,
+                                                       kappa, seed)
             row["model_calls_per_chain"] = provenance["model_calls_per_chain"]
             row["normals_per_chain"] = provenance["normals_per_chain"]
             row.update(score_samples(config.mixture, samples, label_idx))

@@ -49,6 +49,13 @@ class TrainingParams:
     seed: int = 0
 
 
+def _layer_shapes(dim: int, hidden) -> tuple[tuple, int]:
+    """(fan_in, fan_out) of each layer, t an input, and the parameter count."""
+    widths = [dim + 1, *hidden, dim]
+    shapes = tuple(zip(widths[:-1], widths[1:]))
+    return shapes, sum((fan_in + 1) * fan_out for fan_in, fan_out in shapes)
+
+
 class ToyRegressor:
     """Tanh MLP noise predictor over (x, t / time_scale); `weights` and
     `biases` are tuples of views into the one parameter vector `params`."""
@@ -58,10 +65,8 @@ class ToyRegressor:
         self.dim = int(dim)
         self.hidden = tuple(int(h) for h in hidden)
         self.time_scale = float(time_scale)
-        widths = [self.dim + 1, *self.hidden, self.dim]
-        self._shapes = tuple(zip(widths[:-1], widths[1:]))
-        self.params = np.zeros(sum((fan_in + 1) * fan_out
-                                   for fan_in, fan_out in self._shapes))
+        self._shapes, count = _layer_shapes(self.dim, self.hidden)
+        self.params = np.zeros(count)
         self.weights, self.biases = self._layers(self.params)
         if init_stream is not None:
             for w in self.weights[:-1]:
@@ -133,8 +138,8 @@ class ToyRegressor:
 
     @classmethod
     def load(cls, prefix: str) -> "ToyRegressor":
-        """Read a regressor written by `save`; raises `ValidationError` when
-        the metadata or the parameter file does not describe one."""
+        """Read a regressor written by `save`; raises `ValidationError`,
+        before allocating, when its metadata or .bin do not describe one."""
         name = f"{prefix}.json"
         meta = read_json(name)
         dim = int_at_least(f"{name} dim", meta.get("dim"), 1)
@@ -145,12 +150,14 @@ class ToyRegressor:
         if not 0.0 < time_scale < math.inf:
             raise ValidationError(f"{name} time_scale must be positive and "
                                   f"finite, got {time_scale!r}")
-        model = cls(dim, hidden, time_scale)
+        _, count = _layer_shapes(dim, hidden)
         checked(f"{name} parameter_count", typed(
             f"{name} parameter_count", meta.get("parameter_count"), int),
-            (model.params.size,))
+            (count,))
         checked(f"{name} activation", meta.get("activation"), ("tanh",))
-        model.params[...] = read_floats(prefix, model.params.size)
+        values = read_floats(prefix, count)
+        model = cls(dim, hidden, time_scale)
+        model.params[...] = values
         return model
 
 

@@ -32,6 +32,9 @@ last bits differently from the same row inside a larger batch (seen for
 mixtures whose covariances are not multiples of the identity), and a
 single-chain run can then end slightly apart from the same chain run in a
 larger batch.
+
+An overflowing chain warns nothing: the driver raises a `NumericError` that
+names the first reverse step with a non-finite state, for every caller.
 """
 
 from __future__ import annotations
@@ -170,17 +173,18 @@ def _reverse_chain(fast, model, config, initial, sampler):
     # the bits are those of the expression; eps_hat (the model's, possibly
     # reused or read-only) is only read.
     scratch = np.empty_like(x)
-    for k, i in enumerate(range(num_steps - 1, -1, -1)):
-        eps_hat = model.predict(x, float(fast.cont_steps[i]))
-        np.multiply(b[i], eps_hat, out=scratch)
-        np.subtract(x, scratch, out=x)
-        np.divide(x, d[i], out=x)
-        if k < noisy_steps:
-            np.multiply(c[i], noise[:, k, :], out=scratch)
-            np.add(x, scratch, out=x)
-        _check_finite(x, i + 1)
-        if trace is not None:
-            trace.append(x.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, i in enumerate(range(num_steps - 1, -1, -1)):
+            eps_hat = model.predict(x, float(fast.cont_steps[i]))
+            np.multiply(b[i], eps_hat, out=scratch)
+            np.subtract(x, scratch, out=x)
+            np.divide(x, d[i], out=x)
+            if k < noisy_steps:
+                np.multiply(c[i], noise[:, k, :], out=scratch)
+                np.add(x, scratch, out=x)
+            _check_finite(x, i + 1)
+            if trace is not None:
+                trace.append(x.copy())
 
     provenance = {"sampler": sampler}
     if kappa is not None:

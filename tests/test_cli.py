@@ -408,6 +408,12 @@ BAD_REGRESSORS = {
     "huge_time_scale": (dict(REGRESSOR, time_scale=10**400), np.zeros(20)),
     # finite, so it loads, but its predictions overflow
     "huge_parameters": (REGRESSOR, np.full(20, 1e308)),
+    # a width whose parameters no machine could allocate: the count is
+    # checked first, and then the size of the .bin file
+    "huge_width_count": (dict(REGRESSOR, hidden=[10**15]), np.zeros(20)),
+    "huge_width_bin": (dict(REGRESSOR, hidden=[10**15],
+                            parameter_count=3 * 10**15 + 10**15
+                            + 2 * 10**15 + 2), np.zeros(20)),
 }
 
 # a sidecar as `fastdiff sample` writes it, for 20 samples in 2-d
@@ -585,6 +591,10 @@ BAD_INPUTS = [
      trained("zero_time_scale")),
     ("huge_regressor_time_scale", ("sample", "sweep"),
      trained("huge_time_scale")),
+    ("regressor_count_off_huge_width", ("sample", "sweep"),
+     trained("huge_width_count")),
+    ("regressor_bin_short_of_huge_width", ("sample", "sweep"),
+     trained("huge_width_bin")),
     # a sweep marks the cell failed instead
     ("overflowing_regressor", ("sample",), trained("huge_parameters")),
     ("ddpm_with_kappa", ("sample", "sweep"), config_with(
@@ -754,6 +764,20 @@ class TestErrorBoundary:
         # S = 5, so the first reverse step is step 5
         assert capsys.readouterr().err == (
             "error: sampling failed: non-finite state at reverse step 5\n")
+
+    def test_overflowing_sweep_fails_each_cell(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_input_files(tmp_path)
+        config = write_config(tmp_path, "bad.json", trained("huge_parameters"))
+        assert main(["sweep", "--config", config, "--out", "out"]) == 2
+        assert capsys.readouterr().err == ""
+        rows = json.loads((tmp_path / "out" / "results.json").read_text())[
+            "rows"]
+        # each chain overflows at its first reverse step, step S
+        assert rows and [(row["status"], row["error"]) for row in rows] == [
+            ("failed", f"NumericError: non-finite state at reverse step "
+                       f"{row['S']}") for row in rows]
 
     def test_zero_batch_names_its_field(self, tmp_path, capsys):
         config = write_config(tmp_path, "bad.json",

@@ -93,6 +93,16 @@ class TestVarSchedules:
         with pytest.raises(ConstructionError):
             build_var_schedule(schedule, level_map, 200, "linear")
 
+    @pytest.mark.parametrize("schedule,num_steps,variant,match", [
+        # S = 1 needs eta_1 = 1 - alpha_bar(T), above the cap
+        (VarianceSchedule(1e-4, 0.05, 1000), 1, "linear", "too short"),
+        (VarianceSchedule(1e-4, 0.02, 200), 5, "cubic", "unknown variant")])
+    def test_rejects_unbuildable_ramp(self, schedule, num_steps, variant,
+                                      match):
+        with pytest.raises(ConstructionError, match=match):
+            build_var_schedule(schedule, NoiseLevelMap(schedule), num_steps,
+                               variant)
+
     def test_deterministic_bitwise(self, sched_200, map_200):
         a = build_var_schedule(sched_200, map_200, 7, "quadratic")
         b = build_var_schedule(sched_200, map_200, 7, "quadratic")
@@ -176,6 +186,16 @@ class TestSerialization:
         # none to report
         with pytest.raises(ConstructionError, match="taus"):
             FastSchedule(kind, [0.1, 0.2], [3.0, 7.0], taus)
+
+    @pytest.mark.parametrize("etas,cont_steps,match", [
+        ([], [], "non-empty 1-D"),
+        ([[0.1, 0.2]], [[3.0, 7.0]], "non-empty 1-D"),
+        ([0.1, 0.2], [3.0], "align"),
+        ([0.1, 0.2], [7.0, 3.0], "strictly increasing"),
+        ([0.1, 0.2], [3.0, 3.0], "strictly increasing")])
+    def test_rejects_malformed_arrays(self, etas, cont_steps, match):
+        with pytest.raises(ConstructionError, match=match):
+            FastSchedule("var_linear", etas, cont_steps)
 
 
 # Any beta_T <= 0.05 keeps the Gamma extension's domain beyond T.

@@ -2,8 +2,9 @@
 `__all__` or kept on purpose with `# noqa: F401` on its import statement;
 a name kept that way is one that perfbench's call tracer patches, and every
 site the tracer patches exists; no library module imports another's
-underscore-prefixed names; only `storage` reads input files; and the
-library runs on numpy alone, with scipy left to the tests."""
+underscore-prefixed names; only `storage` reads input files; only the
+reverse driver and the training loop silence numpy's overflow warnings;
+and the library runs on numpy alone, with scipy left to the tests."""
 
 import ast
 import importlib.util
@@ -112,6 +113,39 @@ def file_reads(source: str) -> list[str]:
 def test_only_storage_reads_input_files(path):
     assert file_reads(path.read_text()) == (
         sorted(FILE_READERS) if path.name == "storage.py" else [])
+
+
+def overflow_silencers(source: str) -> int:
+    """The number of `errstate` calls in `source` with `over="ignore"`."""
+    return sum(ast.unparse(node.func).split(".")[-1] == "errstate"
+               and any(keyword.arg == "over"
+                       and ast.unparse(keyword.value) == "'ignore'"
+                       for keyword in node.keywords)
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Call))
+
+
+def test_overflow_silencer_checker():
+    source = ("import numpy as np\n"
+              "from numpy import errstate\n"
+              "with np.errstate(over='ignore', invalid='ignore'):\n"
+              "    pass\n"
+              "with np.errstate(over='raise'), errstate(invalid='ignore'):\n"
+              "    pass\n"
+              "with errstate(divide='ignore', over=\"ignore\"):\n"
+              "    pass\n")
+    assert overflow_silencers(source) == 2
+
+
+# A chain's overflow is the driver's to report (a NumericError naming the
+# step); training checks its own loss.
+OVERFLOW_SILENCED_IN = ("samplers.py", "regressor.py")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_driver_and_training_silence_overflow(path):
+    assert overflow_silencers(path.read_text()) == (
+        path.name in OVERFLOW_SILENCED_IN)
 
 
 def load_tracing() -> ModuleType:

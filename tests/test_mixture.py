@@ -103,6 +103,17 @@ class TestConstruction:
             GaussianMixture([1.0], [[0.0, 0.0]],
                             [np.array([[1.0, 2.0], [2.0, 1.0]])])
 
+    @pytest.mark.parametrize("weights,means,covariances,labels,match", [
+        ([1.0], [[0.0], [1.0]], [np.eye(1)] * 2, None, "shapes disagree"),
+        ([0.5, 0.5], [[0.0], [1.0]], [np.eye(2)] * 2, None,
+         "shapes disagree"),
+        ([0.5, 0.5], [[0.0], [1.0]], [np.eye(1)] * 2, [0],
+         "one class per component")])
+    def test_array_shape_validation(self, weights, means, covariances,
+                                    labels, match):
+        with pytest.raises(ConstructionError, match=match):
+            GaussianMixture(weights, means, covariances, labels)
+
     def test_non_positive_definite_component_is_named(self):
         with pytest.raises(ConstructionError,
                            match="covariance 1 is not positive definite"):

@@ -4,7 +4,8 @@ from numpy.random import Generator, Philox
 
 from fastdiff import (GaussianMixture, NoiseLevelMap, ToyRegressor,
                       TrainingError, TrainingParams, VarianceSchedule,
-                      train_toy_regressor)
+                      denoising_objective, train_toy_regressor)
+from fastdiff.regressor import _denoising_batch
 
 QUICK = TrainingParams(hidden=(24, 24), num_updates=400, batch_size=128,
                        holdout_size=512, seed=3)
@@ -31,6 +32,18 @@ class TestArchitecture:
                                 seed=1)
         model = train_toy_regressor(gm, level_map, params)
         assert model.loss_trace[0] == pytest.approx(gm.dim, rel=0.1)
+
+    def test_objective_of_zero_output_is_mean_noise_energy(self,
+                                                           blob_and_map):
+        # an untrained regressor predicts zero, so its objective is the mean
+        # ||eps||^2 of the same draws
+        gm, level_map = blob_and_map
+        model = ToyRegressor(2, (16,), 200.0, Generator(Philox(0)))
+        objective = denoising_objective(model, gm, level_map,
+                                        Generator(Philox(5)), n=256)
+        _, _, eps = _denoising_batch(gm, level_map, Generator(Philox(5)), 256)
+        assert objective == pytest.approx(np.mean(np.sum(eps**2, axis=1)),
+                                          rel=1e-12)
 
     def test_only_the_output_layer_starts_at_zero(self):
         # a hidden layer as wide as the data is drawn like any other

@@ -30,6 +30,13 @@ class ExplodingModel:
         return np.full_like(x, np.inf)
 
 
+class OverflowingModel:
+    """Finite predictions whose update overflows."""
+
+    def predict(self, x, t):
+        return np.full_like(x, 1e308)
+
+
 @pytest.fixture(scope="module")
 def oracle_200(sched_200):
     level_map = NoiseLevelMap(sched_200)
@@ -120,6 +127,15 @@ class TestFullReverse:
         with pytest.raises(NumericError) as err:
             ddpm_reverse(sched_200, ExplodingModel(), config)
         assert err.value.step == sched_200.num_steps
+
+    def test_overflow_is_a_numeric_error_not_a_warning(self, sched_200):
+        fast = build_step_schedule(sched_200, 10, "linear")
+        config = SamplerConfig(dim=2, batch=2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as err:
+                fast_ddpm_reverse(fast, OverflowingModel(), config)
+        assert err.value.step == 7
 
     def test_call_count(self, sched_200, oracle_200):
         model, _ = oracle_200
