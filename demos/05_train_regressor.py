@@ -25,7 +25,7 @@ mixture = GaussianMixture([0.5, 0.5], [[-1.5, 0.0], [1.5, 0.0]],
 
 params = TrainingParams(hidden=(64, 64), num_updates=8000, seed=7)
 print(f"training: hidden={params.hidden}, {params.num_updates} updates, "
-      f"batch {params.batch_size}, lr {params.learning_rate}")
+      f"batch {params.batch_size}")
 model = train_toy_regressor(mixture, level_map, params)
 
 trace = model.loss_trace

@@ -25,8 +25,7 @@ from .errors import (ConstructionError, InsufficientDataError,
                      typed)
 from .experiment import (ExperimentConfig, format_schedule_dump, hash_config,
                          inspect_schedule, load_mixture, load_run, run_section,
-                         run_sweep, sampler_kappa, score_samples,
-                         write_rows_csv, CSV_SCHEMA_VERSION)
+                         run_sweep, sampler_kappa, score_samples)
 from .fast_schedule import KINDS
 # The scorers stay importable for perfbench's call tracer.
 from .metrics import frechet_distance, inception_score  # noqa: F401
@@ -35,8 +34,8 @@ from .samplers import run_sampler
 # The three reverse samplers stay importable for perfbench's call tracer.
 from .samplers import (ddpm_reverse, fast_ddim_reverse,  # noqa: F401
                        fast_ddpm_reverse)
-from .storage import (CSV_DIM_LIMIT, load_samples, read_json, samples_to_csv,
-                      save_samples)
+from .storage import (CSV_DIM_LIMIT, CSV_SCHEMA_VERSION, load_samples,
+                      read_json, samples_to_csv, save_samples, write_report)
 
 ENV_OUT = "FASTDIFF_OUT"
 REPORT_COLUMNS = ("schedule_kind", "S", "sampler", "kappa", "seed", "frechet",
@@ -104,7 +103,7 @@ def _cmd_evaluate(args):
         raise ValidationError(
             f"{args.samples} holds {dim}-d samples, the data distribution "
             f"is {mixture.dim}-d")
-    # The provenance fields go into report.csv unquoted, so each must be a
+    # The provenance fields are reported as they stand, so each must be a
     # value that `fastdiff sample` can have written.
     provenance = batch.provenance
     where = f"{args.samples}.json provenance"
@@ -124,14 +123,10 @@ def _cmd_evaluate(args):
         raise ValidationError(
             f"{args.samples} cannot be scored: {err}") from err
     frechet, score = scores["frechet"], scores["inception_score"]
-    out = _resolve_out(args)
-    config_hash = hash_config(raw)
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump({"schema": CSV_SCHEMA_VERSION, "config_hash": config_hash,
-                   **scores, "num_generated": num, "config": run}, fh,
-                  indent=2)
-    write_rows_csv([{**run, **scores}], os.path.join(out, "report.csv"),
-                   REPORT_COLUMNS, "fastdiff-evaluate", config_hash)
+    write_report(os.path.join(_resolve_out(args), "report"),
+                 "fastdiff-evaluate", hash_config(raw), REPORT_COLUMNS,
+                 [{**run, **scores}],
+                 {**scores, "num_generated": num, "config": run})
     print(f"frechet={frechet:.6f}"
           + (f" inception_score={score:.4f}" if score is not None else ""))
     return 0
@@ -193,7 +188,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None:
             int_at_least("--seed", args.seed, 0)
         return args.func(args)
-    except (ValidationError, ConstructionError, OSError) as err:
+    except (ValidationError, ConstructionError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -40,8 +40,8 @@ from .samplers import (FINAL_STEP_LITERAL, FINAL_STEP_ZERO, SamplerConfig,
 # fast_ddpm_reverse and fast_ddim_reverse stay for perfbench's call tracer.
 from .samplers import fast_ddim_reverse, fast_ddpm_reverse  # noqa: F401
 from .schedule import NoiseLevelMap, VarianceSchedule
+from .storage import write_json, write_report
 
-CSV_SCHEMA_VERSION = 3
 CSV_COLUMNS = ("seed", "kind", "variant", "S", "sampler", "kappa", "frechet",
                "inception_score", "accuracy", "model_calls_per_chain",
                "normals_per_chain", "status", "error")
@@ -311,32 +311,10 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        write_rows_csv(rows, os.path.join(out_dir, "results.csv"),
-                       CSV_COLUMNS, "fastdiff-sweep", config.config_hash())
-        with open(os.path.join(out_dir, "results.json"), "w") as fh:
-            json.dump({"schema": CSV_SCHEMA_VERSION,
-                       "config_hash": config.config_hash(),
-                       "rows": rows}, fh, indent=2)
-        with open(os.path.join(out_dir, "timings.json"), "w") as fh:
-            json.dump(timings, fh, indent=2)
+        write_report(os.path.join(out_dir, "results"), "fastdiff-sweep",
+                     config.config_hash(), CSV_COLUMNS, rows, {"rows": rows})
+        write_json(os.path.join(out_dir, "timings.json"), timings)
     return rows
-
-
-def csv_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_rows_csv(rows, path, columns, tag: str, config_hash: str) -> None:
-    """`columns` of `rows` under a `# <tag> schema=... config=...` line."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {tag} schema={CSV_SCHEMA_VERSION} config={config_hash}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(csv_value(row[c]) for c in columns) + "\n")
 
 
 def inspect_schedule(descriptor: dict, kind: str, variant: str,

@@ -54,19 +54,20 @@ class FastSchedule:
         etas = np.asarray(etas, dtype=float)
         if etas.ndim != 1 or etas.size < 1:
             raise ConstructionError("etas must be a non-empty 1-D array")
-        if np.any(etas <= 0.0) or np.any(etas >= 1.0):
-            raise ConstructionError("every eta must lie in (0, 1)")
+        self.gammas = 1.0 - etas
+        # an eta below float resolution leaves gamma at 1 and the step void
+        if np.any(self.gammas <= 0.0) or np.any(self.gammas >= 1.0):
+            raise ConstructionError("every gamma = 1 - eta must lie in (0, 1)")
         self.kind = kind
         if (taus is None) == self.is_step_kind:
             raise ConstructionError(f"kind {kind!r} disagrees with taus")
         self.num_steps = int(etas.size)
         self.etas = etas
-        self.gammas = 1.0 - etas
         self.gamma_bars = np.cumprod(self.gammas)
         self.noise_levels = np.sqrt(self.gamma_bars)
-        prev = np.concatenate([[1.0], self.gamma_bars[:-1]])
-        self.eta_tildes = (1.0 - prev) / (1.0 - self.gamma_bars) * etas
-        self.eta_tildes[0] = etas[0]
+        self.eta_tildes = etas.copy()
+        self.eta_tildes[1:] = ((1.0 - self.gamma_bars[:-1])
+                               / (1.0 - self.gamma_bars[1:]) * etas[1:])
         self.cont_steps = np.asarray(cont_steps, dtype=float)
         if self.cont_steps.shape != etas.shape:
             raise ConstructionError("cont_steps must align with etas")

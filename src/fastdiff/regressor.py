@@ -19,7 +19,6 @@ E||eps||^2 = d, a useful baseline for training tests.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,8 +29,9 @@ from .errors import (NUMBER, TrainingError, ValidationError, checked,
 from .mixture import GaussianMixture
 from .rng import chain_streams
 from .schedule import NoiseLevelMap
-from .storage import read_floats, read_json
+from .storage import read_floats, read_json, write_floats, write_json
 
+_LEARNING_RATE = 3e-3
 _MOMENTUM = 0.9
 # The learning rate is multiplied by _DECAY once, after this fraction of
 # the updates.
@@ -42,7 +42,6 @@ _DECAY_AFTER_FRACTION = 0.75
 @dataclass(frozen=True)
 class TrainingParams:
     hidden: tuple = (96, 96)
-    learning_rate: float = 3e-3
     batch_size: int = 256
     num_updates: int = 40000
     holdout_size: int = 4096
@@ -129,12 +128,11 @@ class ToyRegressor:
     def save(self, prefix: str) -> None:
         """Write <prefix>.bin (`params` as little-endian float64) and
         <prefix>.json (architecture metadata)."""
-        self.params.astype("<f8").tofile(f"{prefix}.bin")
-        meta = {"dim": self.dim, "hidden": list(self.hidden),
-                "time_scale": self.time_scale, "activation": "tanh",
-                "parameter_count": self.params.size}
-        with open(f"{prefix}.json", "w") as fh:
-            json.dump(meta, fh, indent=2)
+        write_floats(prefix, self.params)
+        write_json(f"{prefix}.json", {
+            "dim": self.dim, "hidden": list(self.hidden),
+            "time_scale": self.time_scale, "activation": "tanh",
+            "parameter_count": self.params.size})
 
     @classmethod
     def load(cls, prefix: str) -> "ToyRegressor":
@@ -199,7 +197,7 @@ def train_toy_regressor(gm: GaussianMixture, level_map: NoiseLevelMap,
 
     velocity = np.zeros_like(model.params)
     decay_at = int(_DECAY_AFTER_FRACTION * params.num_updates)
-    lr = params.learning_rate
+    lr = _LEARNING_RATE
 
     for update in range(params.num_updates):
         if update == decay_at:

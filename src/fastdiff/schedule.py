@@ -6,7 +6,8 @@ conventions:
 
     alpha_t     = 1 - beta_t
     alpha_bar_t = prod_{i<=t} alpha_i
-    beta_tilde_t = (1 - alpha_bar_{t-1}) / (1 - alpha_bar_t) * beta_t
+
+and `FastSchedule.full` holds the per-step tables alpha_t and beta_tilde_t.
 
 Because the schedule is linear, the product alpha_bar_t has a closed form in
 terms of Gamma functions,
@@ -72,17 +73,12 @@ class VarianceSchedule:
             )
 
         self.betas = np.linspace(self.beta_start, self.beta_end, self.num_steps)
-        self.alphas = 1.0 - self.betas
-        self.alpha_bars = np.cumprod(self.alphas)
-        prev = np.concatenate([[1.0], self.alpha_bars[:-1]])
-        self.beta_tildes = (1.0 - prev) / (1.0 - self.alpha_bars) * self.betas
-        self.beta_tildes[0] = self.betas[0]
+        self.alpha_bars = np.cumprod(1.0 - self.betas)
         # sqrt(alpha_bar) with a leading 1.0 for step 0; the inversion
         # starts each level at the first entry at or below it.
         self.sqrt_alpha_bars = np.concatenate([[1.0], np.sqrt(self.alpha_bars)])
 
-        for a in (self.betas, self.alphas, self.alpha_bars, self.beta_tildes,
-                  self.sqrt_alpha_bars):
+        for a in (self.betas, self.alpha_bars, self.sqrt_alpha_bars):
             a.flags.writeable = False
 
     def alpha_bar(self, t: int) -> float:

@@ -1,16 +1,19 @@
-"""On-disk formats for sample batches, and the readers of every input file.
+"""The on-disk formats: this module owns every read and write of a file.
 
 A batch is stored as a flat binary dump of little-endian 64-bit floats in
 row-major order (<prefix>.bin) next to a JSON sidecar (<prefix>.json) that
 carries the array shape and the sampler provenance.  Small-dimensional
-batches can additionally be written as CSV for plotting.
+batches can additionally be written as CSV for plotting.  A report is a
+<name>.csv / <name>.json pair stamped with the schema and config hash.
 
 Every input file is read by `read_json` (a JSON object) or `read_floats`
-(a float64 dump), whose `ValidationError`s name the file.
+(a float64 dump), whose `ValidationError`s name the file, and written by
+`write_json`, `write_floats` or `write_report`.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 
@@ -19,17 +22,43 @@ import numpy as np
 from .errors import ValidationError, checked, int_at_least, typed
 from .samplers import SampleBatch
 
+CSV_SCHEMA_VERSION = 3
 CSV_DIM_LIMIT = 16
 _CSV_BLOCK_ROWS = 128
 
 
+def write_json(path, payload) -> None:
+    """`payload` as JSON at `path`, indented by 2."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+
+
+def write_floats(prefix: str, values) -> None:
+    """`values` as little-endian float64 in row-major order at
+    `<prefix>.bin`, the file `read_floats` reads."""
+    np.asarray(values, dtype="<f8").tofile(f"{prefix}.bin")
+
+
+def write_report(prefix: str, tag: str, config_hash: str, columns, rows,
+                 payload: dict) -> None:
+    """`<prefix>.csv`: a `# <tag> schema=... config=...` line, then the
+    `columns` of `rows` (None as an empty field, a field quoted when it
+    needs it); `<prefix>.json`: the schema and config hash, then
+    `payload`."""
+    with open(f"{prefix}.csv", "w", newline="") as fh:
+        fh.write(f"# {tag} schema={CSV_SCHEMA_VERSION} config={config_hash}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
+    write_json(f"{prefix}.json", {"schema": CSV_SCHEMA_VERSION,
+                                  "config_hash": config_hash, **payload})
+
+
 def save_samples(batch: SampleBatch, prefix: str) -> None:
-    samples = np.ascontiguousarray(batch.samples, dtype="<f8")
-    samples.tofile(f"{prefix}.bin")
-    sidecar = {"shape": list(samples.shape), "dtype": "<f8", "order": "C",
-               "provenance": batch.provenance}
-    with open(f"{prefix}.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
+    write_floats(prefix, batch.samples)
+    write_json(f"{prefix}.json", {
+        "shape": list(batch.samples.shape), "dtype": "<f8", "order": "C",
+        "provenance": batch.provenance})
 
 
 def read_json(path) -> dict:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -543,6 +544,16 @@ BAD_INPUTS = [
     # fits a float, but numpy refuses a table of that many floats
     ("array_size_T", ALL_VERBS, config_with(schedule=dict(SCHEDULE,
                                                           T=10**20))),
+    # arrays of 10**15 elements lie beyond the address space, so each
+    # allocation fails at once, before any memory is touched
+    ("unallocatable_T", ALL_VERBS, config_with(schedule=dict(SCHEDULE,
+                                                             T=10**15))),
+    ("unallocatable_batch", ("sample",), config_with(run={"batch": 10**15})),
+    ("unallocatable_samples_per_cell", ("sweep",),
+     config_with(samples_per_cell=10**15)),
+    # 1 - beta_1 rounds to 1: the full chain's first step would be void
+    ("beta_1_below_resolution", ("sample", "inspect"), config_with(
+        schedule=dict(SCHEDULE, beta_1=1e-17), run={"kind": "full"})),
     ("huge_beta_T", ALL_VERBS, config_with(
         schedule=dict(SCHEDULE, beta_T=10**400))),
     ("list_config", ALL_VERBS, "[1]"),
@@ -778,6 +789,22 @@ class TestErrorBoundary:
         assert rows and [(row["status"], row["error"]) for row in rows] == [
             ("failed", f"NumericError: non-finite state at reverse step "
                        f"{row['S']}") for row in rows]
+
+    def test_beta_1_below_resolution_fails_its_cell(self, tmp_path, capsys):
+        # STEP linear S = 200 keeps step 1, whose eta rounds to 0; S = 10
+        # starts at step 20 and runs
+        config = write_config(tmp_path, "tiny.json", config_with(
+            schedule=dict(SCHEDULE, beta_1=1e-17),
+            sweep={"num_steps": [10, 200]}))
+        assert main(["sweep", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "out" / "results.csv", newline="") as fh:
+            records = list(csv.reader(fh))[1:]
+        assert [len(record) for record in records] == [13] * 3
+        assert [record[-2:] for record in records[1:]] == [
+            ["ok", ""], ["failed", "ConstructionError: every gamma = 1 - eta "
+                                   "must lie in (0, 1)"]]
 
     def test_zero_batch_names_its_field(self, tmp_path, capsys):
         config = write_config(tmp_path, "bad.json",

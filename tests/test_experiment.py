@@ -1,4 +1,5 @@
 import copy
+import csv
 import functools
 import json
 import re
@@ -11,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 from fastdiff import (ConvergenceError, GaussianMixture, ValidationError,
                       frechet_gaussian, sample_moments)
 from fastdiff.experiment import (CSV_COLUMNS, ExperimentConfig,
-                                 builtin_presets, csv_value,
-                                 format_schedule_dump, inspect_schedule,
-                                 run_sweep)
+                                 builtin_presets, format_schedule_dump,
+                                 inspect_schedule, run_sweep)
 
 BASE_CONFIG = {
     "schedule": {"beta_1": 1e-4, "beta_T": 0.02, "T": 200},
@@ -206,6 +206,28 @@ class TestSweep:
         assert all("synthetic cell failure" in r["error"] for r in failed)
         assert sum(r["status"] == "ok" for r in rows) == 10
 
+    def test_failed_row_reads_back_from_csv(self, tmp_path, monkeypatch):
+        import fastdiff.experiment as exp
+        real = exp.build_fast_schedule
+
+        def failing(schedule, level_map, kind, variant, num_steps):
+            if kind == "var":
+                raise ConvergenceError('no ramp, "var"\nat this S')
+            return real(schedule, level_map, kind, variant, num_steps)
+
+        monkeypatch.setattr(exp, "build_fast_schedule", failing)
+        raw = config_with(samples_per_cell=100)
+        raw["sweep"] = dict(raw["sweep"], num_steps=[5])
+        rows = run_sweep(ExperimentConfig(raw), str(tmp_path))
+        assert [r["status"] for r in rows] == ["ok", "ok", "failed", "failed"]
+        with open(tmp_path / "results.csv", newline="") as fh:
+            assert fh.readline().startswith("# fastdiff-sweep schema=3 ")
+            records = list(csv.DictReader(fh))
+        # an extra field would show as a 14th key, None
+        assert [len(record) for record in records] == [13] * 4
+        assert records == [{c: "" if row[c] is None else str(row[c])
+                            for c in CSV_COLUMNS} for row in rows]
+
     def test_programming_error_in_cell_raises(self, monkeypatch):
         import fastdiff.experiment as exp
 
@@ -275,10 +297,11 @@ def small_sweep(axes, seeds, conditional):
 
 
 def rows_by_cell(raw):
-    """(seed, kind, variant, S, sampler, kappa) -> the row's CSV fields."""
+    """(seed, kind, variant, S, sampler, kappa) -> the repr of each of the
+    row's fields."""
     rows = run_sweep(ExperimentConfig(raw))
     return {tuple(row[c] for c in CSV_COLUMNS[:6]):
-            [csv_value(row[c]) for c in CSV_COLUMNS] for row in rows}
+            [repr(row[c]) for c in CSV_COLUMNS] for row in rows}
 
 
 @functools.lru_cache(maxsize=None)

@@ -211,7 +211,12 @@ class TestFullChain:
         assert full.kind == "full" and full.num_steps == schedule.num_steps
         assert np.array_equal(full.etas, schedule.betas)
         assert np.array_equal(full.gamma_bars, schedule.alpha_bars)
-        assert np.array_equal(full.eta_tildes, schedule.beta_tildes)
+        # beta~_t = (1 - alpha_bar_{t-1}) / (1 - alpha_bar_t) beta_t, and
+        # beta~_1 = beta_1
+        bars = schedule.alpha_bars
+        beta_tildes = np.concatenate([schedule.betas[:1], (1.0 - bars[:-1])
+                                      / (1.0 - bars[1:]) * schedule.betas[1:]])
+        assert np.array_equal(full.eta_tildes, beta_tildes)
         assert full.taus.tolist() == list(range(1, schedule.num_steps + 1))
         assert step_as_var_equivalence(full, schedule)
 

@@ -2,9 +2,10 @@
 `__all__` or kept on purpose with `# noqa: F401` on its import statement;
 a name kept that way is one that perfbench's call tracer patches, and every
 site the tracer patches exists; no library module imports another's
-underscore-prefixed names; only `storage` reads input files; only the
-reverse driver and the training loop silence numpy's overflow warnings;
-and the library runs on numpy alone, with scipy left to the tests."""
+underscore-prefixed names; only `storage` reads input files or writes
+files; only the reverse driver and the training loop silence numpy's
+overflow warnings; and the library runs on numpy alone, with scipy left
+to the tests."""
 
 import ast
 import importlib.util
@@ -113,6 +114,41 @@ def file_reads(source: str) -> list[str]:
 def test_only_storage_reads_input_files(path):
     assert file_reads(path.read_text()) == (
         sorted(FILE_READERS) if path.name == "storage.py" else [])
+
+
+def file_writes(source: str) -> list[str]:
+    """`line call` for each call in `source` that writes a file:
+    `json.dump`, a `.tofile` method, or `open` with a mode that writes (or
+    one that is not a literal)."""
+    writes = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        modes = [*node.args[1:2], *(keyword.value for keyword in node.keywords
+                                    if keyword.arg == "mode")]
+        if name == "json.dump" or name.endswith(".tofile") or (
+                name == "open" and any(
+                    not isinstance(mode, ast.Constant)
+                    or set(str(mode.value)) & set("wax+") for mode in modes)):
+            writes.append((node.lineno, node.col_offset, name))
+    return [f"{line} {name}" for line, _, name in sorted(writes)]
+
+
+def test_file_write_checker():
+    source = ("import json\n"
+              "json.dump({}, open('a', 'w'))\n"
+              "x.astype('<f8').tofile('b')\n"
+              "open('c', mode='a+b'), open('d'), open('e', 'rb')\n"
+              "open('f', m), json.dumps({}), json.load(open('g', mode='r'))\n")
+    assert file_writes(source) == ["2 json.dump", "2 open",
+                                   "3 x.astype('<f8').tofile", "4 open",
+                                   "5 open"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_storage_writes_files(path):
+    assert bool(file_writes(path.read_text())) == (path.name == "storage.py")
 
 
 def overflow_silencers(source: str) -> int:

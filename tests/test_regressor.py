@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+import fastdiff.regressor
 from fastdiff import (GaussianMixture, NoiseLevelMap, ToyRegressor,
                       TrainingError, TrainingParams, VarianceSchedule,
                       denoising_objective, train_toy_regressor)
@@ -119,10 +120,11 @@ class TestTraining:
         assert model.holdout_loss < 0.8 * gm.dim
         assert len(model.loss_trace) == QUICK.num_updates
 
-    def test_divergence_raises_with_trace(self, blob_and_map):
+    def test_divergence_raises_with_trace(self, blob_and_map, monkeypatch):
         gm, level_map = blob_and_map
+        monkeypatch.setattr(fastdiff.regressor, "_LEARNING_RATE", 1e9)
         bad = TrainingParams(hidden=(8,), num_updates=200, batch_size=32,
-                             learning_rate=1e9, seed=0)
+                             seed=0)
         with pytest.raises(TrainingError) as err:
             train_toy_regressor(gm, level_map, bad)
         assert err.value.loss_trace is not None

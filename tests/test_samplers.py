@@ -100,10 +100,11 @@ class TestFullReverse:
         # iterate the variance recursion as the closed-form oracle
         config = SamplerConfig(dim=2, batch=20_000, seed=8)
         out = ddpm_reverse(sched_200, ZeroEpsilonModel(), config)
+        full = FastSchedule.full(sched_200)
         var = 1.0
         for t in range(sched_200.num_steps, 1, -1):
-            var = var / sched_200.alphas[t - 1] + sched_200.beta_tildes[t - 1]
-        var = var / sched_200.alphas[0]  # final step adds no noise
+            var = var / full.gammas[t - 1] + full.eta_tildes[t - 1]
+        var = var / full.gammas[0]  # final step adds no noise
         got = out.samples.var(axis=0)
         assert np.abs(got - var).max() <= 0.05 * var
 

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from scipy.special import gammaln
 
 import fastdiff.schedule
-from fastdiff import (ConstructionError, ConvergenceError, NoiseLevelMap,
-                      VarianceSchedule, alpha_bar_product)
+from fastdiff import (ConstructionError, ConvergenceError, FastSchedule,
+                      NoiseLevelMap, VarianceSchedule, alpha_bar_product)
 
 
 class TestConstruction:
@@ -38,7 +38,8 @@ class TestConstruction:
         assert np.all((sched_1000.alpha_bars > 0) & (sched_1000.alpha_bars < 1))
 
     def test_beta_tilde_does_not_exceed_beta(self, sched_1000):
-        assert np.all(sched_1000.beta_tildes <= sched_1000.betas)
+        full = FastSchedule.full(sched_1000)
+        assert np.all(full.eta_tildes <= sched_1000.betas)
 
     def test_immutable(self, sched_200):
         with pytest.raises(ValueError):
