@@ -13,6 +13,15 @@ Every cell of a seed runs what `fastdiff sample` runs with that seed and
 latent and meets the same noise rows (a conditional cell keys class j by
 (seed, j)).  A row depends only on its own (seed, kind, variant, S,
 sampler, kappa): adding cells or reordering the grid cannot perturb it.
+
+The grid is seed-major, and each seed's normals are drawn once
+(`_seed_normals`): one block per sampler run, as wide as the longest chain
+any cell of the config asks for (from the requested S, which a STEP
+collapse only lowers).  Every cell reads its prefix of the block, which
+holds the bits its own draw would, so the rows do not change; the draw's
+time is a `{"seed", "draw_seconds"}` entry of `timings.json`, beside the
+cells'.  A seed's blocks are its peak memory: 2000 chains of a full
+T = 1000 chain in 2 dimensions take 32 MB.
 """
 
 from __future__ import annotations
@@ -35,8 +44,9 @@ from .metrics import (accuracy, frechet_gaussian, inception_score,
 from .metrics import frechet_distance  # noqa: F401
 from .mixture import AnalyticEpsilonModel, GaussianMixture, posterior_classifier
 from .regressor import ToyRegressor
+from .rng import chain_normals
 from .samplers import (FINAL_STEP_LITERAL, FINAL_STEP_ZERO, SamplerConfig,
-                       run_sampler)
+                       chain_rows, run_sampler)
 # fast_ddpm_reverse and fast_ddim_reverse stay for perfbench's call tracer.
 from .samplers import fast_ddim_reverse, fast_ddpm_reverse  # noqa: F401
 from .schedule import NoiseLevelMap, VarianceSchedule
@@ -122,8 +132,9 @@ class ExperimentConfig:
         return hash_config(self.raw)
 
     def grid(self):
-        """(seed, kind, variant, S, sampler, kappa) cells in a fixed order;
-        a cell's noise does not depend on its place in it."""
+        """(seed, kind, variant, S, sampler, kappa) cells in a fixed,
+        seed-major order; a cell's noise does not depend on its place in
+        it."""
         return [(*head, *sampler) for *head, sampler in itertools.product(
             self.seeds, self.kinds, self.variants, self.num_steps_list,
             self.samplers)]
@@ -242,15 +253,33 @@ def load_run(raw: dict, seed: int | None = None):
     return fast, model, config, sampler
 
 
-def _generate(config, fast, sampler, kappa, seed):
+def _run_seed(seed, class_index):
+    """The noise key of a sampler run: the cell's seed, or (seed, j) for
+    class j."""
+    return seed if class_index is None else _class_seed(seed, class_index)
+
+
+def _seed_normals(config: ExperimentConfig, seed: int) -> list[np.ndarray]:
+    """The normals of each of `config.runs` at `seed`: one block per run,
+    `chain_normals` of the run's key and batch, wide enough for every cell
+    of the grid (each cell reads a prefix)."""
+    rows = max(chain_rows(s, sampler, kappa, config.final_step_noise)
+               for s in config.num_steps_list
+               for sampler, kappa in config.samplers)
+    return [chain_normals(_run_seed(seed, j), batch, rows * config.mixture.dim)
+            for _, batch, j in config.runs]
+
+
+def _generate(config, fast, sampler, kappa, seed, blocks):
     """A cell's (samples, class index of each or None, provenance): each of
-    `config.runs`, keyed by the cell's seed or by (seed, j) for class j."""
+    `config.runs`, keyed by the cell's seed or by (seed, j) for class j,
+    reading its block of `_seed_normals`."""
     chunks, labels = [], []
-    for model, batch, j in config.runs:
+    for (model, batch, j), block in zip(config.runs, blocks):
         result = run_sampler(fast, model, SamplerConfig(
-            dim=config.mixture.dim, batch=batch,
-            seed=seed if j is None else _class_seed(seed, j), kappa=kappa,
-            final_step_noise=config.final_step_noise), sampler)
+            dim=config.mixture.dim, batch=batch, seed=_run_seed(seed, j),
+            kappa=kappa, final_step_noise=config.final_step_noise), sampler,
+            normals=block)
         chunks.append(result.samples)
         if j is not None:
             labels.append(np.full(batch, j))
@@ -290,8 +319,14 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     is reachable.
     """
     rows, timings = [], []
+    blocks_seed = None
     for index, cell in enumerate(config.grid()):
         seed, kind, variant, s, sampler, kappa = cell
+        if seed != blocks_seed:  # the grid is seed-major
+            started = time.perf_counter()
+            blocks, blocks_seed = _seed_normals(config, seed), seed
+            timings.append({"seed": seed,
+                            "draw_seconds": time.perf_counter() - started})
         row = {**dict.fromkeys(CSV_COLUMNS), **dict(zip(CSV_COLUMNS, cell)),
                "status": "ok", "error": ""}
         started = time.perf_counter()
@@ -299,7 +334,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
             fast = build_fast_schedule(config.schedule, config.level_map,
                                        kind, variant, s)
             samples, label_idx, provenance = _generate(config, fast, sampler,
-                                                       kappa, seed)
+                                                       kappa, seed, blocks)
             row["model_calls_per_chain"] = provenance["model_calls_per_chain"]
             row["normals_per_chain"] = provenance["normals_per_chain"]
             row.update(score_samples(config.mixture, samples, label_idx))

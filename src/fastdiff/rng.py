@@ -15,7 +15,10 @@ counter and buffer): the setter casts its ten words one by one, and
 re-keying from numpy arrays, which makes a numpy scalar for each word,
 takes about 2.5 times as long.  Row i equals
 `substream(seed, i).standard_normal(count)` bit for bit; the samplers take
-each chain's noise from it.  Consumers that draw lazily (the regressor,
+each chain's noise from it.  So a row's first k normals do not depend on
+`count`: `chain_normals(seed, n, k)` is `chain_normals(seed, n, K)[:, :k]`
+for k <= K, and a sweep draws each seed's block once, at the widest count
+any of its cells reads, for every cell to read a prefix.  Consumers that draw lazily (the regressor,
 `forward_jump`) take a `numpy.random.Generator` directly:
 `substream`, `chain_streams`, or `Generator(Philox(seed))` for the root
 stream of a seed.

@@ -24,17 +24,23 @@ the sample, and kappa = 1 reproduces DDPM step for step.
 Samplers are pure functions of (schedule, model, config): a fixed seed gives
 bitwise-identical output.  Each chain draws all of its normals in one block
 from the Philox stream keyed by (seed, chain index) (`rng.chain_normals`):
-the initial state first, then one row per noisy step.  So the noise does
-not depend on batch size, and the `normals_per_chain` provenance entry is
-computed from the schedule rather than counted.  The model's output may:
-the analytic oracle's matrix products can round a one-row batch in the
-last bits differently from the same row inside a larger batch (seen for
-mixtures whose covariances are not multiples of the identity), and a
-single-chain run can then end slightly apart from the same chain run in a
-larger batch.
+the initial state first, then one row per noisy step (`chain_rows` counts
+them).  So the noise does not depend on batch size, and the
+`normals_per_chain` provenance entry is computed from the schedule rather
+than counted.  The model's output may: the analytic oracle's matrix
+products can round a one-row batch in the last bits differently from the
+same row inside a larger batch (seen for mixtures whose covariances are
+not multiples of the identity), and a single-chain run can then end
+slightly apart from the same chain run in a larger batch.
 
 An overflowing chain warns nothing: the driver raises a `NumericError` that
 names the first reverse step with a non-finite state, for every caller.
+
+A caller that runs several chains of one key, as a sweep does for the
+cells of a seed, may draw the block once, wide enough for its longest
+chain, and pass it as `normals=`: a stream's first k normals do not
+depend on how many follow, so each run reads its prefix and gets the bits
+it would have drawn itself.  The block is only read.
 """
 
 from __future__ import annotations
@@ -127,11 +133,24 @@ def _check_finite(x, step):
         raise NumericError(f"non-finite state at reverse step {step}", step=step)
 
 
-def _reverse_chain(fast, model, config, initial, sampler):
+def chain_rows(num_steps: int, sampler: str, kappa: float,
+               final_step_noise: str) -> int:
+    """Rows of normals one chain draws over `num_steps` reverse steps: its
+    initial state, then one per step that draws noise, which is none for
+    DDIM with kappa = 0 and all but the last unless the final step is
+    literal."""
+    if sampler == "ddim" and kappa == 0.0:
+        return 1
+    return 1 + num_steps - (final_step_noise != FINAL_STEP_LITERAL)
+
+
+def _reverse_chain(fast, model, config, initial, sampler, normals=None):
     """Shared driver: the one update of the module docstring, with the b and
     c tables of `sampler`, "ddpm" or "ddim" (with noise scale config.kappa).
     Both draw identical noise for kappa > 0, so kappa = 1 is testable
-    against DDPM draw for draw."""
+    against DDPM draw for draw.  `normals`, when given, is a block of shape
+    (batch, at least rows * dim) that the driver would otherwise draw: its
+    first rows * dim columns are read in place of the draw."""
     num_steps = fast.num_steps
     d = np.sqrt(fast.gammas)
     kappa = config.kappa if sampler == "ddim" else None
@@ -147,10 +166,9 @@ def _reverse_chain(fast, model, config, initial, sampler):
             - np.sqrt(fast.gammas * np.maximum(radicands, 0.0))
         c = np.sqrt(kappa**2 * fast.eta_tildes)
 
-    # The first noisy_steps reverse steps draw noise: none for kappa = 0,
-    # and all but the last unless the final step is literal.
-    literal = config.final_step_noise == FINAL_STEP_LITERAL
-    noisy_steps = 0 if kappa == 0.0 else num_steps - (not literal)
+    # The first noisy_steps reverse steps draw noise.
+    noisy_steps = chain_rows(num_steps, sampler, config.kappa,
+                             config.final_step_noise) - 1
 
     if initial is not None:
         initial = np.array(initial, dtype=float)
@@ -161,10 +179,20 @@ def _reverse_chain(fast, model, config, initial, sampler):
     # One block of normals per chain: row 0 is the initial state (unless
     # given), then one row per noisy step in reverse-step order.
     rows = noisy_steps + (initial is None)
-    normals = chain_normals(config.seed, config.batch,
-                            rows * config.dim).reshape(
-                                config.batch, rows, config.dim)
-    x = np.ascontiguousarray(normals[:, 0, :]) if initial is None else initial
+    columns = rows * config.dim
+    if normals is None:
+        normals = chain_normals(config.seed, config.batch, columns)
+    elif normals.ndim != 2 or normals.shape[0] != config.batch \
+            or normals.shape[1] < columns:
+        # A caller's bug, not a numeric failure: a TypeError, which a
+        # sweep does not record as a failed cell.
+        raise TypeError(f"normals block of shape {normals.shape}, need "
+                        f"({config.batch}, >= {columns})")
+    normals = normals[:, :columns].reshape(config.batch, rows, config.dim)
+    # A copy: with one row, normals[:, 0, :] is contiguous, so
+    # ascontiguousarray would return a view and the in-place update below
+    # would write into the caller's block.
+    x = normals[:, 0, :].copy() if initial is None else initial
     noise = normals[:, rows - noisy_steps:, :]
     trace = [] if config.record_trace else None
 
@@ -207,29 +235,37 @@ def ddpm_reverse(schedule: VarianceSchedule, model: EpsilonModel,
 
 def fast_ddpm_reverse(fast: FastSchedule, model: EpsilonModel,
                       config: SamplerConfig,
-                      initial: np.ndarray | None = None) -> SampleBatch:
-    """Ancestral sampling over a shortened schedule."""
-    return _reverse_chain(fast, model, config, initial, "ddpm")
+                      initial: np.ndarray | None = None, *,
+                      normals: np.ndarray | None = None) -> SampleBatch:
+    """Ancestral sampling over a shortened schedule; `normals` is an
+    optional pre-drawn block (see `_reverse_chain`)."""
+    return _reverse_chain(fast, model, config, initial, "ddpm", normals)
 
 
 def fast_ddim_reverse(fast: FastSchedule, model: EpsilonModel,
                       config: SamplerConfig,
-                      initial: np.ndarray | None = None) -> SampleBatch:
-    """Implicit sampling over a shortened schedule.
+                      initial: np.ndarray | None = None, *,
+                      normals: np.ndarray | None = None) -> SampleBatch:
+    """Implicit sampling over a shortened schedule; `normals` is an
+    optional pre-drawn block (see `_reverse_chain`).
 
     With kappa = 0 the chain is a deterministic function of the initial
     state and consumes no randomness after drawing it; with kappa = 1 it
     matches `fast_ddpm_reverse` under shared noise streams.
     """
-    return _reverse_chain(fast, model, config, initial, "ddim")
+    return _reverse_chain(fast, model, config, initial, "ddim", normals)
 
 
 def run_sampler(fast: FastSchedule, model: EpsilonModel,
-                config: SamplerConfig, sampler: str) -> SampleBatch:
+                config: SamplerConfig, sampler: str, *,
+                normals: np.ndarray | None = None) -> SampleBatch:
     """Run the named sampler, "ddpm" or "ddim", over `fast`, the full chain
-    included; the provenance names the fast schedule."""
+    included; the provenance names the fast schedule.  `normals`, when
+    given, is a block of `rng.chain_normals(config.seed, config.batch, n)`
+    with n at least `chain_rows(...) * config.dim`, read in place of the
+    run's own draw."""
     if sampler == "ddim":
-        return fast_ddim_reverse(fast, model, config)
+        return fast_ddim_reverse(fast, model, config, normals=normals)
     if sampler != "ddpm":
         raise ValidationError(f"unknown sampler {sampler!r}")
-    return fast_ddpm_reverse(fast, model, config)
+    return fast_ddpm_reverse(fast, model, config, normals=normals)

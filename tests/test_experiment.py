@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fastdiff import (ConvergenceError, GaussianMixture, ValidationError,
-                      frechet_gaussian, sample_moments)
+from fastdiff import (ConvergenceError, GaussianMixture, SamplerConfig,
+                      ValidationError, frechet_gaussian, run_sampler,
+                      sample_moments, samplers)
+from fastdiff.cli import main
 from fastdiff.experiment import (CSV_COLUMNS, ExperimentConfig,
                                  builtin_presets, format_schedule_dump,
-                                 inspect_schedule, run_sweep)
+                                 inspect_schedule, run_sweep, score_samples)
+from fastdiff.fast_schedule import build_fast_schedule
 
 BASE_CONFIG = {
     "schedule": {"beta_1": 1e-4, "beta_T": 0.02, "T": 200},
@@ -160,8 +163,8 @@ class TestSweep:
         import fastdiff.experiment as exp
         real, runs = exp.run_sampler, []
 
-        def kept(fast, model, config, sampler):
-            batch = real(fast, model, config, sampler)
+        def kept(fast, model, config, sampler, normals=None):
+            batch = real(fast, model, config, sampler, normals=normals)
             runs.append((config, batch.samples))
             return batch
 
@@ -242,8 +245,8 @@ class TestSweep:
         import fastdiff.experiment as exp
         real = exp.run_sampler
 
-        def huge(fast, model, config, sampler):
-            batch = real(fast, model, config, sampler)
+        def huge(fast, model, config, sampler, normals=None):
+            batch = real(fast, model, config, sampler, normals=normals)
             if fast.kind == "var_linear" and fast.num_steps == 10 \
                     and sampler == "ddim":
                 batch.samples = batch.samples * 1e200
@@ -279,6 +282,99 @@ class TestSweep:
         row = run_sweep(ExperimentConfig(raw))[0]
         assert row["inception_score"] is not None
         assert row["accuracy"] is None
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """(seed, chains, columns) of every `chain_normals` call, in the sweep's
+    block draw or in the reverse driver."""
+    import fastdiff.experiment as exp
+    calls = []
+
+    def counting(real):
+        def draw(seed, num_chains, count):
+            calls.append((seed, num_chains, count))
+            return real(seed, num_chains, count)
+        return draw
+
+    for module in (exp, samplers):
+        monkeypatch.setattr(module, "chain_normals",
+                            counting(module.chain_normals))
+    return calls
+
+
+class TestSeedBlocks:
+    """Each seed's normals are drawn once, one block per sampler run, and
+    every cell reads a prefix of it."""
+
+    def test_one_block_per_seed(self, draws):
+        rows = run_sweep(ExperimentConfig(config_with(samples_per_cell=30,
+                                                      seeds=[0, 3])))
+        assert len(rows) == 24
+        # S = 50 DDPM reads the initial state and 49 noisy rows
+        assert draws == [(0, 30, 50 * 2), (3, 30, 50 * 2)]
+
+    def test_one_block_per_seed_and_class(self, draws):
+        import fastdiff.experiment as exp
+        raw = config_with(data={"preset": "four_class_2d"}, conditional=True,
+                          samples_per_cell=10, seeds=[0, 3])
+        raw["sweep"] = dict(raw["sweep"], num_steps=[5, 10])
+        run_sweep(ExperimentConfig(raw))
+        assert draws == [(exp._class_seed(seed, j), 3 if j < 2 else 2, 10 * 2)
+                         for seed in (0, 3) for j in range(4)]
+
+    def test_sample_draws_once(self, draws, tmp_path):
+        (tmp_path / "c.json").write_text(json.dumps({
+            "schedule": BASE_CONFIG["schedule"],
+            "data": {"preset": "std_normal_2d"},
+            "run": {"kind": "var", "S": 7, "batch": 9, "seed": 4}}))
+        assert main(["sample", "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert draws == [(4, 9, 7 * 2)]
+
+    def test_undersized_block_is_not_a_failed_cell(self, monkeypatch):
+        import fastdiff.experiment as exp
+        real = exp._seed_normals
+        monkeypatch.setattr(exp, "_seed_normals", lambda config, seed: [
+            block[:, :-1] for block in real(config, seed)])
+        with pytest.raises(TypeError, match="normals block"):
+            run_sweep(ExperimentConfig(config_with(samples_per_cell=20)))
+
+    @pytest.mark.parametrize("final_step_noise", ["zero", "literal"])
+    def test_one_row_block_is_not_written(self, final_step_noise):
+        # DDIM kappa = 0 reads only the initial state from a one-row block;
+        # a cell that updated it in place would start the next cell from
+        # its own output
+        raw = config_with(data={"preset": "two_blob_2d"}, seeds=[0, 5],
+                          samples_per_cell=60,
+                          final_step_noise=final_step_noise)
+        raw["sweep"] = dict(raw["sweep"], num_steps=[2, 5],
+                            samplers=[{"name": "ddim", "kappa": 0.0}])
+        config = ExperimentConfig(raw)
+        rows = run_sweep(config)
+        assert len(rows) == 8
+        for row in rows:
+            fast = build_fast_schedule(config.schedule, config.level_map,
+                                       row["kind"], row["variant"], row["S"])
+            alone = run_sampler(fast, config.model, SamplerConfig(
+                dim=2, batch=60, seed=row["seed"],
+                final_step_noise=final_step_noise), "ddim")
+            scores = score_samples(config.mixture, alone.samples)
+            assert row["status"] == "ok"
+            assert {key: row[key] for key in scores} == scores
+
+    def test_timings_hold_each_seed_s_draw(self, tmp_path):
+        config = ExperimentConfig(config_with(samples_per_cell=20,
+                                              seeds=[4, 1]))
+        run_sweep(config, str(tmp_path))
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        draws = [entry for entry in timings if "seed" in entry]
+        assert [entry["seed"] for entry in draws] == [4, 1]
+        assert all(entry["draw_seconds"] >= 0.0 for entry in draws)
+        # each draw comes before its seed's 12 cells
+        assert [timings.index(entry) for entry in draws] == [0, 13]
+        assert [entry["cell"] for entry in timings if "cell" in entry] \
+            == list(range(24))
 
 
 # Axes of the grid that the property test below draws sub-grids from.

@@ -4,8 +4,9 @@ a name kept that way is one that perfbench's call tracer patches, and every
 site the tracer patches exists; no library module imports another's
 underscore-prefixed names; only `storage` reads input files or writes
 files; only the reverse driver and the training loop silence numpy's
-overflow warnings; and the library runs on numpy alone, with scipy left
-to the tests."""
+overflow warnings; only the reverse driver and the sweep's per-seed block
+draw draw chain normals; and the library runs on numpy alone, with scipy
+left to the tests."""
 
 import ast
 import importlib.util
@@ -182,6 +183,49 @@ OVERFLOW_SILENCED_IN = ("samplers.py", "regressor.py")
 def test_only_the_driver_and_training_silence_overflow(path):
     assert overflow_silencers(path.read_text()) == (
         path.name in OVERFLOW_SILENCED_IN)
+
+
+def normal_draws(source: str) -> list[str]:
+    """The function around each call of `chain_normals` in `source` (by
+    name or as an attribute), or `<module>` for one outside a function."""
+    draws = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) \
+                and ast.unparse(node.func).split(".")[-1] == "chain_normals":
+            draws.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return draws
+
+
+def test_normal_draw_checker():
+    source = ("from .rng import chain_normals\n"
+              "block = chain_normals(0, 1, 2)\n"
+              "def draw(seed):\n"
+              "    def inner():\n"
+              "        return rng.chain_normals(seed, 1, 2)\n"
+              "    return chain_normals, inner()\n"
+              "class Sweep:\n"
+              "    def blocks(self):\n"
+              "        return [chain_normals(s, 1, 2) for s in (0, 1)]\n")
+    assert normal_draws(source) == ["<module>", "inner", "blocks"]
+
+
+# One block per sampler run: the driver draws it, or a sweep draws it once
+# per seed for every cell to read a prefix of.  A third draw path could
+# desynchronise the rows from `fastdiff sample`.
+NORMAL_DRAWS = {"samplers.py": ["_reverse_chain"],
+                "experiment.py": ["_seed_normals"]}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_driver_and_the_sweep_draw_normals(path):
+    assert normal_draws(path.read_text()) == NORMAL_DRAWS.get(path.name, [])
 
 
 def load_tracing() -> ModuleType:

@@ -61,6 +61,16 @@ def test_chain_normals_rows_equal_substreams(seed, num_chains, count):
 
 
 @settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(0, 40), st.integers(0, 300), st.data())
+def test_chain_normals_prefix_is_the_shorter_draw(seed, num_chains, wide,
+                                                  data):
+    # a sweep draws a seed's block once and each cell reads a prefix
+    count = data.draw(st.integers(0, wide))
+    assert np.array_equal(chain_normals(seed, num_chains, count),
+                          chain_normals(seed, num_chains, wide)[:, :count])
+
+
+@settings(max_examples=60, deadline=None)
 @given(SEEDS, st.integers(1, 40))
 def test_substream_matches_spawned_child(seed, num_chains):
     assert isinstance(substream(seed, 0), Generator)

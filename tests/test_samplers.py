@@ -359,6 +359,50 @@ class TestNoiseDraws:
         assert np.array_equal(run(k + extra)[:k], run(k))
 
 
+class TestNoiseBlock:
+    """A caller-drawn block of normals, as a sweep passes each cell."""
+
+    # (sampler, kappa, rows per chain at S = 6): DDIM with kappa = 0 reads
+    # one row, the initial state, which the driver must copy out.
+    RUNS = [("ddim", 0.0, 1), ("ddim", 0.5, 6), ("ddpm", 0.0, 6)]
+
+    @pytest.mark.parametrize("sampler, kappa, rows", RUNS)
+    def test_block_is_only_read(self, sched_200, oracle_200, sampler, kappa,
+                                rows):
+        model, _ = oracle_200
+        fast = build_step_schedule(sched_200, 6, "linear")
+        config = SamplerConfig(dim=2, batch=7, seed=11, kappa=kappa)
+        assert samplers.chain_rows(6, sampler, kappa, "zero") == rows
+        block = chain_normals(11, 7, rows * 2)
+        before = block.copy()
+        run_sampler(fast, model, config, sampler, normals=block)
+        assert block.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("sampler, kappa, rows", RUNS)
+    @pytest.mark.parametrize("final_step_noise", ["zero", "literal"])
+    def test_wider_block_gives_the_run_s_own_bits(
+            self, sched_200, oracle_200, sampler, kappa, rows,
+            final_step_noise):
+        model, level_map = oracle_200
+        fast = build_var_schedule(sched_200, level_map, 6, "quadratic")
+        config = SamplerConfig(dim=2, batch=5, seed=2**70 + 3, kappa=kappa,
+                               final_step_noise=final_step_noise)
+        alone = run_sampler(fast, model, config, sampler)
+        block = chain_normals(config.seed, 5, 2 * 40)
+        read = run_sampler(fast, model, config, sampler, normals=block)
+        assert read.samples.tobytes() == alone.samples.tobytes()
+        assert read.provenance == alone.provenance
+
+    @pytest.mark.parametrize("shape", [(5, 11), (4, 12), (5, 2, 6)])
+    def test_wrong_block_is_a_caller_bug(self, sched_200, oracle_200, shape):
+        # 6 rows of 2 per chain; a TypeError is not a failed sweep cell
+        model, _ = oracle_200
+        fast = build_step_schedule(sched_200, 6, "linear")
+        with pytest.raises(TypeError, match="normals block"):
+            run_sampler(fast, model, SamplerConfig(dim=2, batch=5), "ddpm",
+                        normals=np.zeros(shape))
+
+
 def random_fast_schedule(schedule, kind, variant, num_steps):
     """A STEP or VAR schedule of at most `num_steps` steps over `schedule`;
     rejects the example when no VAR ramp of that length exists."""
