@@ -26,14 +26,25 @@ positive.  The marginal covariance at alpha_bar shares the eigenvectors,
 so its precision and log-determinant are closed-form and no noise level
 needs a factorization.  Fixed at construction, and read-only from then on,
 are the weights, means and covariances, the factors L_k, U_k and lambda_k,
-and the log weights log w_k; none of them depends on alpha_bar.  The log
-density, the score and the label posterior come from one pass per query
-over all K components as stacked arrays: one batched product gives the K
-precisions, the offsets x - m_k and their solves are (K, d, n) arrays, the
-log-domain component densities one (K, n) array, and the log-sum-exp and
-the responsibilities reduce over its leading axis.  A mixture is immutable
-once built and holds no cache, so its methods are safe to call
-concurrently.
+and the log weights log w_k; none of them depends on alpha_bar.
+
+What depends on alpha_bar alone, the noisy eigenvalues lambda~_k, the
+scaled means sqrt(alpha_bar) mu_k and the log-normalisers
+d log 2pi + log det C_k, is built by one vectorised pass over an array of
+levels into a constants table, O(K d) per level; a single level is a
+one-row table.  `AnalyticEpsilonModel.at_steps` tabulates a whole chain's
+steps at once, with sqrt(1 - alpha_bar), and the reverse driver binds the
+model so once per chain.  The (K, d, d) precisions are not tabulated: a
+step builds its own at its call.
+
+The log density, the score and the label posterior come from one pass
+per query over all K components as stacked arrays (`_marginal`, given
+one row of the table): one batched product gives the K precisions, the
+offsets x - m_k and their solves are (K, d, n) arrays, the log-domain
+component densities one (K, n) array, and the log-sum-exp and the
+responsibilities reduce over its leading axis.  A mixture is immutable
+once built and holds no cache, and so is a bound model, so their methods
+are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -134,23 +145,42 @@ class GaussianMixture:
 
     # -- noisy-marginal quantities -------------------------------------------
 
-    def _marginal(self, x: np.ndarray, alpha_bar: float):
-        """The marginal at alpha_bar for x as an (n, d) array, over all K
-        components at once: returns log q(x) (n,), the responsibilities
+    def _levels(self, alpha_bars: np.ndarray):
+        """The constants of the marginal at each of the levels alpha_bars
+        (m,): the noisy eigenvalues lambda~ (m, K, d), the scaled means
+        sqrt(alpha_bar) mu_k (m, K, d, 1) and the log-normalisers
+        d log 2pi + log det C_k (m, K, 1).  Each entry is computed by the
+        same ufuncs, in the same order, as for a single level, so row i of
+        the table has the bits of a one-row table at alpha_bars[i]."""
+        a = alpha_bars[:, None, None]
+        noisy = a * self._eigvals + (1.0 - a)
+        means = np.sqrt(a)[..., None] * self.means[:, :, None]
+        norms = self.dim * _LOG_2PI + np.log(noisy).sum(axis=2, keepdims=True)
+        return noisy, means, norms
+
+    def _level(self, alpha_bar: float):
+        """The constants at one level: a one-row table's row."""
+        noisy, means, norms = self._levels(np.array([alpha_bar], dtype=float))
+        return noisy[0], means[0], norms[0]
+
+    def _marginal(self, x: np.ndarray, level):
+        """The marginal at one level, given as its (noisy eigenvalues,
+        scaled means, log-normalisers) row of a `_levels` table, for x as an
+        (n, d) array over all K components at once: returns the pieces
+        peak + log(total) of log q(x) (both (n,)), the responsibilities
         (K, n) and the solves C_k^-1 (x - m_k) as one (K, d, n) array."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValueError(f"x must have shape (n, {self.dim}), "
                              f"got {x.shape}")
-        noisy = alpha_bar * self._eigvals + (1.0 - alpha_bar)
+        noisy, means, norms = level
         vecs = self._eigvecs
         precisions = (vecs / noisy[:, None, :]) @ vecs.transpose(0, 2, 1)
-        means = np.sqrt(alpha_bar) * self.means[:, :, None]
         diff = np.ascontiguousarray(x.T) - means
         solved = precisions @ diff
         diff *= solved  # the summands of the Mahalanobis terms
         logs = diff.sum(axis=1)
-        logs += (self.dim * _LOG_2PI + np.log(noisy).sum(axis=1))[:, None]
+        logs += norms
         logs *= -0.5
         logs += self._log_weights
         peak = logs.max(axis=0)
@@ -158,22 +188,27 @@ class GaussianMixture:
         resp = np.exp(logs, out=logs)
         total = resp.sum(axis=0)
         resp /= total
-        return peak + np.log(total), resp, solved
+        return peak, total, resp, solved
 
     def log_density(self, x: np.ndarray, alpha_bar: float = 1.0) -> np.ndarray:
         """log q(x) of the marginal at signal fraction alpha_bar; (n,)."""
-        return self._marginal(x, alpha_bar)[0]
+        peak, total, _, _ = self._marginal(x, self._level(alpha_bar))
+        return peak + np.log(total)
 
     def score(self, x: np.ndarray, alpha_bar: float = 1.0) -> np.ndarray:
         """grad_x log q(x) of the marginal at alpha_bar; (n, d)."""
-        return np.negative(self._weighted_solves(x, alpha_bar), order="C")
+        out = self._weighted_solves(x, self._level(alpha_bar))
+        return np.negative(out, out=out)
 
-    def _weighted_solves(self, x: np.ndarray, alpha_bar: float) -> np.ndarray:
-        """-grad_x log q(x) = sum_k r_k C_k^-1 (x - m_k) for x of shape
-        (n, d), as an (n, d) transposed view of a (d, n) array."""
-        _, resp, solved = self._marginal(x, alpha_bar)
+    def _weighted_solves(self, x: np.ndarray, level) -> np.ndarray:
+        """-grad_x log q(x) = sum_k r_k C_k^-1 (x - m_k) at one level (see
+        `_marginal`) for x of shape (n, d), as a fresh C-ordered (n, d)
+        array: the (d, n) sum over k is written through its transpose."""
+        _, _, resp, solved = self._marginal(x, level)
         solved *= resp[:, None, :]
-        return solved.sum(axis=0).T
+        out = np.empty((solved.shape[2], self.dim))
+        np.add.reduce(solved, axis=0, out=out.T)
+        return out
 
     # -- serialization -------------------------------------------------------
 
@@ -216,11 +251,16 @@ def analytic_epsilon(gm: GaussianMixture, level_map: NoiseLevelMap,
     eps*(x, t) = -sqrt(1 - alpha_bar(t)) * grad_x log q(x); for a single
     standard normal component this reduces to sqrt(1 - alpha_bar) * x.
     It is computed as sqrt(1 - alpha_bar) * sum_k r_k C_k^-1 (x - m_k),
-    which has the same bits: (-a)(-b) = ab exactly.
+    which has the same bits: (-a)(-b) = ab exactly.  The constants come
+    from a one-row table, and `log_alpha_bar`'s scalar path has the bits of
+    its array path, so a model bound to a chain's steps
+    (`AnalyticEpsilonModel.at_steps`) returns the same bits.
     """
     alpha_bar = float(np.exp(level_map.log_alpha_bar(t_cont)))
-    return np.multiply(math.sqrt(1.0 - alpha_bar),
-                       gm._weighted_solves(x, alpha_bar), order="C")
+    scale = math.sqrt(1.0 - alpha_bar)
+    out = gm._weighted_solves(x, gm._level(alpha_bar))
+    out *= scale
+    return out
 
 
 def posterior_classifier(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:
@@ -228,19 +268,60 @@ def posterior_classifier(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     with columns ordered by `gm.class_labels()`."""
     if gm.labels is None:
         raise ValueError("posterior_classifier requires a labelled mixture")
-    _, resp, _ = gm._marginal(x, 1.0)
+    _, _, resp, _ = gm._marginal(x, gm._level(1.0))
     return np.stack([np.sum(resp[gm.labels == label], axis=0)
                      for label in gm.class_labels()], axis=1)
 
 
 class AnalyticEpsilonModel:
-    """EpsilonModel wrapper around `analytic_epsilon` for a fixed mixture
-    and schedule; deterministic and safe for concurrent use."""
+    """EpsilonModel that evaluates `analytic_epsilon` for a fixed mixture
+    and schedule; deterministic and safe for concurrent use.
+
+    `at_steps(steps)` returns a model bound to a chain's steps: it holds the
+    per-level constants of every step in `steps` as one table (the
+    `GaussianMixture._levels` arrays and sqrt(1 - alpha_bar), O(S K d) in
+    all) and an index from each step to its row.  Its `predict` returns the
+    bits of the unbound model's at every step, and serves a step outside
+    the table through a one-row table, as the unbound model does.  Each
+    step's (K, d, d) precisions are still built at its call.
+    """
 
     def __init__(self, gm: GaussianMixture, level_map: NoiseLevelMap):
         self.gm = gm
         self.level_map = level_map
         self.dim = gm.dim
+        # Set by at_steps: the constants table, sqrt(1 - alpha_bar) and
+        # each tabulated step's row; an unbound model has no row.
+        self._table = self._scales = None
+        self._rows: dict[float, int] = {}
+
+    def at_steps(self, steps) -> "AnalyticEpsilonModel":
+        """A model with this one's predictions, its constants tabulated at
+        `steps`, a 1-d sequence of continuous steps; raises ValueError for
+        a step outside the level map's domain, NaN included, or one where
+        alpha_bar exceeds 1."""
+        steps = np.asarray(steps, dtype=float)
+        if steps.ndim != 1:
+            raise ValueError(f"steps must be 1-d, got shape {steps.shape}")
+        alpha_bars = np.exp(self.level_map.log_alpha_bar(steps))
+        if (alpha_bars > 1.0).any():
+            # the Gamma extension can exceed 1 just above t = 0, where
+            # sqrt(1 - alpha_bar) has no value
+            raise ValueError("alpha_bar above 1: no noise predictor at "
+                             f"continuous step {steps[alpha_bars > 1.0][0]}")
+        bound = AnalyticEpsilonModel(self.gm, self.level_map)
+        bound._scales = np.sqrt(1.0 - alpha_bars)
+        bound._table = self.gm._levels(alpha_bars)
+        for a in (bound._scales, *bound._table):
+            a.flags.writeable = False
+        bound._rows = {t: i for i, t in enumerate(steps.tolist())}
+        return bound
 
     def predict(self, x: np.ndarray, t: float) -> np.ndarray:
-        return analytic_epsilon(self.gm, self.level_map, x, t)
+        row = self._rows.get(t) if isinstance(t, float) else None
+        if row is None:
+            return analytic_epsilon(self.gm, self.level_map, x, t)
+        noisy, means, norms = self._table
+        out = self.gm._weighted_solves(x, (noisy[row], means[row], norms[row]))
+        out *= self._scales[row]
+        return out

@@ -67,6 +67,13 @@ class EpsilonModel(Protocol):
     be deterministic in (x, t) and safe to call concurrently.  The samplers
     only read the returned array, so it may be reused or read-only; they
     update the state x in place after the call, so a model must not keep x.
+
+    A model may also offer `at_steps(steps)`, returning a model with the
+    same predictions that has tabulated whatever depends only on the step
+    for each of `steps`.  The reverse driver calls it once per chain, with
+    the chain's continuous steps, before its first `predict`, and then
+    calls the bound model's `predict` at each of those steps.  A model
+    without it is called as it is.
     """
 
     def predict(self, x: np.ndarray, t: float) -> np.ndarray: ...
@@ -195,6 +202,13 @@ def _reverse_chain(fast, model, config, initial, sampler, normals=None):
     x = normals[:, 0, :].copy() if initial is None else initial
     noise = normals[:, rows - noisy_steps:, :]
     trace = [] if config.record_trace else None
+
+    # A model that can tabulate its per-step constants is bound to this
+    # chain's steps once; it is still asked at every step, with the same
+    # floats, and its predictions keep their bits.
+    bind = getattr(model, "at_steps", None)
+    if bind is not None:
+        model = bind(fast.cont_steps)
 
     # The update runs in place in x and scratch, both owned here, through
     # the same ufuncs in the same order as (x - b eps_hat) / d + c z, so

@@ -109,11 +109,12 @@ def samples_to_csv(batch: SampleBatch, path: str) -> None:
             f"CSV export is meant for small dimensions (<= {CSV_DIM_LIMIT}), "
             f"got {dim}; use the binary format")
     header = ",".join(f"x{i}" for i in range(dim))
+    row_format = ",".join(["%r"] * dim) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        # One tolist() and one write per block of rows: converting the
-        # whole batch at once would hold every row as Python floats.
+        # One tolist(), one %-format and one write per block of rows:
+        # converting the whole batch at once would hold every row as
+        # Python floats.  %r of a float is its repr.
         for start in range(0, len(samples), _CSV_BLOCK_ROWS):
-            block = samples[start:start + _CSV_BLOCK_ROWS].tolist()
-            fh.write("".join([",".join(map(repr, row)) + "\n"
-                              for row in block]))
+            block = samples[start:start + _CSV_BLOCK_ROWS]
+            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))

@@ -10,9 +10,12 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from fastdiff import (AnalyticEpsilonModel, ConstructionError,
-                      GaussianMixture, NoiseLevelMap, VarianceSchedule,
-                      analytic_epsilon, posterior_classifier)
+                      FastSchedule, GaussianMixture, NoiseLevelMap,
+                      VarianceSchedule, analytic_epsilon,
+                      posterior_classifier)
 from fastdiff.experiment import builtin_presets
+from test_fast_schedule import schedules
+from test_samplers import random_fast_schedule
 
 
 def finite_difference_epsilon(gm, level_map, x, t, h=1e-5):
@@ -285,6 +288,86 @@ class TestPosteriorClassifier:
         probs = posterior_classifier(gm, np.array([[-3.0], [3.0]]))
         assert probs.shape == (2, 2)
         assert probs[0, 0] > 0.99 and probs[1, 0] > 0.99
+
+
+def table_bytes(model):
+    """Bytes of the arrays a model holds itself, the mixture's excluded."""
+    total = 0
+    for value in vars(model).values():
+        for a in (value if isinstance(value, tuple) else (value,)):
+            if isinstance(a, np.ndarray):
+                total += a.nbytes
+    return total
+
+
+def outcome(predict, x, t):
+    """predict(x, t)'s bytes, or the ValueError it raised."""
+    try:
+        return predict(x, t).tobytes()
+    except ValueError as err:
+        return ValueError, str(err)
+
+
+class TestBoundModel:
+    """`at_steps` tabulates a chain's per-step constants; the bound model's
+    predictions keep the unbound model's bits at every step."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5),
+           schedules, st.sampled_from(["step", "var", "full"]),
+           st.sampled_from(["linear", "quadratic"]), st.integers(1, 40),
+           st.floats(0.0, 1.0, exclude_max=True))
+    def test_bound_predict_has_the_unbound_bits(self, seed, d, k, schedule,
+                                                kind, variant, num_steps,
+                                                fraction):
+        rng = np.random.default_rng(seed)
+        gm = random_mixture(rng, k, d)
+        if kind == "full":
+            fast, level_map = FastSchedule.full(schedule), \
+                NoiseLevelMap(schedule)
+        else:
+            fast, level_map = random_fast_schedule(schedule, kind, variant,
+                                                   num_steps)
+        model = AnalyticEpsilonModel(gm, level_map)
+        bound = model.at_steps(fast.cont_steps)
+        x = rng.normal(scale=2.0, size=(5, d))
+        for t in fast.cont_steps.tolist():
+            got = bound.predict(x, t)
+            assert got.tobytes() == model.predict(x, t).tobytes()
+            assert got.flags.c_contiguous and got.shape == (5, d)
+        # off the table: in the domain, NaN, and at or past its limit
+        limit = schedule.domain_limit
+        for t in (fraction * schedule.num_steps, float("nan"), limit,
+                  float(np.nextafter(limit, np.inf)), limit + 1.0, -1.0):
+            want = outcome(model.predict, x, t)
+            assert outcome(bound.predict, x, t) == want
+            if not 0.0 <= t < limit:
+                assert want[0] is ValueError
+        for steps in ([float("nan")], [1.0, limit], [-0.5], [[1.0]]):
+            with pytest.raises(ValueError):
+                model.at_steps(steps)
+        size = fast.num_steps * k * d * 8
+        assert table_bytes(bound) <= 4 * size
+        assert table_bytes(model) == 0
+
+    def test_alpha_bar_above_one_is_rejected(self):
+        # with delta_beta > 2 beta_start, alpha_bar(t) exceeds 1 just above
+        # t = 0; there sqrt(1 - alpha_bar) has no value, as it never had
+        level_map = NoiseLevelMap(VarianceSchedule(1e-3, 0.03125, 2))
+        assert np.exp(level_map.log_alpha_bar(0.5)) > 1.0
+        gm = GaussianMixture([1.0], [[0.0]], [[[1.0]]])
+        model = AnalyticEpsilonModel(gm, level_map)
+        with pytest.raises(ValueError, match="math domain error"):
+            model.predict(np.zeros((2, 1)), 0.5)
+        with pytest.raises(ValueError, match="alpha_bar above 1"):
+            model.at_steps([1.0, 0.5])
+
+    def test_bound_model_is_read_only(self, two_blob_2d, map_200):
+        bound = AnalyticEpsilonModel(two_blob_2d, map_200).at_steps(
+            [1.0, 50.5, 199.0])
+        for a in (bound._scales, *bound._table):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestOnePassProperties:

@@ -7,10 +7,11 @@ from numpy.random import Generator, Philox
 
 from fastdiff import (AnalyticEpsilonModel, ConstructionError, FastSchedule,
                       NoiseLevelMap, NumericError, SamplerConfig,
-                      ValidationError, ZeroEpsilonModel, build_step_schedule,
-                      build_var_schedule, chain_normals, ddpm_reverse,
-                      fast_ddim_reverse, fast_ddpm_reverse, forward_jump,
-                      run_sampler, sample_moments, samplers, substream)
+                      ToyRegressor, ValidationError, ZeroEpsilonModel,
+                      build_step_schedule, build_var_schedule, chain_normals,
+                      ddpm_reverse, fast_ddim_reverse, fast_ddpm_reverse,
+                      forward_jump, run_sampler, sample_moments, samplers,
+                      substream)
 from fastdiff.fast_schedule import build_fast_schedule
 from test_fast_schedule import schedules
 
@@ -553,6 +554,100 @@ class TestQualityTrends:
             scores[s] = mean_frechet_to_standard_normal(
                 fast_ddpm_reverse, fast, model, 5, 2000)
         assert scores[50] < scores[10] < scores[5]
+
+
+class RecordingModel:
+    """Wraps an `AnalyticEpsilonModel` and offers `at_steps`; the models it
+    binds share its log of every `at_steps` and `predict` call."""
+
+    def __init__(self, inner, log=None):
+        self.inner = inner
+        self.log = [] if log is None else log
+
+    def at_steps(self, steps):
+        self.log.append(("at_steps", np.array(steps)))
+        return RecordingModel(self.inner.at_steps(steps), self.log)
+
+    def predict(self, x, t):
+        self.log.append(("predict", t))
+        return self.inner.predict(x, t)
+
+
+# float.hex of the samples of a VAR quadratic S = 6 chain over T = 200
+# (batch 2, seed 5, kappa 0.5) for two models without `at_steps`, as the
+# driver gave them before it bound models to their steps.
+PLAIN_MODEL_BITS = {
+    ("zero", "ddpm"): ['0x1.5f400cd0b614fp+1', '-0x1.0f410b2931ab7p+0',
+                       '0x1.29628a22f19a5p+1', '0x1.e68f8b9b6a5a7p-1'],
+    ("zero", "ddim"): ['0x1.430528f3c96c9p+1', '-0x1.2649d329990c4p-1',
+                       '0x1.51d39c11ceb2dp+1', '0x1.c4964cea340aep+0'],
+    ("toy", "ddpm"): ['0x1.fa36e517110e7p+2', '0x1.3b025860549bbp+2',
+                      '0x1.1b8fd7c05f225p+3', '0x1.0e62981723b15p+3'],
+    ("toy", "ddim"): ['0x1.8e799f04feaa0p+2', '0x1.db6952374fb75p+1',
+                      '0x1.d6b411abe3f07p+2', '0x1.cb4e00ff5b7bbp+2'],
+}
+
+
+class TestModelBinding:
+    """The driver binds a model that offers `at_steps` to the chain's steps
+    once, and calls any other model as it is."""
+
+    @pytest.mark.parametrize("kind", ["step", "var", "full"])
+    @pytest.mark.parametrize("sampler", ["ddpm", "ddim"])
+    def test_bound_once_then_asked_at_every_step(self, sched_200, two_blob_2d,
+                                                 kind, sampler):
+        level_map = NoiseLevelMap(sched_200)
+        fast = FastSchedule.full(sched_200) if kind == "full" else \
+            build_fast_schedule(sched_200, level_map, kind, "quadratic", 12)
+        oracle = AnalyticEpsilonModel(two_blob_2d, level_map)
+        recorder = RecordingModel(oracle)
+        config = SamplerConfig(dim=2, batch=6, seed=21, kappa=0.3)
+        bound = run_sampler(fast, recorder, config, sampler)
+        (first, steps), *calls = recorder.log
+        assert first == "at_steps"
+        assert steps.tobytes() == fast.cont_steps.tobytes()
+        want = [("predict", float(t)) for t in fast.cont_steps[::-1]]
+        assert calls == want
+        assert all(type(t) is float for _, t in calls)
+        # CountingModel has no at_steps: the oracle is asked unbound
+        plain = run_sampler(fast, CountingModel(oracle), config, sampler)
+        assert bound.samples.tobytes() == plain.samples.tobytes()
+        assert bound.provenance == plain.provenance
+
+    def test_each_chain_binds_its_own_model(self, sched_200, two_blob_2d):
+        level_map = NoiseLevelMap(sched_200)
+        recorder = RecordingModel(AnalyticEpsilonModel(two_blob_2d,
+                                                       level_map))
+        config = SamplerConfig(dim=2, batch=3, seed=4)
+        for num_steps in (5, 9):
+            fast = build_step_schedule(sched_200, num_steps, "linear")
+            run_sampler(fast, recorder, config, "ddpm")
+        assert [name for name, _ in recorder.log].count("at_steps") == 2
+        assert len(recorder.log) == 2 + 5 + 9
+
+    @pytest.mark.parametrize("name", ["zero", "toy"])
+    @pytest.mark.parametrize("sampler", ["ddpm", "ddim"])
+    def test_models_without_at_steps_run_as_before(self, sched_200, map_200,
+                                                   name, sampler):
+        if name == "zero":
+            model = ZeroEpsilonModel()
+        else:
+            model = ToyRegressor(2, (5,), 200.0, Generator(Philox(3)))
+            model.params[:] = np.linspace(-1.0, 1.0, model.params.size)
+        assert not hasattr(model, "at_steps")
+        fast = build_var_schedule(sched_200, map_200, 6, "quadratic")
+        config = SamplerConfig(dim=2, batch=2, seed=5, kappa=0.5)
+        counted = CountingModel(model)
+        out = run_sampler(fast, counted, config, sampler)
+        assert counted.calls == 6
+        assert [float(v).hex() for v in out.samples.ravel()] \
+            == PLAIN_MODEL_BITS[name, sampler]
+        want = {"sampler": sampler, "fast_schedule": fast.to_dict(),
+                "batch": 2, "dim": 2, "seed": 5, "final_step_noise": "zero",
+                "model_calls_per_chain": 6, "normals_per_chain": 12}
+        if sampler == "ddim":
+            want["kappa"] = 0.5
+        assert out.provenance == want
 
 
 class TestSamplerConfig:

@@ -70,6 +70,23 @@ def test_csv_bytes_equal_per_row_repr(tmp_path):
     assert "-0.0,5e-324,1e+300" in want
 
 
+@pytest.mark.parametrize("dim", [1, 2, 16])
+def test_csv_block_format_is_the_per_row_repr_join(tmp_path, dim):
+    # the block is written as one %-format of %r fields; a batch that is
+    # not a multiple of the block size ends with a short block
+    block = storage._CSV_BLOCK_ROWS
+    samples = np.random.default_rng(dim).normal(size=(block + 3, dim))
+    awkward = np.array([-0.0, 5e-324, 1e16, 0.1])[:, None]
+    samples[:4] = awkward
+    samples[-4:] = awkward
+    path = tmp_path / "run.csv"
+    samples_to_csv(SampleBatch(samples=samples, provenance={}), str(path))
+    want = ",".join(f"x{i}" for i in range(dim)) + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in samples.tolist())
+    assert path.read_bytes() == want.encode()
+    assert ",".join(["1e+16"] * dim) + "\n" in want
+
+
 def test_csv_dimension_limit(tmp_path):
     wide = SampleBatch(samples=np.zeros((3, 40)), provenance={})
     with pytest.raises(ValueError):
