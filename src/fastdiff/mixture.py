@@ -49,8 +49,6 @@ are safe to call concurrently.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ConstructionError, ValidationError, typed
@@ -252,15 +250,28 @@ def analytic_epsilon(gm: GaussianMixture, level_map: NoiseLevelMap,
     standard normal component this reduces to sqrt(1 - alpha_bar) * x.
     It is computed as sqrt(1 - alpha_bar) * sum_k r_k C_k^-1 (x - m_k),
     which has the same bits: (-a)(-b) = ab exactly.  The constants come
-    from a one-row table, and `log_alpha_bar`'s scalar path has the bits of
-    its array path, so a model bound to a chain's steps
-    (`AnalyticEpsilonModel.at_steps`) returns the same bits.
+    from a one-row table, built by the path that builds a model bound to a
+    chain's steps (`AnalyticEpsilonModel.at_steps`), so that model returns
+    the same bits; both raise the same ValueError where alpha_bar(t)
+    exceeds 1.
     """
-    alpha_bar = float(np.exp(level_map.log_alpha_bar(t_cont)))
-    scale = math.sqrt(1.0 - alpha_bar)
-    out = gm._weighted_solves(x, gm._level(alpha_bar))
-    out *= scale
+    alpha_bars, scales = _noise_scales(level_map, np.reshape(t_cont, 1))
+    out = gm._weighted_solves(x, gm._level(alpha_bars[0]))
+    out *= scales[0]
     return out
+
+
+def _noise_scales(level_map: NoiseLevelMap, steps: np.ndarray):
+    """alpha_bar and sqrt(1 - alpha_bar) at a 1-d array of continuous
+    steps; raises ValueError for a step outside the level map's domain,
+    NaN included, or one where alpha_bar exceeds 1."""
+    alpha_bars = np.exp(level_map.log_alpha_bar(steps))
+    if (alpha_bars > 1.0).any():
+        # the Gamma extension can exceed 1 just above t = 0, where
+        # sqrt(1 - alpha_bar) has no value
+        raise ValueError("alpha_bar above 1: no noise predictor at "
+                         f"continuous step {steps[alpha_bars > 1.0][0]}")
+    return alpha_bars, np.sqrt(1.0 - alpha_bars)
 
 
 def posterior_classifier(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:
@@ -303,14 +314,9 @@ class AnalyticEpsilonModel:
         steps = np.asarray(steps, dtype=float)
         if steps.ndim != 1:
             raise ValueError(f"steps must be 1-d, got shape {steps.shape}")
-        alpha_bars = np.exp(self.level_map.log_alpha_bar(steps))
-        if (alpha_bars > 1.0).any():
-            # the Gamma extension can exceed 1 just above t = 0, where
-            # sqrt(1 - alpha_bar) has no value
-            raise ValueError("alpha_bar above 1: no noise predictor at "
-                             f"continuous step {steps[alpha_bars > 1.0][0]}")
+        alpha_bars, scales = _noise_scales(self.level_map, steps)
         bound = AnalyticEpsilonModel(self.gm, self.level_map)
-        bound._scales = np.sqrt(1.0 - alpha_bars)
+        bound._scales = scales
         bound._table = self.gm._levels(alpha_bars)
         for a in (bound._scales, *bound._table):
             a.flags.writeable = False

@@ -15,6 +15,12 @@ samplers query the model.
 Only the output layer's weights start at zero (hidden weights are standard
 normals over sqrt(fan_in), biases zero), so the initial objective sits at
 E||eps||^2 = d, a useful baseline for training tests.
+
+The forward and backward passes write into arrays their caller owns.
+`predict` allocates its own per call, so nothing is stored on the model;
+training allocates one batch-sized set per call, updates it in place, and
+scores the holdout through the same arrays `batch_size` rows at a time, so
+its memory is O(batch_size x width) whatever the holdout size.
 """
 
 from __future__ import annotations
@@ -65,6 +71,8 @@ class ToyRegressor:
         self.hidden = tuple(int(h) for h in hidden)
         self.time_scale = float(time_scale)
         self._shapes, count = _layer_shapes(self.dim, self.hidden)
+        # the width of the features, then of each layer's output
+        self._widths = (self.dim + 1, *self.hidden, self.dim)
         self.params = np.zeros(count)
         self.weights, self.biases = self._layers(self.params)
         if init_stream is not None:
@@ -88,40 +96,48 @@ class ToyRegressor:
 
     # -- forward / backward --------------------------------------------------
 
-    def _features(self, x: np.ndarray, t) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        t_col = np.broadcast_to(np.asarray(t, dtype=float) / self.time_scale,
-                                (x.shape[0],))
-        return np.concatenate([x, t_col[:, None]], axis=1)
+    def _features(self, x: np.ndarray, t, out: np.ndarray) -> None:
+        """Write the network input (x, t / time_scale) into out's rows."""
+        out[:, :-1] = x
+        np.divide(t, self.time_scale, out=out[:, -1])
 
-    def _forward(self, feats: np.ndarray):
-        activations = [feats]
-        h = feats
+    def _forward(self, activations) -> np.ndarray:
+        """Forward pass over the features in activations[0]: writes each
+        layer's output into the next array and returns the last."""
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = activations[i + 1]
+            np.matmul(activations[i], w, out=h)
+            h += b
             if i < last:
-                h = np.tanh(h)
-            activations.append(h)
-        return h, activations
+                np.tanh(h, out=h)
+        return h
 
     def predict(self, x: np.ndarray, t) -> np.ndarray:
-        out, _ = self._forward(self._features(x, t))
-        return out
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise ValueError(f"x must be (n, {self.dim}), got {x.shape}")
+        activations = _arrays(x.shape[0], self._widths)
+        self._features(x, t, activations[0])
+        return self._forward(activations)
 
-    def _gradients(self, activations, grad_out):
-        """Reverse pass; grad_out is dLoss/d(output).  Returns the gradient
-        in the layout of `params`."""
-        grads = np.empty_like(self.params)
-        grads_w, grads_b = self._layers(grads)
-        delta = grad_out
+    def _gradients(self, activations, deltas, slopes, out) -> None:
+        """Reverse pass over a `_forward`'s activations; deltas[-1] holds
+        dLoss/d(output).  Writes each earlier layer's delta into `deltas`,
+        each hidden layer's tanh slope 1 - a^2 into `slopes`, and the
+        gradient into `out`, the (weights, biases) `_layers` views of an
+        array laid out as `params`."""
+        grads_w, grads_b = out
         for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i][...] = activations[i].T @ delta
-            grads_b[i][...] = delta.sum(axis=0)
+            delta = deltas[i]
+            np.matmul(activations[i].T, delta, out=grads_w[i])
+            np.sum(delta, axis=0, out=grads_b[i])
             if i > 0:
-                delta = (delta @ self.weights[i].T) \
-                    * (1.0 - activations[i] ** 2)
-        return grads
+                slope = slopes[i - 1]
+                np.square(activations[i], out=slope)
+                np.subtract(1.0, slope, out=slope)
+                np.matmul(delta, self.weights[i].T, out=deltas[i - 1])
+                deltas[i - 1] *= slope
 
     # -- persistence ---------------------------------------------------------
 
@@ -159,11 +175,18 @@ class ToyRegressor:
         return model
 
 
+def _arrays(rows: int, widths) -> list[np.ndarray]:
+    """One uninitialised (rows, width) array for each width."""
+    return [np.empty((rows, w)) for w in widths]
+
+
 def _denoising_batch(gm, level_map, stream: np.random.Generator, n):
     x0 = gm.sample(stream, n)
     t = stream.uniform(0.0, float(level_map.schedule.num_steps), size=n)
     t = np.nextafter(t, np.inf)  # open at 0: shift onto (0, T]
-    alpha_bar = np.exp(level_map.log_alpha_bar(t))
+    # The Gamma extension exceeds 1 just above t = 0 when
+    # delta_beta > 2 beta_start; there the data is taken noise-free.
+    alpha_bar = np.minimum(np.exp(level_map.log_alpha_bar(t)), 1.0)
     eps = stream.standard_normal((n, gm.dim))
     xt = np.sqrt(alpha_bar)[:, None] * x0 \
         + np.sqrt(1.0 - alpha_bar)[:, None] * eps
@@ -193,8 +216,18 @@ def train_toy_regressor(gm: GaussianMixture, level_map: NoiseLevelMap,
 
     held_x, held_t, held_eps = _denoising_batch(
         gm, level_map, holdout_stream, params.holdout_size)
-    held_feats = model._features(held_x, held_t)
 
+    # The update's arrays, allocated once and written in place: the
+    # activations, the deltas (the last holds the residual, then its
+    # gradient), the tanh slopes, the gradient with its layer views, and
+    # the velocity.
+    rows, widths = params.batch_size, model._widths
+    activations = _arrays(rows, widths)
+    deltas = _arrays(rows, widths[1:])
+    slopes = _arrays(rows, widths[1:-1])
+    residual = deltas[-1]
+    grads = np.empty_like(model.params)
+    grad_layers = model._layers(grads)
     velocity = np.zeros_like(model.params)
     decay_at = int(_DECAY_AFTER_FRACTION * params.num_updates)
     lr = _LEARNING_RATE
@@ -202,23 +235,34 @@ def train_toy_regressor(gm: GaussianMixture, level_map: NoiseLevelMap,
     for update in range(params.num_updates):
         if update == decay_at:
             lr *= _DECAY
-        xt, t, eps = _denoising_batch(gm, level_map, data_stream,
-                                      params.batch_size)
-        feats = model._features(xt, t)
+        xt, t, eps = _denoising_batch(gm, level_map, data_stream, rows)
+        model._features(xt, t, activations[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            out, activations = model._forward(feats)
-            residual = out - eps
+            out = model._forward(activations)
+            np.subtract(out, eps, out=residual)
             loss = float(np.mean(np.sum(residual**2, axis=1)))
         model.loss_trace.append(loss)
         if not np.isfinite(loss):
             raise TrainingError(f"loss diverged at update {update}",
                                 loss_trace=model.loss_trace)
-        grads = model._gradients(activations,
-                                 2.0 * residual / params.batch_size)
-        velocity = _MOMENTUM * velocity - lr * grads
+        residual *= 2.0
+        residual /= rows  # dLoss/d(output)
+        model._gradients(activations, deltas, slopes, grad_layers)
+        velocity *= _MOMENTUM
+        grads *= lr
+        velocity -= grads
         model.params += velocity
 
-    held_out, _ = model._forward(held_feats)
-    model.holdout_loss = float(np.mean(np.sum((held_out - held_eps)**2,
-                                              axis=1)))
+    # each holdout row's squared error, scored a batch of rows at a time
+    errors = np.empty(params.holdout_size)
+    for start in range(0, params.holdout_size, rows):
+        held = slice(start, min(start + rows, params.holdout_size))
+        n = held.stop - start
+        chunk = [a[:n] for a in activations]
+        model._features(held_x[held], held_t[held], chunk[0])
+        out = model._forward(chunk)
+        diff = residual[:n]
+        np.subtract(out, held_eps[held], out=diff)
+        np.sum(diff**2, axis=1, out=errors[held])
+    model.holdout_loss = float(np.mean(errors))
     return model

@@ -39,6 +39,12 @@ from .errors import NUMBER, ConstructionError, ConvergenceError, typed
 # _INVERT_TOL, and raises ConvergenceError after _INVERT_MAX_ITERS steps.
 _INVERT_TOL = 1e-12
 _INVERT_MAX_ITERS = 100
+# `log_alpha_bar` sums the log-Gamma series in 1/(L - t) to its (L - t)^-7
+# term; a schedule is refused when the first term it omits,
+# (L - T)^-9 / 1188, exceeds _SERIES_TOL at t = T, that is when the gap
+# L - T is below _MIN_GAP (about 12.7).
+_SERIES_TOL = 1e-13
+_MIN_GAP = (1188.0 * _SERIES_TOL) ** (-1.0 / 9.0)
 
 
 class VarianceSchedule:
@@ -71,6 +77,12 @@ class VarianceSchedule:
                 f"schedule too steep: (1 - beta_start)/delta_beta = "
                 f"{self.domain_limit:.3f} must exceed num_steps = {num_steps}"
             )
+        gap = self.domain_limit - self.num_steps
+        if gap < _MIN_GAP:
+            raise ConstructionError(
+                f"schedule too steep for the log-Gamma series: "
+                f"(1 - beta_start)/delta_beta - num_steps = {gap:.3f} "
+                f"must be at least {_MIN_GAP:.3f}")
 
         self.betas = np.linspace(self.beta_start, self.beta_end, self.num_steps)
         self.alpha_bars = np.cumprod(1.0 - self.betas)

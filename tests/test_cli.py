@@ -494,6 +494,9 @@ BAD_INPUTS = [
     ("run_without_S", ("sample", "inspect"), config_with(run={"S": None})),
     ("beta_1_above_beta_T", ALL_VERBS, config_with(
         schedule={"beta_1": 0.02, "beta_T": 1e-4, "T": 200})),
+    # the domain limit lies 0.125 above T: too close for the log-Gamma series
+    ("series_gap_below_limit", ALL_VERBS, config_with(
+        schedule={"beta_1": 0.1, "beta_T": 0.9, "T": 10})),
     ("S_above_T", ALL_VERBS, config_with(run={"S": 500},
                                          sweep={"num_steps": [500]})),
     ("cubic_variant", ALL_VERBS, config_with(run={"variant": "cubic"},

@@ -337,12 +337,19 @@ class TestBoundModel:
             assert got.flags.c_contiguous and got.shape == (5, d)
         # off the table: in the domain, NaN, and at or past its limit
         limit = schedule.domain_limit
-        for t in (fraction * schedule.num_steps, float("nan"), limit,
-                  float(np.nextafter(limit, np.inf)), limit + 1.0, -1.0):
+        # (a step in [0, 1) may have alpha_bar above 1)
+        for t in (fraction * schedule.num_steps, fraction, float("nan"),
+                  limit, float(np.nextafter(limit, np.inf)), limit + 1.0,
+                  -1.0):
             want = outcome(model.predict, x, t)
             assert outcome(bound.predict, x, t) == want
             if not 0.0 <= t < limit:
                 assert want[0] is ValueError
+            elif want[0] is ValueError:
+                assert want[1].startswith("alpha_bar above 1")
+                with pytest.raises(ValueError) as err:
+                    model.at_steps([t])
+                assert str(err.value) == want[1]
         for steps in ([float("nan")], [1.0, limit], [-0.5], [[1.0]]):
             with pytest.raises(ValueError):
                 model.at_steps(steps)
@@ -352,14 +359,17 @@ class TestBoundModel:
 
     def test_alpha_bar_above_one_is_rejected(self):
         # with delta_beta > 2 beta_start, alpha_bar(t) exceeds 1 just above
-        # t = 0; there sqrt(1 - alpha_bar) has no value, as it never had
+        # t = 0; there sqrt(1 - alpha_bar) has no value, and the unbound
+        # and the bound model name it alike
         level_map = NoiseLevelMap(VarianceSchedule(1e-3, 0.03125, 2))
         assert np.exp(level_map.log_alpha_bar(0.5)) > 1.0
         gm = GaussianMixture([1.0], [[0.0]], [[[1.0]]])
         model = AnalyticEpsilonModel(gm, level_map)
-        with pytest.raises(ValueError, match="math domain error"):
+        message = "alpha_bar above 1: no noise predictor at continuous " \
+            "step 0.5"
+        with pytest.raises(ValueError, match=message):
             model.predict(np.zeros((2, 1)), 0.5)
-        with pytest.raises(ValueError, match="alpha_bar above 1"):
+        with pytest.raises(ValueError, match=message):
             model.at_steps([1.0, 0.5])
 
     def test_bound_model_is_read_only(self, two_blob_2d, map_200):

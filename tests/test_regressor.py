@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -6,7 +8,8 @@ import fastdiff.regressor
 from fastdiff import (GaussianMixture, NoiseLevelMap, ToyRegressor,
                       TrainingError, TrainingParams, VarianceSchedule,
                       denoising_objective, train_toy_regressor)
-from fastdiff.regressor import _denoising_batch
+from fastdiff.regressor import _arrays, _denoising_batch
+from fastdiff.rng import chain_streams
 
 QUICK = TrainingParams(hidden=(24, 24), num_updates=400, batch_size=128,
                        holdout_size=512, seed=3)
@@ -69,17 +72,21 @@ class TestArchitecture:
         model.weights[-1][...] = Generator(Philox(8)).standard_normal(
             model.weights[-1].shape) * 0.3
         rng = np.random.default_rng(9)
-        feats = model._features(rng.normal(size=(4, 2)),
-                                rng.uniform(1, 99, size=4))
+        widths = model._widths
+        activations = _arrays(4, widths)
+        deltas, slopes = _arrays(4, widths[1:]), _arrays(4, widths[1:-1])
+        model._features(rng.normal(size=(4, 2)), rng.uniform(1, 99, size=4),
+                        activations[0])
         target = rng.normal(size=(4, 2))
 
         def loss():
-            out, _ = model._forward(feats)
+            out = model._forward(activations)
             return float(np.mean(np.sum((out - target) ** 2, axis=1)))
 
-        out, acts = model._forward(feats)
-        grads = model._gradients(acts, 2.0 * (out - target) / 4)
-        assert grads.shape == model.params.shape
+        out = model._forward(activations)
+        deltas[-1][...] = 2.0 * (out - target) / 4
+        grads = np.full_like(model.params, np.nan)
+        model._gradients(activations, deltas, slopes, model._layers(grads))
         h = 1e-6
         # every parameter, through the vector that the layers view
         for i in range(model.params.size):
@@ -91,6 +98,24 @@ class TestArchitecture:
             model.params[i] = keep
             fd = (up - down) / (2 * h)
             assert grads[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+    @pytest.mark.parametrize("x", [np.zeros((3, 3)), np.zeros((3, 1)),
+                                   np.zeros((2, 3, 2))])
+    def test_predict_rejects_the_wrong_width(self, x):
+        model = ToyRegressor(2, (4,), 100.0, Generator(Philox(0)))
+        with pytest.raises(ValueError, match="x must be"):
+            model.predict(x, 5.0)
+
+    def test_predict_returns_a_fresh_array(self):
+        model = ToyRegressor(2, (4,), 100.0, Generator(Philox(0)))
+        model.weights[-1][...] = 1.0
+        x = np.random.default_rng(1).normal(size=(6, 2))
+        first = model.predict(x, 5.0)
+        keep = first.copy()
+        second = model.predict(x, 5.0)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, keep) and np.array_equal(first, second)
+        assert first.flags.c_contiguous and first.shape == (6, 2)
 
 
 class TestTraining:
@@ -173,7 +198,7 @@ class TestTraining:
         # near-point-mass data: the trained predictor should approach the
         # analytic optimum pointwise, not just in objective value
         from fastdiff import analytic_epsilon
-        from fastdiff.regressor import _denoising_batch
+        from fastdiff.regressor import _arrays, _denoising_batch
         _, level_map = blob_and_map
         gm = GaussianMixture([1.0], [[0.0, 0.0]], [1e-4 * np.eye(2)])
         params = TrainingParams(hidden=(64, 64), num_updates=15000, seed=13)
@@ -186,3 +211,55 @@ class TestTraining:
             star = analytic_epsilon(gm, level_map, xt[i:i + 1], float(t[i]))
             total += float(np.sum((pred - star) ** 2))
         assert total / 2000 <= 0.05
+
+
+class TestBatchMemory:
+    """Training holds batch-sized arrays only: the holdout is scored
+    `batch_size` rows at a time through the update's arrays."""
+
+    @pytest.mark.parametrize("holdout_size, batch_size", [
+        (512, 128), (1000, 128), (50, 64), (1, 64), (4097, 256)])
+    def test_holdout_loss_matches_a_full_batch_reference(
+            self, blob_and_map, holdout_size, batch_size):
+        gm, level_map = blob_and_map
+        params = TrainingParams(hidden=(24, 24), num_updates=20,
+                                batch_size=batch_size,
+                                holdout_size=holdout_size, seed=4)
+        model = train_toy_regressor(gm, level_map, params)
+        # the holdout draw: the third of the call's streams
+        held_x, held_t, held_eps = _denoising_batch(
+            gm, level_map, chain_streams(params.seed, 3)[2], holdout_size)
+        reference = np.mean(np.sum(
+            (model.predict(held_x, held_t) - held_eps) ** 2, axis=1))
+        assert model.holdout_loss == pytest.approx(reference, rel=1e-12)
+
+    def test_peak_does_not_grow_with_the_holdout(self, blob_and_map):
+        gm, level_map = blob_and_map
+        width, batch_size = 512, 256
+
+        def peak(holdout_size):
+            params = TrainingParams(hidden=(width,), num_updates=2,
+                                    batch_size=batch_size,
+                                    holdout_size=holdout_size, seed=0)
+            tracemalloc.start()
+            try:
+                train_toy_regressor(gm, level_map, params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # scoring 8192 rows in one pass would add two 8192 x width arrays
+        activation = batch_size * width * 8
+        assert peak(8192) - peak(256) < activation
+
+
+def test_trains_on_a_short_schedule(two_blob_2d):
+    # On T = 50, alpha_bar(t) of the Gamma extension exceeds 1 just above
+    # t = 0 (delta_beta > 2 beta_start); the batch takes it as 1 there.
+    level_map = NoiseLevelMap(VarianceSchedule(1e-4, 0.02, 50))
+    assert np.exp(level_map.log_alpha_bar(0.3)) > 1.0
+    model = train_toy_regressor(two_blob_2d, level_map, TrainingParams(
+        hidden=(8,), batch_size=64, num_updates=200))
+    assert len(model.loss_trace) == 200
+    assert np.isfinite(model.loss_trace).all()
+    assert model.holdout_loss < two_blob_2d.dim

@@ -29,6 +29,32 @@ class TestConstruction:
         with pytest.raises(ConstructionError):
             VarianceSchedule(0.5, 0.95, 10)
 
+    @pytest.mark.parametrize("gap", [1.0, 3.0, 8.0, 12.0, 12.5, 12.7, 13.0,
+                                     20.0, 60.0])
+    def test_rejects_gaps_the_series_cannot_evaluate(self, gap, monkeypatch):
+        # beta_1 = 0.05 and T = 10, with beta_T set so that the domain limit
+        # L lies `gap` above T; the series in 1/(L - t) first omits
+        # (L - T)^-9 / 1188, refused above 1e-13 (a gap below about 12.7)
+        args = (0.05, 0.05 + 9 * 0.95 / (10 + gap), 10)
+        term = gap**-9 / 1188
+        if term > 1e-13:
+            with pytest.raises(ConstructionError, match="log-Gamma series"):
+                VarianceSchedule(*args)
+            # build it anyway, to show what the check keeps out
+            monkeypatch.setattr(fastdiff.schedule, "_MIN_GAP", 0.0)
+        schedule = VarianceSchedule(*args)
+        assert schedule.domain_limit - 10 == pytest.approx(gap, rel=1e-12)
+        level_map = NoiseLevelMap(schedule)
+        error = max(abs(level_map.log_alpha_bar(float(t))
+                        - np.log(alpha_bar_product(schedule, t)))
+                    for t in range(1, 11))
+        # a refused schedule is off by more than 1e-13, an accepted one by
+        # no more, to rounding
+        if term > 1e-13:
+            assert error > 1e-13
+        else:
+            assert error <= 1e-13 + 2e-14
+
     def test_betas_strictly_increasing_in_unit_interval(self, sched_1000):
         assert np.all(np.diff(sched_1000.betas) > 0)
         assert np.all((sched_1000.betas > 0) & (sched_1000.betas < 1))
