@@ -22,6 +22,15 @@ holds the bits its own draw would, so the rows do not change; the draw's
 time is a `{"seed", "draw_seconds"}` entry of `timings.json`, beside the
 cells'.  A seed's blocks are its peak memory: 2000 chains of a full
 T = 1000 chain in 2 dimensions take 32 MB.
+
+A seed's cells then run on w = min(CPUs this process may use, cells)
+processes, one per CPU: this one and w - 1 forked workers that inherit
+the blocks, each running its share (longest S first onto the least-loaded
+share) through the one cell body and sending its rows, timings, recorded
+warnings and any programming error back over a pipe.  The rows return in
+grid order and do not depend on w.  A process with more than one OS thread
+(an unpinned BLAS pool) cannot fork safely, so it runs w = 1, the plain
+loop; `timings.json` names each seed's `workers` and each cell's `worker`.
 """
 
 from __future__ import annotations
@@ -30,7 +39,12 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
+import signal
+import sys
 import time
+import traceback
+import warnings
 
 import numpy as np
 
@@ -309,6 +323,162 @@ def score_samples(mixture: GaussianMixture, samples: np.ndarray,
     return scores
 
 
+def _available_workers() -> int:
+    """Processes a sweep may run a seed's cells on: the CPUs this process
+    may use, or 1 where forking is unsupported or unsafe.  Forking a
+    process that runs more than one OS thread (an unpinned BLAS pool, say)
+    can deadlock the child, so such a process, and one whose thread count
+    cannot be read, stays on one."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 1
+    return len(os.sched_getaffinity(0)) if threads == 1 else 1
+
+
+def _shares(cells, indices, workers):
+    """`indices` in `workers` shares of about equal cost, each in grid
+    order: longest S first, each cell onto the share with the least S."""
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for index in sorted(indices, key=lambda i: -cells[i][3]):
+        least = loads.index(min(loads))
+        shares[least].append(index)
+        loads[least] += cells[index][3]
+    return [sorted(share) for share in shares]
+
+
+def _run_cell(config, cell, blocks):
+    """The row of one cell, reading the seed's `blocks`.  A library error
+    marks the row failed; any other exception propagates."""
+    seed, kind, variant, s, sampler, kappa = cell
+    row = {**dict.fromkeys(CSV_COLUMNS), **dict(zip(CSV_COLUMNS, cell)),
+           "status": "ok", "error": ""}
+    try:
+        fast = build_fast_schedule(config.schedule, config.level_map,
+                                   kind, variant, s)
+        samples, label_idx, provenance = _generate(config, fast, sampler,
+                                                   kappa, seed, blocks)
+        row["model_calls_per_chain"] = provenance["model_calls_per_chain"]
+        row["normals_per_chain"] = provenance["normals_per_chain"]
+        row.update(score_samples(config.mixture, samples, label_idx))
+    except (ValueError, ArithmeticError, ConvergenceError) as err:
+        row["status"] = "failed"
+        row["error"] = f"{type(err).__name__}: {err}"
+    return row
+
+
+def _run_share(config, cells, share, blocks):
+    """(index, row, seconds) of each cell of `share` in turn; a cell that
+    raises has its exception in place of the row and ends the share."""
+    records = []
+    for index in share:
+        started = time.perf_counter()
+        try:
+            row = _run_cell(config, cells[index], blocks)
+        except Exception as err:  # re-raised by the parent, in grid order
+            row = err
+        records.append((index, row, time.perf_counter() - started))
+        if isinstance(row, Exception):
+            break
+    return records
+
+
+def _worker_main(config, cells, share, blocks, worker, write_fd):
+    """A forked worker: runs its share with its warnings recorded, sends
+    (records, warnings) down `write_fd` and leaves without unwinding."""
+    status = 1
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            records = _run_share(config, cells, share, blocks)
+        error = records[-1][1]
+        if isinstance(error, Exception) and hasattr(error, "add_note"):
+            # the traceback itself does not pickle
+            error.add_note(f"raised in sweep worker {worker}:\n"
+                           + "".join(traceback.format_exception(error)))
+        payload = memoryview(pickle.dumps(
+            (records, [(w.message, w.filename, w.lineno) for w in caught])))
+        while payload:
+            payload = payload[os.write(write_fd, payload):]
+        status = 0
+    except BaseException:  # reported here: a worker never unwinds into
+        traceback.print_exc()  # the frames it inherited from the sweep
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _reissue(caught):
+    """Issue warnings that a worker recorded as `warnings.warn` would have
+    issued them here, in the registry of the module that raised each."""
+    if not caught:
+        return
+    modules = {getattr(m, "__file__", None): m
+               for m in list(sys.modules.values())}
+    for message, filename, lineno in caught:
+        scope = vars(modules[filename]) if filename in modules else {}
+        warnings.warn_explicit(
+            message, type(message), filename, lineno,
+            module=scope.get("__name__"),
+            registry=scope.setdefault("__warningregistry__", {}))
+
+
+def _fan_out(config, cells, shares, blocks, entry):
+    """(worker, record) of each `_run_share` record of `shares`: share
+    k > 0 runs on forked worker k, share 0 here, and the workers' warnings
+    are re-issued.  Every worker is reaped on every exit, and killed first
+    unless it was collected."""
+    started = time.perf_counter()
+    cpus = sorted(os.sched_getaffinity(0))
+    children = {}  # pid -> the read end of its pipe, until reaped
+    try:
+        for worker, share in enumerate(shares[1:], 1):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                for pipe in children.values():
+                    pipe.close()
+                os.sched_setaffinity(0, {cpus[worker % len(cpus)]})
+                _worker_main(config, cells, share, blocks, worker, write_fd)
+            os.close(write_fd)
+            children[pid] = open(read_fd, "rb")
+        # left to itself, the kernel may keep a short-lived child on its
+        # parent's CPU: each worker keeps to its own CPU instead
+        os.sched_setaffinity(0, {cpus[0]})
+        entry["fork_seconds"] = time.perf_counter() - started
+        done = [(0, record)
+                for record in _run_share(config, cells, shares[0], blocks)]
+        started = time.perf_counter()
+        for worker, pid in enumerate(list(children), 1):
+            payload = children[pid].read()
+            children[pid].close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status != 0 or not payload:
+                ended = (f"exited with status {status}" if status >= 0
+                         else f"was killed by signal {-status}")
+                raise RuntimeError(f"sweep worker {worker} (pid {pid}) "
+                                   f"{ended} without sending its result")
+            records, caught = pickle.loads(payload)
+            done += [(worker, record) for record in records]
+            _reissue(caught)
+        entry["collect_seconds"] = time.perf_counter() - started
+    finally:
+        os.sched_setaffinity(0, cpus)
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return done
+
+
 def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     """Run every cell of the grid; returns the result rows.
 
@@ -317,32 +487,42 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     marks its row as failed and the sweep moves on; any other exception is
     a bug and propagates.  Config validation happens before this function
     is reachable.
+
+    Each seed's cells fan out over the CPUs this process may use, on
+    forked workers that inherit the seed's normals blocks, but only when
+    the process runs a single OS thread: pin BLAS (`OPENBLAS_NUM_THREADS=1`,
+    as perfbench does), or the sweep runs serially.  `taskset -c 0` also
+    runs it serially.  The rows, `results.csv` and `results.json` are
+    byte-identical for any number of workers; cell warnings reach the
+    caller, and a cell's programming error is re-raised here.
     """
+    cells = config.grid()
     rows, timings = [], []
-    blocks_seed = None
-    for index, cell in enumerate(config.grid()):
-        seed, kind, variant, s, sampler, kappa = cell
-        if seed != blocks_seed:  # the grid is seed-major
-            started = time.perf_counter()
-            blocks, blocks_seed = _seed_normals(config, seed), seed
-            timings.append({"seed": seed,
-                            "draw_seconds": time.perf_counter() - started})
-        row = {**dict.fromkeys(CSV_COLUMNS), **dict(zip(CSV_COLUMNS, cell)),
-               "status": "ok", "error": ""}
+    available = _available_workers()
+    for seed, group in itertools.groupby(range(len(cells)),
+                                         key=lambda i: cells[i][0]):
+        indices = list(group)  # the grid is seed-major
         started = time.perf_counter()
-        try:
-            fast = build_fast_schedule(config.schedule, config.level_map,
-                                       kind, variant, s)
-            samples, label_idx, provenance = _generate(config, fast, sampler,
-                                                       kappa, seed, blocks)
-            row["model_calls_per_chain"] = provenance["model_calls_per_chain"]
-            row["normals_per_chain"] = provenance["normals_per_chain"]
-            row.update(score_samples(config.mixture, samples, label_idx))
-        except (ValueError, ArithmeticError, ConvergenceError) as err:
-            row["status"] = "failed"
-            row["error"] = f"{type(err).__name__}: {err}"
-        timings.append({"cell": index, "seconds": time.perf_counter() - started})
-        rows.append(row)
+        blocks = _seed_normals(config, seed)
+        workers = min(available, len(indices))
+        entry = {"seed": seed, "draw_seconds": time.perf_counter() - started,
+                 "workers": workers, "fork_seconds": 0.0,
+                 "collect_seconds": 0.0}
+        timings.append(entry)
+        if workers == 1:
+            done = [(0, record)
+                    for record in _run_share(config, cells, indices, blocks)]
+        else:
+            done = _fan_out(config, cells,
+                            _shares(cells, indices, workers), blocks, entry)
+        # grid order, up to the first cell that raised
+        for worker, (index, row, seconds) in sorted(
+                done, key=lambda item: item[1][0]):
+            if isinstance(row, Exception):
+                raise row
+            rows.append(row)
+            timings.append({"cell": index, "seconds": seconds,
+                            "worker": worker})
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -128,7 +128,8 @@ class GaussianMixture:
     def class_labels(self) -> np.ndarray:
         if self.labels is None:
             raise ValueError("mixture has no labels")
-        return np.unique(self.labels)
+        # sorted and distinct, without np.unique's numpy.ma import
+        return np.array(sorted(set(self.labels.tolist())), dtype=int)
 
     def restrict(self, label: int) -> "GaussianMixture":
         """Sub-mixture of the components carrying `label`, renormalized."""

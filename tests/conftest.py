@@ -41,3 +41,16 @@ def two_blob_2d():
     eye2 = np.eye(2)
     return GaussianMixture([0.5, 0.5], [[-1.5, 0.0], [1.5, 0.0]],
                            [0.25 * eye2, 0.25 * eye2], labels=[0, 1])
+
+
+@pytest.fixture(autouse=True)
+def serial_sweeps(monkeypatch):
+    """Sweeps run in this process unless a test sets the worker count.
+
+    Whether a sweep forks depends on the process's thread count, and an
+    OpenBLAS pool shuts down at a fork and restarts on a later call; a test
+    that records calls inside the cells would see only this process's
+    share.  tests/test_sweep_workers.py sets the count itself."""
+    import fastdiff.experiment as exp
+    monkeypatch.setattr(exp, "_available_workers", lambda: 1)
+

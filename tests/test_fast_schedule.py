@@ -62,6 +62,19 @@ class TestStepSubsets:
         with pytest.raises(ConstructionError):
             step_subset(100, 10, "cubic")
 
+    @pytest.mark.filterwarnings("ignore:step subset collapsed")
+    @pytest.mark.parametrize("num_steps_full", [1, 2, 3, 10, 40, 200])
+    def test_step_subset_is_the_distinct_ramp(self, num_steps_full):
+        for num_steps in range(1, num_steps_full + 1):
+            s = np.arange(1, num_steps + 1, dtype=float)
+            for variant, ramp in [
+                    ("linear", num_steps_full / num_steps * s),
+                    ("quadratic", 0.8 * num_steps_full / num_steps**2 * s**2)]:
+                taus = step_subset(num_steps_full, num_steps, variant)
+                expected = np.unique(np.maximum(np.floor(ramp).astype(int), 1))
+                assert taus.dtype == expected.dtype
+                assert taus.tolist() == expected.tolist()
+
 
 class TestVarSchedules:
     def test_single_step_closed_form(self, sched_200, map_200):

@@ -267,3 +267,26 @@ def test_library_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_a_sweep_does_not_import_numpy_ma():
+    # numpy's np.unique imports numpy.ma on first use, about 10 ms that
+    # every new process, sweep worker or benchmark set-up would pay again
+    code = ("import sys, warnings\n"
+            "import fastdiff.experiment as exp\n"
+            "warnings.simplefilter('ignore')\n"
+            "exp.run_sweep(exp.ExperimentConfig({\n"
+            "    'schedule': {'beta_1': 1e-4, 'beta_T': 0.02, 'T': 40},\n"
+            "    'data': {'preset': 'four_class_2d'}, 'conditional': True,\n"
+            "    'sweep': {'kinds': ['step', 'var'],\n"
+            "              'variants': ['linear', 'quadratic'],\n"
+            "              'num_steps': [5, 20],\n"
+            "              'samplers': [{'name': 'ddpm'}]},\n"
+            "    'samples_per_cell': 16, 'seeds': [0]}))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
