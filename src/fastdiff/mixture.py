@@ -28,23 +28,18 @@ needs a factorization.  Fixed at construction, and read-only from then on,
 are the weights, means and covariances, the factors L_k, U_k and lambda_k,
 and the log weights log w_k; none of them depends on alpha_bar.
 
-What depends on alpha_bar alone, the noisy eigenvalues lambda~_k, the
-scaled means sqrt(alpha_bar) mu_k and the log-normalisers
-d log 2pi + log det C_k, is built by one vectorised pass over an array of
-levels into a constants table, O(K d) per level; a single level is a
-one-row table.  `AnalyticEpsilonModel.at_steps` tabulates a whole chain's
-steps at once, with sqrt(1 - alpha_bar), and the reverse driver binds the
-model so once per chain.  The (K, d, d) precisions are not tabulated: a
-step builds its own at its call.
+What depends on alpha_bar alone is built by one vectorised pass over an
+array of levels into a constants table (`_levels`), O(K d) per level; a
+single level is a one-row table.  `AnalyticEpsilonModel.at_steps`
+tabulates a whole chain's steps at once, with sqrt(1 - alpha_bar), and
+the reverse driver binds the model so once per chain.  The (K, d, d)
+precisions are not tabulated: a step builds its own at its call.
 
 The log density, the score and the label posterior come from one pass
 per query over all K components as stacked arrays (`_marginal`, given
-one row of the table): one batched product gives the K precisions, the
-offsets x - m_k and their solves are (K, d, n) arrays, the log-domain
-component densities one (K, n) array, and the log-sum-exp and the
-responsibilities reduce over its leading axis.  A mixture is immutable
-once built and holds no cache, and so is a bound model, so their methods
-are safe to call concurrently.
+one row of the table).  A mixture is immutable once built and holds no
+cache, and so is a bound model, so their methods are safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstructionError, ValidationError, typed
-from .schedule import NoiseLevelMap
+from .schedule import NoiseLevelMap, check_steps
 from .storage import read_json
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -253,8 +248,8 @@ def analytic_epsilon(gm: GaussianMixture, level_map: NoiseLevelMap,
     which has the same bits: (-a)(-b) = ab exactly.  The constants come
     from a one-row table, built by the path that builds a model bound to a
     chain's steps (`AnalyticEpsilonModel.at_steps`), so that model returns
-    the same bits; both raise the same ValueError where alpha_bar(t)
-    exceeds 1.
+    the same bits; both raise the same ValueError where t lies outside
+    [0, T] or alpha_bar(t) exceeds 1.
     """
     alpha_bars, scales = _noise_scales(level_map, np.reshape(t_cont, 1))
     out = gm._weighted_solves(x, gm._level(alpha_bars[0]))
@@ -264,8 +259,9 @@ def analytic_epsilon(gm: GaussianMixture, level_map: NoiseLevelMap,
 
 def _noise_scales(level_map: NoiseLevelMap, steps: np.ndarray):
     """alpha_bar and sqrt(1 - alpha_bar) at a 1-d array of continuous
-    steps; raises ValueError for a step outside the level map's domain,
-    NaN included, or one where alpha_bar exceeds 1."""
+    steps; raises ValueError for a step outside [0, T], NaN included, or
+    one where alpha_bar exceeds 1."""
+    check_steps(steps, level_map.schedule.num_steps, closed=True)
     alpha_bars = np.exp(level_map.log_alpha_bar(steps))
     if (alpha_bars > 1.0).any():
         # the Gamma extension can exceed 1 just above t = 0, where
@@ -294,8 +290,7 @@ class AnalyticEpsilonModel:
     `GaussianMixture._levels` arrays and sqrt(1 - alpha_bar), O(S K d) in
     all) and an index from each step to its row.  Its `predict` returns the
     bits of the unbound model's at every step, and serves a step outside
-    the table through a one-row table, as the unbound model does.  Each
-    step's (K, d, d) precisions are still built at its call.
+    the table through a one-row table, as the unbound model does.
     """
 
     def __init__(self, gm: GaussianMixture, level_map: NoiseLevelMap):
@@ -310,8 +305,8 @@ class AnalyticEpsilonModel:
     def at_steps(self, steps) -> "AnalyticEpsilonModel":
         """A model with this one's predictions, its constants tabulated at
         `steps`, a 1-d sequence of continuous steps; raises ValueError for
-        a step outside the level map's domain, NaN included, or one where
-        alpha_bar exceeds 1."""
+        a step outside [0, T], NaN included, or one where alpha_bar
+        exceeds 1."""
         steps = np.asarray(steps, dtype=float)
         if steps.ndim != 1:
             raise ValueError(f"steps must be 1-d, got shape {steps.shape}")

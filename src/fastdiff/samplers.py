@@ -2,36 +2,37 @@
 epsilon-model.
 
 The forward direction jumps straight to any step t through the closed-form
-marginal
-
-    x_t = sqrt(alpha_bar_t) x_0 + sqrt(1 - alpha_bar_t) eps.
+marginal x_t = sqrt(alpha_bar_t) x_0 + sqrt(1 - alpha_bar_t) eps.
 
 Two reverse samplers run over any `FastSchedule`, the full chain
 `FastSchedule.full` included, and `run_sampler` picks one by name:
 `fast_ddpm_reverse` (ancestral) and `fast_ddim_reverse` (implicit).
 `ddpm_reverse` is the ancestral sampler over the full chain of a
 `VarianceSchedule`.  Each reverse step s = S, ..., 1 is
-x <- (x - b_s eps_theta(x, t_s)) / sqrt(gamma_s) + c_s z, and the samplers
-differ only in the coefficient tables b and c:
+x <- (x - b_s eps_theta(x, t_s)) / d_s + c_s z with d = sqrt(gamma), and
+the samplers differ only in the tables b and c:
 
   DDPM: b = eta / sqrt(1 - gamma_bar),            c = sqrt(eta_tilde)
   DDIM: b = sqrt(1 - gamma_bar) - sqrt(gamma rho), c = sqrt(kappa^2 eta_tilde)
 
-where rho_s = 1 - gamma_bar_{s-1} - kappa^2 eta_tilde_s.  kappa in [0, 1]
-scales the DDIM noise: kappa = 0 is a deterministic map from the latent to
-the sample, and kappa = 1 reproduces DDPM step for step.
+where rho_s = 1 - gamma_bar_{s-1} - kappa^2 eta_tilde_s, clamped at 0 (with
+gamma_bar_0 = 1, only rho_1 is negative).  kappa in [0, 1] scales the DDIM
+noise: kappa = 0 is a deterministic map from the latent to the sample, and
+kappa = 1 reproduces DDPM step for step.  `reverse_tables` is the one
+statement of each sampler's tables and counts; the driver, `_reverse_chain`,
+is the step loop alone.
 
 Samplers are pure functions of (schedule, model, config): a fixed seed gives
 bitwise-identical output.  Each chain draws all of its normals in one block
 from the Philox stream keyed by (seed, chain index) (`rng.chain_normals`):
-the initial state first, then one row per noisy step (`chain_rows` counts
-them).  So the noise does not depend on batch size, and the
-`normals_per_chain` provenance entry is computed from the schedule rather
-than counted.  The model's output may: the analytic oracle's matrix
-products can round a one-row batch in the last bits differently from the
-same row inside a larger batch (seen for mixtures whose covariances are
-not multiples of the identity), and a single-chain run can then end
-slightly apart from the same chain run in a larger batch.
+the initial state first, then one row per noisy step.  So the noise does
+not depend on batch size, and `normals_per_chain` comes from the tables
+rather than from a count.  The model's output may: the analytic oracle's
+matrix products can round a row in the last bits differently with other
+rows around it.  On a d = 2 mixture with full covariances, 1-row pieces of
+a batch move its bits; at d >= 12 most splits do, even 512-row-aligned
+ones, by up to 3e-15.  So a batch is reversed in one process on purpose:
+split over processes, its output would depend on the CPU count.
 
 An overflowing chain warns nothing: the driver raises a `NumericError` that
 names the first reverse step with a non-finite state, for every caller.
@@ -53,8 +54,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .fast_schedule import FastSchedule
 from .rng import chain_normals
-# chain_streams is unused here but stays importable: perfbench's call
-# tracer patches samplers.chain_streams by name.
+# unused here, but perfbench's call tracer patches samplers.chain_streams
 from .rng import chain_streams  # noqa: F401
 from .schedule import VarianceSchedule
 
@@ -63,10 +63,11 @@ class EpsilonModel(Protocol):
     """Noise predictor contract.
 
     `predict(x, t)` maps a batch of states (n, d) and a scalar (possibly
-    non-integer) diffusion step to predicted noise of shape (n, d).  It must
-    be deterministic in (x, t) and safe to call concurrently.  The samplers
-    only read the returned array, so it may be reused or read-only; they
-    update the state x in place after the call, so a model must not keep x.
+    non-integer) diffusion step t in [0, T] to predicted noise of shape
+    (n, d).  It must be deterministic in (x, t) and safe to call
+    concurrently.  The samplers only read the returned array, so it may be
+    reused or read-only; they update the state x in place after the call,
+    so a model must not keep x.
 
     A model may also offer `at_steps(steps)`, returning a model with the
     same predictions that has tabulated whatever depends only on the step
@@ -135,11 +136,6 @@ def forward_jump(schedule: VarianceSchedule, x0: np.ndarray, t: int,
     return np.sqrt(alpha_bar) * x0 + np.sqrt(1.0 - alpha_bar) * eps
 
 
-def _check_finite(x, step):
-    if not np.isfinite(x).all():
-        raise NumericError(f"non-finite state at reverse step {step}", step=step)
-
-
 def chain_rows(num_steps: int, sampler: str, kappa: float,
                final_step_noise: str) -> int:
     """Rows of normals one chain draws over `num_steps` reverse steps: its
@@ -151,20 +147,34 @@ def chain_rows(num_steps: int, sampler: str, kappa: float,
     return 1 + num_steps - (final_step_noise != FINAL_STEP_LITERAL)
 
 
-def _reverse_chain(fast, model, config, initial, sampler, normals=None):
-    """Shared driver: the one update of the module docstring, with the b and
-    c tables of `sampler`, "ddpm" or "ddim" (with noise scale config.kappa).
-    Both draw identical noise for kappa > 0, so kappa = 1 is testable
-    against DDPM draw for draw.  `normals`, when given, is a block of shape
-    (batch, at least rows * dim) that the driver would otherwise draw: its
-    first rows * dim columns are read in place of the draw."""
-    num_steps = fast.num_steps
-    d = np.sqrt(fast.gammas)
-    kappa = config.kappa if sampler == "ddim" else None
-    if kappa is None:
+@dataclass(frozen=True)
+class ReverseTables:
+    """A sampler's tables over a fast schedule, read-only (S,) arrays at
+    index s - 1, and its counts per chain: the first `noisy_steps` reverse
+    steps draw noise, `rows` of normals include the initial state's, and
+    the model is called `model_calls` times.  `kappa` is the noise scale
+    the provenance reports, None for DDPM."""
+
+    sampler: str
+    kappa: float | None
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    noisy_steps: int
+    rows: int
+    model_calls: int
+
+
+def reverse_tables(fast: FastSchedule, sampler: str, kappa: float,
+                   final_step_noise: str) -> ReverseTables:
+    """The tables and counts of `sampler` over `fast`: "ddpm", which ignores
+    `kappa`, or "ddim" with noise scale `kappa`, by the formulas of the
+    module docstring.  Any other name raises `ValidationError`."""
+    if sampler == "ddpm":
+        kappa = None
         b = fast.etas / np.sqrt(1.0 - fast.gamma_bars)
         c = np.sqrt(fast.eta_tildes)
-    else:
+    elif sampler == "ddim":
         prev_bars = np.concatenate([[1.0], fast.gamma_bars[:-1]])
         # kappa <= 1 keeps every interior radicand positive; only the
         # terminal one, -kappa^2 eta_1, is negative, so it is clamped.
@@ -172,11 +182,20 @@ def _reverse_chain(fast, model, config, initial, sampler, normals=None):
         b = np.sqrt(1.0 - fast.gamma_bars) \
             - np.sqrt(fast.gammas * np.maximum(radicands, 0.0))
         c = np.sqrt(kappa**2 * fast.eta_tildes)
+    else:
+        raise ValidationError(f"unknown sampler {sampler!r}")
+    d = np.sqrt(fast.gammas)
+    for table in (b, c, d):
+        table.flags.writeable = False
+    rows = chain_rows(fast.num_steps, sampler, kappa, final_step_noise)
+    return ReverseTables(sampler, kappa, b, c, d, rows - 1, rows,
+                         fast.num_steps)
 
-    # The first noisy_steps reverse steps draw noise.
-    noisy_steps = chain_rows(num_steps, sampler, config.kappa,
-                             config.final_step_noise) - 1
 
+def _reverse_chain(fast, model, config, initial, tables, normals=None):
+    """Shared driver: the update of the module docstring with the tables and
+    counts of `tables`; `normals` is as for `run_sampler`."""
+    b, c, d, noisy_steps = tables.b, tables.c, tables.d, tables.noisy_steps
     if initial is not None:
         initial = np.array(initial, dtype=float)
         if initial.shape != (config.batch, config.dim):
@@ -185,7 +204,7 @@ def _reverse_chain(fast, model, config, initial, sampler, normals=None):
 
     # One block of normals per chain: row 0 is the initial state (unless
     # given), then one row per noisy step in reverse-step order.
-    rows = noisy_steps + (initial is None)
+    rows = tables.rows - (initial is not None)
     columns = rows * config.dim
     if normals is None:
         normals = chain_normals(config.seed, config.batch, columns)
@@ -196,9 +215,8 @@ def _reverse_chain(fast, model, config, initial, sampler, normals=None):
         raise TypeError(f"normals block of shape {normals.shape}, need "
                         f"({config.batch}, >= {columns})")
     normals = normals[:, :columns].reshape(config.batch, rows, config.dim)
-    # A copy: with one row, normals[:, 0, :] is contiguous, so
-    # ascontiguousarray would return a view and the in-place update below
-    # would write into the caller's block.
+    # A copy: a one-row block's normals[:, 0, :] is contiguous, and a view
+    # would let the in-place update below write into the caller's block.
     x = normals[:, 0, :].copy() if initial is None else initial
     noise = normals[:, rows - noisy_steps:, :]
     trace = [] if config.record_trace else None
@@ -216,7 +234,7 @@ def _reverse_chain(fast, model, config, initial, sampler, normals=None):
     # reused or read-only) is only read.
     scratch = np.empty_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, i in enumerate(range(num_steps - 1, -1, -1)):
+        for k, i in enumerate(range(fast.num_steps - 1, -1, -1)):
             eps_hat = model.predict(x, float(fast.cont_steps[i]))
             np.multiply(b[i], eps_hat, out=scratch)
             np.subtract(x, scratch, out=x)
@@ -224,17 +242,20 @@ def _reverse_chain(fast, model, config, initial, sampler, normals=None):
             if k < noisy_steps:
                 np.multiply(c[i], noise[:, k, :], out=scratch)
                 np.add(x, scratch, out=x)
-            _check_finite(x, i + 1)
+            if not np.isfinite(x).all():
+                raise NumericError(f"non-finite state at reverse step {i + 1}",
+                                   step=i + 1)
             if trace is not None:
                 trace.append(x.copy())
 
-    provenance = {"sampler": sampler}
-    if kappa is not None:
-        provenance["kappa"] = kappa
+    provenance = {"sampler": tables.sampler}
+    if tables.kappa is not None:
+        provenance["kappa"] = tables.kappa
     provenance.update(
         fast_schedule=fast.to_dict(), batch=config.batch, dim=config.dim,
         seed=config.seed, final_step_noise=config.final_step_noise,
-        model_calls_per_chain=num_steps, normals_per_chain=rows * config.dim)
+        model_calls_per_chain=tables.model_calls,
+        normals_per_chain=rows * config.dim)
     return SampleBatch(samples=x, provenance=provenance, step_trace=trace)
 
 
@@ -243,8 +264,9 @@ def ddpm_reverse(schedule: VarianceSchedule, model: EpsilonModel,
                  ) -> SampleBatch:
     """Full-length ancestral sampling over all num_steps reverse steps: the
     fast sampler on `FastSchedule.full(schedule)`, provenance included."""
-    return _reverse_chain(FastSchedule.full(schedule), model, config,
-                          initial, "ddpm")
+    fast = FastSchedule.full(schedule)
+    return _reverse_chain(fast, model, config, initial, reverse_tables(
+        fast, "ddpm", config.kappa, config.final_step_noise))
 
 
 def fast_ddpm_reverse(fast: FastSchedule, model: EpsilonModel,
@@ -252,8 +274,9 @@ def fast_ddpm_reverse(fast: FastSchedule, model: EpsilonModel,
                       initial: np.ndarray | None = None, *,
                       normals: np.ndarray | None = None) -> SampleBatch:
     """Ancestral sampling over a shortened schedule; `normals` is an
-    optional pre-drawn block (see `_reverse_chain`)."""
-    return _reverse_chain(fast, model, config, initial, "ddpm", normals)
+    optional pre-drawn block (see `run_sampler`)."""
+    return _reverse_chain(fast, model, config, initial, reverse_tables(
+        fast, "ddpm", config.kappa, config.final_step_noise), normals)
 
 
 def fast_ddim_reverse(fast: FastSchedule, model: EpsilonModel,
@@ -261,20 +284,22 @@ def fast_ddim_reverse(fast: FastSchedule, model: EpsilonModel,
                       initial: np.ndarray | None = None, *,
                       normals: np.ndarray | None = None) -> SampleBatch:
     """Implicit sampling over a shortened schedule; `normals` is an
-    optional pre-drawn block (see `_reverse_chain`).
+    optional pre-drawn block (see `run_sampler`).
 
     With kappa = 0 the chain is a deterministic function of the initial
     state and consumes no randomness after drawing it; with kappa = 1 it
     matches `fast_ddpm_reverse` under shared noise streams.
     """
-    return _reverse_chain(fast, model, config, initial, "ddim", normals)
+    return _reverse_chain(fast, model, config, initial, reverse_tables(
+        fast, "ddim", config.kappa, config.final_step_noise), normals)
 
 
 def run_sampler(fast: FastSchedule, model: EpsilonModel,
                 config: SamplerConfig, sampler: str, *,
                 normals: np.ndarray | None = None) -> SampleBatch:
     """Run the named sampler, "ddpm" or "ddim", over `fast`, the full chain
-    included; the provenance names the fast schedule.  `normals`, when
+    included, through `fast_ddpm_reverse` or `fast_ddim_reverse`; any other
+    name raises the `ValidationError` of `reverse_tables`.  `normals`, when
     given, is a block of `rng.chain_normals(config.seed, config.batch, n)`
     with n at least `chain_rows(...) * config.dim`, read in place of the
     run's own draw."""

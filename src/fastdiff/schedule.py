@@ -29,8 +29,6 @@ L is around 5e4).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import NUMBER, ConstructionError, ConvergenceError, typed
@@ -133,7 +131,7 @@ def alpha_bar_product(schedule: VarianceSchedule, t: int) -> float:
     return float(np.prod(1.0 - schedule.betas[:t]))
 
 
-def _check_steps(t, upper, closed=False) -> None:
+def check_steps(t, upper, closed=False) -> None:
     """Raise ValueError unless every continuous step in t lies in [0, upper),
     or in [0, upper] when closed; a NaN step lies in neither."""
     inside = (0.0 <= t) & ((t <= upper) if closed else (t < upper))
@@ -154,7 +152,6 @@ class NoiseLevelMap:
 
     def __init__(self, schedule: VarianceSchedule):
         self.schedule = schedule
-        self._log_delta = math.log(schedule.delta_beta)
         self._limit = schedule.domain_limit
 
     # -- forward direction ---------------------------------------------------
@@ -165,15 +162,16 @@ class NoiseLevelMap:
         Evaluates t*log(d) + lgamma(L+1) - lgamma(L-t+1) through the
         asymptotic expansion of the log-Gamma *difference*.  Subtracting two
         lgamma values of magnitude ~5e5 loses ~6 digits to cancellation;
-        this arrangement keeps absolute error near 1e-13, which the
-        inversion tolerance relies on.
+        this arrangement keeps absolute error near 1e-13 on [0, num_steps],
+        which the inversion tolerance relies on.  Past num_steps the series
+        in 1/(L - t) loses accuracy, and it diverges as t -> L.
 
         A scalar step runs as an ``np.float64`` through the same ufuncs, in
         the same order, as each entry of an array, so both give the same
         bits.  A NaN step, like one outside the domain, raises ValueError.
         """
         t = np.asarray(t, dtype=float)[()]
-        _check_steps(t, self._limit)
+        check_steps(t, self._limit)
         L = self._limit
         s = self.schedule
         # t*log(d) + t*log(L - t) combined: d*(L - t) = 1 - beta_start - t*d
@@ -203,26 +201,8 @@ class NoiseLevelMap:
         r(0.5) = 1.0031, a level that `invert` rejects.
         """
         t = np.asarray(t, dtype=float)
-        _check_steps(t, self.schedule.num_steps, closed=True)
+        check_steps(t, self.schedule.num_steps, closed=True)
         out = np.exp(0.5 * self.log_alpha_bar(t))
-        return out if out.ndim else float(out)
-
-    def log_noise_level_stirling(self, t):
-        """2*log r(t) by the truncated Stirling series, as a cross-check.
-
-        The series drops terms of order (L - t)^-3 and is kept in its
-        textbook arrangement, so it is a genuinely different evaluation
-        from `log_alpha_bar`; the two agree to ~1e-10 absolute on
-        reference schedules.
-        """
-        t = np.asarray(t, dtype=float)
-        _check_steps(t, self._limit)
-        L = self._limit
-        out = (t * self._log_delta
-               + (L + 0.5) * np.log(L)
-               - (L - t + 0.5) * np.log(L - t)
-               - t
-               + (1.0 / L - 1.0 / (L - t)) / 12.0)
         return out if out.ndim else float(out)
 
     # -- inverse direction ---------------------------------------------------

@@ -1,4 +1,5 @@
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -242,6 +243,26 @@ class TestAnalyticEpsilon:
         model = AnalyticEpsilonModel(two_blob_2d, map_200)
         with pytest.raises(ValueError, match="continuous step outside"):
             model.predict(np.zeros((4, 2)), t)
+
+    @pytest.mark.parametrize("t", [float(np.nextafter(200.0, np.inf)), 200.5,
+                                   1000.0, 9998.99, 9999.0, 1e6])
+    def test_step_past_t_is_rejected(self, two_blob_2d, map_200, t):
+        # the oracle's steps end at T = 200, well before the series' limit
+        # L = 9999; near L its evaluation would overflow and warn
+        model = AnalyticEpsilonModel(two_blob_2d, map_200)
+        bound = model.at_steps([1.0, 200.0])
+        x = np.zeros((3, 2))
+        calls = [lambda: model.predict(x, t), lambda: bound.predict(x, t),
+                 lambda: analytic_epsilon(two_blob_2d, map_200, x, t),
+                 lambda: model.at_steps([1.0, t])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError) as err:
+                    call()
+                assert str(err.value) == "continuous step outside [0, 200]"
+            assert np.array_equal(bound.predict(x, 200.0),
+                                  model.predict(x, 200.0))
 
     def test_shared_model_is_safe_across_threads(self, map_200):
         model = AnalyticEpsilonModel(

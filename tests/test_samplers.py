@@ -1,3 +1,5 @@
+import inspect
+import math
 import warnings
 
 import numpy as np
@@ -465,7 +467,7 @@ class TestOneUpdate:
     @given(fast_schedules, st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
     def test_kappa_in_range_keeps_interior_radicands(self, fast, kappa,
                                                      seed):
-        # the driver clamps every radicand at zero but checks none: for
+        # reverse_tables clamps every radicand at zero but checks none: for
         # kappa <= 1 only the terminal one, -kappa^2 eta_1, is negative
         prev_bars = np.concatenate([[1.0], fast.gamma_bars[:-1]])
         radicands = 1.0 - prev_bars - kappa**2 * fast.eta_tildes
@@ -648,6 +650,103 @@ class TestModelBinding:
         if sampler == "ddim":
             want["kappa"] = 0.5
         assert out.provenance == want
+
+
+def docstring_tables(fast, sampler, kappa):
+    """b, c and d by the formulas of the `samplers` docstring, one step at a
+    time in Python floats: d = sqrt(gamma), and
+
+      DDPM: b = eta / sqrt(1 - gamma_bar), c = sqrt(eta_tilde)
+      DDIM: b = sqrt(1 - gamma_bar) - sqrt(gamma rho),
+            c = sqrt(kappa^2 eta_tilde),
+
+    with rho_s = 1 - gamma_bar_{s-1} - kappa^2 eta_tilde_s clamped at 0
+    and gamma_bar_0 = 1."""
+    b, c, d = [], [], []
+    prev_bar = 1.0
+    for eta, bar, eta_tilde in zip(fast.etas.tolist(),
+                                   fast.gamma_bars.tolist(),
+                                   fast.eta_tildes.tolist()):
+        gamma = 1.0 - eta
+        if sampler == "ddpm":
+            b.append(eta / math.sqrt(1.0 - bar))
+            c.append(math.sqrt(eta_tilde))
+        else:
+            rho = max(1.0 - prev_bar - kappa**2 * eta_tilde, 0.0)
+            b.append(math.sqrt(1.0 - bar) - math.sqrt(gamma * rho))
+            c.append(math.sqrt(kappa**2 * eta_tilde))
+        d.append(math.sqrt(gamma))
+        prev_bar = bar
+    return b, c, d
+
+
+class TestReverseTables:
+    """`reverse_tables`, the one statement of each sampler's tables and
+    counts, against the docstring and against what a run reports."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(schedules, st.sampled_from(["step", "var"]),
+           st.sampled_from(["linear", "quadratic"]), st.integers(1, 60),
+           st.floats(0.0, 1.0), st.sampled_from(["zero", "literal"]),
+           st.integers(1, 3))
+    def test_tables_and_counts(self, schedule, kind, variant, num_steps,
+                               kappa, final_step_noise, dim):
+        fast, _ = random_fast_schedule(schedule, kind, variant, num_steps)
+        config = SamplerConfig(dim=dim, batch=2, seed=3, kappa=kappa,
+                               final_step_noise=final_step_noise)
+        ddpm = samplers.reverse_tables(fast, "ddpm", kappa, final_step_noise)
+        for sampler, tables, reverse in (
+                ("ddpm", ddpm, fast_ddpm_reverse),
+                ("ddim", samplers.reverse_tables(fast, "ddim", kappa,
+                                                 final_step_noise),
+                 fast_ddim_reverse)):
+            assert tables.sampler == sampler
+            assert tables.kappa == (kappa if sampler == "ddim" else None)
+            want = docstring_tables(fast, sampler, kappa)
+            for got, table in zip((tables.b, tables.c, tables.d), want):
+                assert got.tolist() == table
+                assert not got.flags.writeable
+            # counts: a chain draws its initial state and one row per noisy
+            # step, none after the initial state for DDIM at kappa = 0
+            noisy = 0 if sampler == "ddim" and kappa == 0.0 else \
+                fast.num_steps - (final_step_noise == "zero")
+            assert (tables.noisy_steps, tables.rows, tables.model_calls) \
+                == (noisy, noisy + 1, fast.num_steps)
+            counted = CountingModel(ZeroEpsilonModel())
+            run = reverse(fast, counted, config).provenance
+            assert run["normals_per_chain"] == tables.rows * dim
+            assert run["model_calls_per_chain"] == tables.model_calls \
+                == counted.calls
+            given_initial = reverse(fast, ZeroEpsilonModel(), config,
+                                    np.zeros((2, dim))).provenance
+            assert given_initial["normals_per_chain"] \
+                == tables.noisy_steps * dim
+        # DDPM ignores kappa, and DDIM at kappa = 1 has its c
+        plain = samplers.reverse_tables(fast, "ddpm", 0.0, final_step_noise)
+        assert ddpm.b.tobytes() == plain.b.tobytes()
+        assert ddpm.c.tobytes() == plain.c.tobytes()
+        ddim_one = samplers.reverse_tables(fast, "ddim", 1.0,
+                                           final_step_noise)
+        assert ddim_one.c.tobytes() == ddpm.c.tobytes()
+        assert ddim_one.rows == ddpm.rows
+
+    @pytest.mark.parametrize("name", ["dimm", "DDPM", "ddim ", "", None])
+    def test_unknown_name_is_one_error(self, sched_200, name):
+        fast = build_step_schedule(sched_200, 10, "linear")
+        with pytest.raises(ValidationError) as from_tables:
+            samplers.reverse_tables(fast, name, 0.0, "zero")
+        with pytest.raises(ValidationError) as from_run:
+            run_sampler(fast, ZeroEpsilonModel(), SamplerConfig(dim=2), name)
+        assert str(from_tables.value) == str(from_run.value) \
+            == f"unknown sampler {name!r}"
+
+    def test_driver_reads_no_sampler_name(self):
+        # the driver copies the tables' name and kappa into the provenance
+        # but neither compares a name nor reads config.kappa
+        source = inspect.getsource(samplers._reverse_chain)
+        for name in ("ddpm", "ddim", "config.kappa", "sampler ==",
+                     "sampler !=", "chain_rows"):
+            assert name not in source
 
 
 class TestSamplerConfig:
