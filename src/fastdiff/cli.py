@@ -30,7 +30,7 @@ from .fast_schedule import KINDS
 # The scorers stay importable for perfbench's call tracer.
 from .metrics import frechet_distance, inception_score  # noqa: F401
 from .mixture import posterior_classifier  # noqa: F401
-from .samplers import run_sampler
+from .samplers import reported_kappa, run_sampler
 # The three reverse samplers stay importable for perfbench's call tracer.
 from .samplers import (ddpm_reverse, fast_ddim_reverse,  # noqa: F401
                        fast_ddpm_reverse)
@@ -110,9 +110,11 @@ def _cmd_evaluate(args):
     fast = typed(f"{where} fast_schedule", provenance.get("fast_schedule"),
                  dict)
     sampler, kappa = sampler_kappa(where, provenance, "sampler")
-    run = {"sampler": sampler,
-           # a DDPM sidecar carries no kappa, and reports none
-           "kappa": kappa if "kappa" in provenance else None,
+    kappa = reported_kappa(sampler, kappa)
+    if ("kappa" in provenance) != (kappa is not None):
+        raise ValidationError(f"{where}: a {sampler} run reports "
+                              f"{'a' if kappa is not None else 'no'} kappa")
+    run = {"sampler": sampler, "kappa": kappa,
            "seed": int_at_least(f"{where} seed", provenance.get("seed"), 0),
            "schedule_kind": checked(f"{where} fast_schedule kind",
                                     fast.get("kind"), KINDS),

@@ -59,8 +59,8 @@ from .metrics import frechet_distance  # noqa: F401
 from .mixture import AnalyticEpsilonModel, GaussianMixture, posterior_classifier
 from .regressor import ToyRegressor
 from .rng import chain_normals
-from .samplers import (FINAL_STEP_LITERAL, FINAL_STEP_ZERO, SamplerConfig,
-                       chain_rows, run_sampler)
+from .samplers import (FINAL_STEP_MODES, FINAL_STEP_ZERO, SAMPLERS,
+                       SamplerConfig, chain_rows, reported_kappa, run_sampler)
 # fast_ddpm_reverse and fast_ddim_reverse stay for perfbench's call tracer.
 from .samplers import fast_ddim_reverse, fast_ddpm_reverse  # noqa: F401
 from .schedule import NoiseLevelMap, VarianceSchedule
@@ -70,7 +70,6 @@ CSV_COLUMNS = ("seed", "kind", "variant", "S", "sampler", "kappa", "frechet",
                "inception_score", "accuracy", "model_calls_per_chain",
                "normals_per_chain", "status", "error")
 
-_SAMPLERS = ("ddpm", "ddim")
 _RUN_DEFAULTS = {"kind": "step", "variant": "linear", "sampler": "ddpm",
                  "batch": 1000, "seed": 0}
 
@@ -177,11 +176,12 @@ def _axis(name, values):
 
 def sampler_kappa(where, spec, key):
     """(sampler, kappa) of a `run` section or a `sweep.samplers` entry;
-    kappa is DDIM's noise scale, so DDPM admits only 0."""
+    a sampler that reports no kappa (DDPM) admits only 0."""
     sampler = checked(f"{where} {key}", typed(where, spec, dict).get(key),
-                      _SAMPLERS)
+                      SAMPLERS)
     kappa = float(typed(f"{where} kappa", spec.get("kappa", 0.0), NUMBER))
-    if not 0.0 <= kappa <= 1.0 or (sampler == "ddpm" and kappa != 0.0):
+    if not 0.0 <= kappa <= 1.0 or (
+            reported_kappa(sampler, kappa) is None and kappa != 0.0):
         raise ValidationError(f"{where} kappa must lie in [0, 1] and be 0 "
                               f"with ddpm, got {kappa}")
     return sampler, kappa
@@ -236,7 +236,7 @@ def _load_shared(raw: dict):
     model = build_model(raw, mixture, level_map)
     return schedule, level_map, mixture, model, checked(
         "final_step_noise", raw.get("final_step_noise", FINAL_STEP_ZERO),
-        (FINAL_STEP_ZERO, FINAL_STEP_LITERAL))
+        FINAL_STEP_MODES)
 
 
 def run_section(raw: dict, **overrides) -> dict:

@@ -7,6 +7,9 @@ marginal x_t = sqrt(alpha_bar_t) x_0 + sqrt(1 - alpha_bar_t) eps.
 Two reverse samplers run over any `FastSchedule`, the full chain
 `FastSchedule.full` included, and `run_sampler` picks one by name:
 `fast_ddpm_reverse` (ancestral) and `fast_ddim_reverse` (implicit).
+`SAMPLERS` lists the names, and `reported_kappa` is the one rule of what
+each takes and reports (DDPM no kappa, DDIM its kappa; a reported kappa of
+0 draws no noise): every other layer asks it instead of comparing names.
 `ddpm_reverse` is the ancestral sampler over the full chain of a
 `VarianceSchedule`.  Each reverse step s = S, ..., 1 is
 x <- (x - b_s eps_theta(x, t_s)) / d_s + c_s z with d = sqrt(gamma), and
@@ -51,7 +54,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, checked
 from .fast_schedule import FastSchedule
 from .rng import chain_normals
 # unused here, but perfbench's call tracer patches samplers.chain_streams
@@ -88,8 +91,18 @@ class ZeroEpsilonModel:
         return np.zeros_like(x)
 
 
+SAMPLERS = ("ddpm", "ddim")
 FINAL_STEP_ZERO = "zero"
 FINAL_STEP_LITERAL = "literal"
+FINAL_STEP_MODES = (FINAL_STEP_ZERO, FINAL_STEP_LITERAL)
+
+
+def reported_kappa(sampler: str, kappa: float) -> float | None:
+    """The kappa a run of `sampler` reports: None for "ddpm", which takes
+    none, and `kappa` for "ddim".  Any other name raises `ValidationError`."""
+    if sampler not in SAMPLERS:
+        raise ValidationError(f"unknown sampler {sampler!r}")
+    return None if sampler == "ddpm" else kappa
 
 
 @dataclass(frozen=True)
@@ -111,10 +124,7 @@ class SamplerConfig:
         if not 0.0 <= self.kappa <= 1.0:
             raise ValidationError(
                 f"kappa must lie in [0, 1], got {self.kappa}")
-        if self.final_step_noise not in (FINAL_STEP_ZERO, FINAL_STEP_LITERAL):
-            raise ValidationError(
-                f"final_step_noise must be 'zero' or 'literal', "
-                f"got {self.final_step_noise!r}")
+        checked("final_step_noise", self.final_step_noise, FINAL_STEP_MODES)
 
 
 @dataclass
@@ -139,10 +149,9 @@ def forward_jump(schedule: VarianceSchedule, x0: np.ndarray, t: int,
 def chain_rows(num_steps: int, sampler: str, kappa: float,
                final_step_noise: str) -> int:
     """Rows of normals one chain draws over `num_steps` reverse steps: its
-    initial state, then one per step that draws noise, which is none for
-    DDIM with kappa = 0 and all but the last unless the final step is
-    literal."""
-    if sampler == "ddim" and kappa == 0.0:
+    initial state, then one per noisy step: none at a reported kappa of 0,
+    else all but the last unless the final step is literal."""
+    if reported_kappa(sampler, kappa) == 0.0:
         return 1
     return 1 + num_steps - (final_step_noise != FINAL_STEP_LITERAL)
 
@@ -170,11 +179,11 @@ def reverse_tables(fast: FastSchedule, sampler: str, kappa: float,
     """The tables and counts of `sampler` over `fast`: "ddpm", which ignores
     `kappa`, or "ddim" with noise scale `kappa`, by the formulas of the
     module docstring.  Any other name raises `ValidationError`."""
-    if sampler == "ddpm":
-        kappa = None
+    kappa = reported_kappa(sampler, kappa)
+    if kappa is None:
         b = fast.etas / np.sqrt(1.0 - fast.gamma_bars)
         c = np.sqrt(fast.eta_tildes)
-    elif sampler == "ddim":
+    else:
         prev_bars = np.concatenate([[1.0], fast.gamma_bars[:-1]])
         # kappa <= 1 keeps every interior radicand positive; only the
         # terminal one, -kappa^2 eta_1, is negative, so it is clamped.
@@ -182,8 +191,6 @@ def reverse_tables(fast: FastSchedule, sampler: str, kappa: float,
         b = np.sqrt(1.0 - fast.gamma_bars) \
             - np.sqrt(fast.gammas * np.maximum(radicands, 0.0))
         c = np.sqrt(kappa**2 * fast.eta_tildes)
-    else:
-        raise ValidationError(f"unknown sampler {sampler!r}")
     d = np.sqrt(fast.gammas)
     for table in (b, c, d):
         table.flags.writeable = False
@@ -299,12 +306,10 @@ def run_sampler(fast: FastSchedule, model: EpsilonModel,
                 normals: np.ndarray | None = None) -> SampleBatch:
     """Run the named sampler, "ddpm" or "ddim", over `fast`, the full chain
     included, through `fast_ddpm_reverse` or `fast_ddim_reverse`; any other
-    name raises the `ValidationError` of `reverse_tables`.  `normals`, when
+    name raises the `ValidationError` of `reported_kappa`.  `normals`, when
     given, is a block of `rng.chain_normals(config.seed, config.batch, n)`
     with n at least `chain_rows(...) * config.dim`, read in place of the
     run's own draw."""
-    if sampler == "ddim":
-        return fast_ddim_reverse(fast, model, config, normals=normals)
-    if sampler != "ddpm":
-        raise ValidationError(f"unknown sampler {sampler!r}")
-    return fast_ddpm_reverse(fast, model, config, normals=normals)
+    if reported_kappa(sampler, config.kappa) is None:
+        return fast_ddpm_reverse(fast, model, config, normals=normals)
+    return fast_ddim_reverse(fast, model, config, normals=normals)

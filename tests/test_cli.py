@@ -10,6 +10,7 @@ from fastdiff import (AnalyticEpsilonModel, NoiseLevelMap, SamplerConfig,
                       load_samples, sample_moments, save_samples)
 from fastdiff.cli import main
 from fastdiff.experiment import builtin_presets, score_samples
+from fastdiff.samplers import SAMPLERS, reported_kappa
 from fastdiff.storage import CSV_DIM_LIMIT
 
 SCHEDULE = {"beta_1": 1e-4, "beta_T": 0.02, "T": 200}
@@ -253,6 +254,19 @@ class TestEvaluate:
                                     "seed": 2, "schedule_kind": "full",
                                     "S": 200}
 
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_accepts_what_sample_writes(self, tmp_path, name):
+        config = write_config(tmp_path, "run.json",
+                              config_with(run={"sampler": name}))
+        out = tmp_path / "out"
+        assert main(["sample", "--config", config, "--out", str(out)]) == 0
+        assert main(["evaluate", "--config", config,
+                     "--samples", str(out / "samples"),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["sampler"] == name
+        assert report["config"]["kappa"] == reported_kappa(name, 0.0)
+
     def test_requires_samples_flag(self, sample_config, tmp_path):
         assert main(["evaluate", "--config", sample_config,
                      "--out", str(tmp_path)]) == 1
@@ -467,6 +481,9 @@ BAD_SIDECARS = {prefix: (sidecar, SIDECAR_SAMPLES) for prefix, sidecar in {
     "nan_kappa": with_provenance(sampler="ddim", kappa=float("nan")),
     "kappa_above_one": with_provenance(sampler="ddim", kappa=5.0),
     "ddpm_with_kappa": with_provenance(kappa=0.5),
+    # `fastdiff sample` writes a kappa exactly when the sampler reports one
+    "ddim_without_kappa": with_provenance(sampler="ddim"),
+    "ddpm_with_zero_kappa": with_provenance(kappa=0.0),
     "negative_seed": with_provenance(seed=-1),
     "boolean_seed": with_provenance(seed=True),
     "no_seed": without_provenance("seed"),

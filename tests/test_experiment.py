@@ -15,7 +15,8 @@ from fastdiff import (ConvergenceError, GaussianMixture, SamplerConfig,
 from fastdiff.cli import main
 from fastdiff.experiment import (CSV_COLUMNS, ExperimentConfig,
                                  builtin_presets, format_schedule_dump,
-                                 inspect_schedule, run_sweep, score_samples)
+                                 inspect_schedule, load_run, run_sweep,
+                                 score_samples)
 from fastdiff.fast_schedule import build_fast_schedule
 
 BASE_CONFIG = {
@@ -90,6 +91,22 @@ class TestConfigValidation:
     def test_conditional_needs_labels(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(config_with(conditional=True))
+
+    @pytest.mark.parametrize("name", [*samplers.SAMPLERS, "dimm", "DDPM",
+                                      "ddim ", "", None])
+    def test_accepts_exactly_the_sampler_names(self, name):
+        sweep = config_with()
+        sweep["sweep"] = dict(sweep["sweep"], samplers=[{"name": name}])
+        run = config_with(run={"S": 5, "sampler": name})
+        if name in samplers.SAMPLERS:
+            assert ExperimentConfig(sweep).samplers == [(name, 0.0)]
+            assert load_run(run)[3] == name
+            return
+        for load, raw in ((ExperimentConfig, sweep), (load_run, run)):
+            with pytest.raises(ValidationError) as error:
+                load(raw)
+            assert str(error.value).endswith(
+                f" must be one of {samplers.SAMPLERS}, got {name!r}")
 
 
 @pytest.fixture(scope="module")

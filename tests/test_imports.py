@@ -5,8 +5,9 @@ site the tracer patches exists; no library module imports another's
 underscore-prefixed names; only `storage` reads input files or writes
 files; only the reverse driver and the training loop silence numpy's
 overflow warnings; only the reverse driver and the sweep's per-seed block
-draw draw chain normals; and the library runs on numpy alone, with scipy
-left to the tests."""
+draw draw chain normals; only `samplers` compares a value with a sampler name
+or lists one; and the library runs on numpy alone, with scipy left to the
+tests."""
 
 import ast
 import importlib.util
@@ -226,6 +227,54 @@ NORMAL_DRAWS = {"samplers.py": ["_reverse_chain"],
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_only_the_driver_and_the_sweep_draw_normals(path):
     assert normal_draws(path.read_text()) == NORMAL_DRAWS.get(path.name, [])
+
+
+SAMPLER_NAMES = ("ddpm", "ddim")
+
+
+def sampler_name_uses(source: str) -> list[int]:
+    """The line of each comparison, match case, tuple, list, set or dict key
+    in `source` that holds a sampler name as a literal.  A dict value, an
+    argument or an f-string is not a use: it neither chooses nor lists."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            operands = node.elts
+        elif isinstance(node, ast.Dict):
+            operands = node.keys
+        elif isinstance(node, ast.MatchValue):
+            operands = [node.value]
+        else:
+            continue
+        if any(isinstance(operand, ast.Constant)
+               and operand.value in SAMPLER_NAMES for operand in operands):
+            uses.append(node.lineno)
+    return sorted(uses)
+
+
+def test_sampler_name_checker():
+    source = ("DEFAULTS = {'sampler': 'ddpm', **extra}\n"
+              "if name == 'ddim' or 'ddpm' != name:\n"
+              "    NAMES = ('ddpm', 'ddim')\n"
+              "ok = name in NAMES and f'with ddpm {x}' and run('ddpm')\n"
+              "TABLE = {'ddim': 1}\n"
+              "match name:\n"
+              "    case 'ddpm':\n"
+              "        pass\n"
+              "x = name in ['ddim'] or name in {'ddpm'}\n")
+    assert sampler_name_uses(source) == [2, 2, 3, 5, 7, 9, 9]
+
+
+# `samplers.SAMPLERS` and `samplers.reported_kappa` are the one statement of
+# what a sampler name means; a second copy elsewhere could drift from it.
+# `experiment`'s default run section names "ddpm" as a value, which is not
+# a use.
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_samplers_compares_sampler_names(path):
+    assert bool(sampler_name_uses(path.read_text())) == (
+        path.name == "samplers.py")
 
 
 def load_tracing() -> ModuleType:

@@ -740,12 +740,42 @@ class TestReverseTables:
         assert str(from_tables.value) == str(from_run.value) \
             == f"unknown sampler {name!r}"
 
+    def test_reported_kappa_is_the_rule(self):
+        assert samplers.SAMPLERS == ("ddpm", "ddim")
+        assert samplers.reported_kappa("ddpm", 0.5) is None
+        assert samplers.reported_kappa("ddim", 0.5) == 0.5
+        # a reported kappa of 0 draws no noise; DDPM's 0 is not reported
+        assert [samplers.chain_rows(6, name, 0.0, "zero")
+                for name in samplers.SAMPLERS] == [6, 1]
+
+    @pytest.mark.parametrize("name", [*samplers.SAMPLERS, "dimm", "DDPM",
+                                      "ddim ", "", None])
+    def test_layers_accept_exactly_the_sampler_names(self, sched_200, name):
+        fast = build_step_schedule(sched_200, 6, "linear")
+        layers = [
+            lambda: samplers.reverse_tables(fast, name, 0.0, "zero"),
+            lambda: run_sampler(fast, ZeroEpsilonModel(),
+                                SamplerConfig(dim=2), name),
+            lambda: samplers.chain_rows(6, name, 0.0, "zero")]
+        if name in samplers.SAMPLERS:
+            for layer in layers:
+                layer()
+            return
+        for layer in layers:
+            with pytest.raises(ValidationError) as error:
+                layer()
+            assert str(error.value) == f"unknown sampler {name!r}"
+
     def test_driver_reads_no_sampler_name(self):
         # the driver copies the tables' name and kappa into the provenance
         # but neither compares a name nor reads config.kappa
         source = inspect.getsource(samplers._reverse_chain)
         for name in ("ddpm", "ddim", "config.kappa", "sampler ==",
                      "sampler !=", "chain_rows"):
+            assert name not in source
+        # the rows rule reads the reported kappa, not a name
+        source = inspect.getsource(samplers.chain_rows)
+        for name in ("ddpm", "ddim", "sampler ==", "sampler !="):
             assert name not in source
 
 
