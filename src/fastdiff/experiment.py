@@ -221,7 +221,7 @@ def build_model(raw: dict, mixture: GaussianMixture, level_map: NoiseLevelMap):
         return AnalyticEpsilonModel(mixture, level_map)
     if not spec.get("path"):
         raise ValidationError("trained model requires a 'path'")
-    model = ToyRegressor.load(spec["path"])
+    model = ToyRegressor.load(typed("model.path", spec["path"], str))
     if model.dim != mixture.dim:
         raise ValidationError(f"trained model has dim {model.dim}, "
                               f"the data has dim {mixture.dim}")
@@ -297,8 +297,7 @@ def _generate(config, fast, sampler, kappa, seed, blocks):
         chunks.append(result.samples)
         if j is not None:
             labels.append(np.full(batch, j))
-    # an unconditional cell's one batch is not copied
-    return (chunks[0] if len(chunks) == 1 else np.concatenate(chunks),
+    return (np.concatenate(chunks),
             np.concatenate(labels) if labels else None, result.provenance)
 
 

@@ -98,9 +98,14 @@ def chain_normals(seed: int, num_chains: int, count: int) -> np.ndarray:
     so no per-chain `SeedSequence` or generator is built.  Chain 0's
     derived key is checked against numpy's own spawning on every call, so
     a numpy whose `SeedSequence` differs fails here instead of drawing
-    other streams.
+    other streams.  A block beyond numpy's index range raises the
+    `MemoryError` of an unallocatable one.
     """
     seed = operator.index(seed)
+    # the block and the (num_chains, 2) keys, in bytes
+    if 8 * num_chains * max(count, 2) > np.iinfo(np.intp).max:
+        raise MemoryError(
+            f"{num_chains} x {count} normals are too many for an array")
     keys = _chain_keys(seed, num_chains)
     if num_chains and not np.array_equal(
             keys[0], SeedSequence(seed, spawn_key=(0,))

@@ -23,7 +23,8 @@ gamma_bar_0 = 1, only rho_1 is negative).  kappa in [0, 1] scales the DDIM
 noise: kappa = 0 is a deterministic map from the latent to the sample, and
 kappa = 1 reproduces DDPM step for step.  `reverse_tables` is the one
 statement of each sampler's tables and counts; the driver, `_reverse_chain`,
-is the step loop alone.
+is the step loop alone.  Each step starts a fresh state array, so the driver
+never writes an array it was handed or has passed to the model.
 
 Samplers are pure functions of (schedule, model, config): a fixed seed gives
 bitwise-identical output.  Each chain draws all of its normals in one block
@@ -67,10 +68,9 @@ class EpsilonModel(Protocol):
 
     `predict(x, t)` maps a batch of states (n, d) and a scalar (possibly
     non-integer) diffusion step t in [0, T] to predicted noise of shape
-    (n, d).  It must be deterministic in (x, t) and safe to call
-    concurrently.  The samplers only read the returned array, so it may be
-    reused or read-only; they update the state x in place after the call,
-    so a model must not keep x.
+    (n, d).  It must be deterministic in (x, t).  The samplers only read
+    the returned array, so it may be reused or read-only, and they never
+    write an x they have passed: each step starts a fresh state.
 
     A model may also offer `at_steps(steps)`, returning a model with the
     same predictions that has tabulated whatever depends only on the step
@@ -204,7 +204,7 @@ def _reverse_chain(fast, model, config, initial, tables, normals=None):
     counts of `tables`; `normals` is as for `run_sampler`."""
     b, c, d, noisy_steps = tables.b, tables.c, tables.d, tables.noisy_steps
     if initial is not None:
-        initial = np.array(initial, dtype=float)
+        initial = np.asarray(initial, dtype=float)
         if initial.shape != (config.batch, config.dim):
             raise ValueError(
                 f"initial state must have shape {(config.batch, config.dim)}")
@@ -222,9 +222,7 @@ def _reverse_chain(fast, model, config, initial, tables, normals=None):
         raise TypeError(f"normals block of shape {normals.shape}, need "
                         f"({config.batch}, >= {columns})")
     normals = normals[:, :columns].reshape(config.batch, rows, config.dim)
-    # A copy: a one-row block's normals[:, 0, :] is contiguous, and a view
-    # would let the in-place update below write into the caller's block.
-    x = normals[:, 0, :].copy() if initial is None else initial
+    x = normals[:, 0, :] if initial is None else initial
     noise = normals[:, rows - noisy_steps:, :]
     trace = [] if config.record_trace else None
 
@@ -235,20 +233,12 @@ def _reverse_chain(fast, model, config, initial, tables, normals=None):
     if bind is not None:
         model = bind(fast.cont_steps)
 
-    # The update runs in place in x and scratch, both owned here, through
-    # the same ufuncs in the same order as (x - b eps_hat) / d + c z, so
-    # the bits are those of the expression; eps_hat (the model's, possibly
-    # reused or read-only) is only read.
-    scratch = np.empty_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, i in enumerate(range(fast.num_steps - 1, -1, -1)):
-            eps_hat = model.predict(x, float(fast.cont_steps[i]))
-            np.multiply(b[i], eps_hat, out=scratch)
-            np.subtract(x, scratch, out=x)
-            np.divide(x, d[i], out=x)
+            x = x - b[i] * model.predict(x, float(fast.cont_steps[i]))
+            x /= d[i]
             if k < noisy_steps:
-                np.multiply(c[i], noise[:, k, :], out=scratch)
-                np.add(x, scratch, out=x)
+                x += c[i] * noise[:, k, :]
             if not np.isfinite(x).all():
                 raise NumericError(f"non-finite state at reverse step {i + 1}",
                                    step=i + 1)

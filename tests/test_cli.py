@@ -564,6 +564,9 @@ BAD_INPUTS = [
     # fits a float, but numpy refuses a table of that many floats
     ("array_size_T", ALL_VERBS, config_with(schedule=dict(SCHEDULE,
                                                           T=10**20))),
+    ("array_size_batch", ("sample",), config_with(run={"batch": 10**20})),
+    ("array_size_samples_per_cell", ("sweep",),
+     config_with(samples_per_cell=10**20)),
     # arrays of 10**15 elements lie beyond the address space, so each
     # allocation fails at once, before any memory is touched
     ("unallocatable_T", ALL_VERBS, config_with(schedule=dict(SCHEDULE,
@@ -726,6 +729,17 @@ class TestErrorBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1
         # values are abbreviated: a 401-digit number is not printed in full
         assert len(err) < 300
+
+    @pytest.mark.parametrize("path", [5, ["a"], True])
+    def test_model_path_must_be_a_string(self, tmp_path, capsys, monkeypatch,
+                                         path):
+        # not turned into a file name such as "True.json"
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, "bad.json", trained(path))
+        assert main(["sample", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: model.path must be a string")
 
     @pytest.mark.parametrize("name", BAD_MIXTURES)
     def test_mixture_file_error_names_the_file(self, tmp_path, capsys,

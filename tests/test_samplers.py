@@ -250,7 +250,8 @@ class TestFastReverse:
     @pytest.mark.parametrize("kappa", [None, 0.0, 0.5])
     def test_driver_owns_its_buffers(self, sched_200, oracle_200, kappa):
         # a model may hand back one reused, read-only array; the driver
-        # reads it, leaves `initial` alone and traces copies
+        # only reads it, a read-only `initial` and a read-only block of
+        # normals, and traces copies
         model, _ = oracle_200
 
         class ReusedOutputModel:
@@ -267,19 +268,30 @@ class TestFastReverse:
         fast = build_step_schedule(sched_200, 6, "quadratic")
         config = SamplerConfig(dim=2, batch=4, seed=5, kappa=kappa or 0.0,
                                record_trace=True)
+        sampler = "ddpm" if kappa is None else "ddim"
         run = fast_ddpm_reverse if kappa is None else fast_ddim_reverse
         initial = np.linspace(-1.0, 1.0, 8).reshape(4, 2)
+        initial.flags.writeable = False
         kept = initial.copy()
+        rows = samplers.chain_rows(6, sampler, config.kappa, "zero")
+        block = chain_normals(config.seed, 4, rows * 2)
+        block.flags.writeable = False
+        drawn = block.copy()
         reused = ReusedOutputModel()
-        got = run(fast, reused, config, initial=initial)
-        want = run(fast, model, config, initial=kept.copy())
+        for got, want, read in [
+                (run(fast, reused, config, initial=initial),
+                 run(fast, model, config, initial=kept.copy()), initial),
+                (run_sampler(fast, reused, config, sampler, normals=block),
+                 run_sampler(fast, model, config, sampler), block)]:
+            assert np.array_equal(got.samples, want.samples)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got.step_trace, want.step_trace))
+            arrays = got.step_trace + [got.samples, read, reused.out]
+            for i, a in enumerate(got.step_trace):
+                assert not any(np.shares_memory(a, b)
+                               for b in arrays[i + 1:])
         assert np.array_equal(initial, kept)
-        assert np.array_equal(got.samples, want.samples)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(got.step_trace, want.step_trace))
-        arrays = got.step_trace + [got.samples, initial, reused.out]
-        for i, a in enumerate(got.step_trace):
-            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        assert np.array_equal(block, drawn)
 
 
 class ScaledModel:
@@ -366,7 +378,7 @@ class TestNoiseBlock:
     """A caller-drawn block of normals, as a sweep passes each cell."""
 
     # (sampler, kappa, rows per chain at S = 6): DDIM with kappa = 0 reads
-    # one row, the initial state, which the driver must copy out.
+    # one row, the initial state, which the driver must not write.
     RUNS = [("ddim", 0.0, 1), ("ddim", 0.5, 6), ("ddpm", 0.0, 6)]
 
     @pytest.mark.parametrize("sampler, kappa, rows", RUNS)
