@@ -18,19 +18,24 @@ The grid is seed-major, and each seed's normals are drawn once
 (`_seed_normals`): one block per sampler run, as wide as the longest chain
 any cell of the config asks for (from the requested S, which a STEP
 collapse only lowers).  Every cell reads its prefix of the block, which
-holds the bits its own draw would, so the rows do not change; the draw's
-time is a `{"seed", "draw_seconds"}` entry of `timings.json`, beside the
-cells'.  A seed's blocks are its peak memory: 2000 chains of a full
-T = 1000 chain in 2 dimensions take 32 MB.
+holds the bits its own draw would, so the rows do not change.  A seed's
+blocks are its peak memory: 2000 chains of a full T = 1000 chain in 2
+dimensions take 32 MB.
 
-A seed's cells then run on w = min(CPUs this process may use, cells)
-processes, one per CPU: this one and w - 1 forked workers that inherit
-the blocks, each running its share (longest S first onto the least-loaded
-share) through the one cell body and sending its rows, timings, recorded
-warnings and any programming error back over a pipe.  The rows return in
-grid order and do not depend on w.  A process with more than one OS thread
-(an unpinned BLAS pool) cannot fork safely, so it runs w = 1, the plain
-loop; `timings.json` names each seed's `workers` and each cell's `worker`.
+A seed's cells run on w = min(CPUs this process may use, cells)
+processes, one per CPU: this one and w - 1 forked workers.  Then the
+blocks are shared mappings: this process draws the first of w slices of
+each block's chains and worker k the k-th, and no cell starts before
+every slice is in (a pipe barrier).  Each share holds whole schedules
+(kind, variant, S), longest S first onto the least-loaded share, so each
+is built, and warned about, once; a seed with fewer schedules than
+processes is shared out cell by cell.  A worker sends its rows, timings,
+recorded warnings and any programming error back over a pipe.  The rows
+return in grid order and do not depend on w.  A process with more than
+one OS thread (an unpinned BLAS pool) cannot fork safely, so it runs
+w = 1, the plain loop, drawing whole blocks in private memory.
+`timings.json` names each seed's `workers` and each cell's `worker`;
+`draw_seconds` runs to the barrier.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import mmap
 import os
 import pickle
 import signal
@@ -273,15 +279,48 @@ def _run_seed(seed, class_index):
     return seed if class_index is None else _class_seed(seed, class_index)
 
 
-def _seed_normals(config: ExperimentConfig, seed: int) -> list[np.ndarray]:
+def _block_columns(config: ExperimentConfig) -> int:
+    """Columns of each normals block of `config`: the longest chain of any
+    cell of the grid (each cell reads a prefix)."""
+    return config.mixture.dim * max(
+        chain_rows(s, sampler, kappa, config.final_step_noise)
+        for s in config.num_steps_list for sampler, kappa in config.samplers)
+
+
+def _shared_blocks(config: ExperimentConfig) -> list[np.ndarray]:
+    """Empty normals blocks of `config.runs`, each in its own shared
+    anonymous mapping, so that what a forked worker writes there every
+    process reads.  A mapping is unmapped with the last array on it."""
+    # MAP_POPULATE faults each page in here, once, and not in whichever
+    # process first writes it
+    flags = mmap.MAP_SHARED | getattr(mmap, "MAP_POPULATE", 0)
+    columns, blocks = _block_columns(config), []
+    for _, batch, _ in config.runs:
+        try:
+            mapping = mmap.mmap(-1, 8 * batch * columns, flags=flags)
+        except OverflowError:  # as `chain_normals` reports it
+            raise MemoryError(f"{batch} x {columns} normals are too many "
+                              "for an array") from None
+        blocks.append(np.frombuffer(mapping).reshape(batch, columns))
+    return blocks
+
+
+def _seed_normals(config: ExperimentConfig, seed: int, blocks=None,
+                  part: int = 0, parts: int = 1) -> list[np.ndarray]:
     """The normals of each of `config.runs` at `seed`: one block per run,
-    `chain_normals` of the run's key and batch, wide enough for every cell
-    of the grid (each cell reads a prefix)."""
-    rows = max(chain_rows(s, sampler, kappa, config.final_step_noise)
-               for s in config.num_steps_list
-               for sampler, kappa in config.samplers)
-    return [chain_normals(_run_seed(seed, j), batch, rows * config.mixture.dim)
-            for _, batch, j in config.runs]
+    `chain_normals` of the run's key and batch, `_block_columns` wide.
+    Given `_shared_blocks`, it draws only slice `part` of `parts` of each
+    block's chains, a contiguous run, into it (the slices of all parts
+    make up the whole draw) and returns the slices."""
+    columns, drawn = _block_columns(config), []
+    for (_, batch, j), block in zip(config.runs,
+                                    blocks or itertools.repeat(None)):
+        stop = batch * (part + 1) // parts
+        drawn.append(chain_normals(
+            _run_seed(seed, j), stop, columns,
+            out=None if block is None else block[:stop],
+            start=batch * part // parts))
+    return drawn
 
 
 def _generate(config, fast, sampler, kappa, seed, blocks):
@@ -339,24 +378,34 @@ def _available_workers() -> int:
 
 def _shares(cells, indices, workers):
     """`indices` in `workers` shares of about equal cost, each in grid
-    order: longest S first, each cell onto the share with the least S."""
+    order.  Each schedule (kind, variant, S) goes whole to one share, the
+    longest S first, onto the share with the least S summed over its
+    cells.  A seed with fewer schedules than shares splits its cells the
+    same way, one by one, so that no share is empty."""
+    groups = {}
+    for index in indices:
+        groups.setdefault(cells[index][1:4], []).append(index)
+    if len(groups) < workers:
+        groups = {index: [index] for index in indices}
     shares, loads = [[] for _ in range(workers)], [0] * workers
-    for index in sorted(indices, key=lambda i: -cells[i][3]):
+    for group in sorted(groups.values(), key=lambda g: -cells[g[0]][3]):
         least = loads.index(min(loads))
-        shares[least].append(index)
-        loads[least] += cells[index][3]
+        shares[least] += group
+        loads[least] += cells[group[0]][3] * len(group)
     return [sorted(share) for share in shares]
 
 
-def _run_cell(config, cell, blocks):
-    """The row of one cell, reading the seed's `blocks`.  A library error
-    marks the row failed; any other exception propagates."""
+def _run_cell(config, cell, blocks, fast):
+    """The row of one cell, reading the seed's `blocks`, and the cell's
+    schedule: `fast` if given, else built (None if the build failed).  A
+    library error marks the row failed; any other exception propagates."""
     seed, kind, variant, s, sampler, kappa = cell
     row = {**dict.fromkeys(CSV_COLUMNS), **dict(zip(CSV_COLUMNS, cell)),
            "status": "ok", "error": ""}
     try:
-        fast = build_fast_schedule(config.schedule, config.level_map,
-                                   kind, variant, s)
+        if fast is None:
+            fast = build_fast_schedule(config.schedule, config.level_map,
+                                       kind, variant, s)
         samples, label_idx, provenance = _generate(config, fast, sampler,
                                                    kappa, seed, blocks)
         row["model_calls_per_chain"] = provenance["model_calls_per_chain"]
@@ -365,17 +414,22 @@ def _run_cell(config, cell, blocks):
     except (ValueError, ArithmeticError, ConvergenceError) as err:
         row["status"] = "failed"
         row["error"] = f"{type(err).__name__}: {err}"
-    return row
+    return row, fast
 
 
 def _run_share(config, cells, share, blocks):
     """(index, row, seconds) of each cell of `share` in turn; a cell that
-    raises has its exception in place of the row and ends the share."""
-    records = []
+    raises has its exception in place of the row and ends the share.  A
+    schedule's cells are adjacent in grid order, so each schedule is built
+    once, by its first cell, unless that build failed."""
+    records, built, fast = [], None, None
     for index in share:
         started = time.perf_counter()
+        schedule = cells[index][1:4]
         try:
-            row = _run_cell(config, cells[index], blocks)
+            row, fast = _run_cell(config, cells[index], blocks,
+                                  fast if schedule == built else None)
+            built = schedule
         except Exception as err:  # re-raised by the parent, in grid order
             row = err
         records.append((index, row, time.perf_counter() - started))
@@ -384,11 +438,18 @@ def _run_share(config, cells, share, blocks):
     return records
 
 
-def _worker_main(config, cells, share, blocks, worker, write_fd):
-    """A forked worker: runs its share with its warnings recorded, sends
-    (records, warnings) down `write_fd` and leaves without unwinding."""
-    status = 1
+def _worker_main(config, seed, cells, share, blocks, part, go, write_fd):
+    """Forked worker k of w, `part` = (k, w): draws slice k of the seed's
+    normals into the shared `blocks`, sends one byte down `write_fd`, waits
+    for its byte from `go` (the barrier: every slice is in), then runs its
+    share with its warnings recorded, sends (records, warnings) down
+    `write_fd` and leaves without unwinding."""
+    worker, status = part[0], 1
     try:
+        _seed_normals(config, seed, blocks, *part)
+        os.write(write_fd, b"\0")
+        if not go.read(1):  # the sweep stopped before every slice was in
+            return
         with warnings.catch_warnings(record=True) as caught:
             records = _run_share(config, cells, share, blocks)
         error = records[-1][1]
@@ -423,14 +484,32 @@ def _reissue(caught):
             registry=scope.setdefault("__warningregistry__", {}))
 
 
-def _fan_out(config, cells, shares, blocks, entry):
-    """(worker, record) of each `_run_share` record of `shares`: share
-    k > 0 runs on forked worker k, share 0 here, and the workers' warnings
-    are re-issued.  Every worker is reaped on every exit, and killed first
-    unless it was collected."""
+def _reap(children, pid):
+    """Close child `pid`'s pipe, wait for it and return its exit code."""
+    children.pop(pid).close()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _lost(worker, pid, status):
+    ended = (f"exited with status {status}" if status >= 0
+             else f"was killed by signal {-status}")
+    return RuntimeError(f"sweep worker {worker} (pid {pid}) {ended} "
+                        "without sending its result")
+
+
+def _fan_out(config, seed, cells, shares, entry):
+    """(worker, record) of each `_run_share` record of `shares`, at `seed`.
+    The seed's normals blocks are shared mappings; share k > 0 runs on
+    forked worker k, share 0 here.  Each process first draws its slice of
+    the blocks, and no cell starts before every slice is in.  The workers'
+    warnings are re-issued.  Every worker is reaped on every exit, and
+    killed first unless it was collected."""
     started = time.perf_counter()
+    blocks = _shared_blocks(config)
     cpus = sorted(os.sched_getaffinity(0))
     children = {}  # pid -> the read end of its pipe, until reaped
+    go_fd, go_write = os.pipe()  # the barrier: a byte for each worker
+    go_read = open(go_fd, "rb", buffering=0)
     try:
         for worker, share in enumerate(shares[1:], 1):
             read_fd, write_fd = os.pipe()
@@ -442,34 +521,40 @@ def _fan_out(config, cells, shares, blocks, entry):
                 raise
             if pid == 0:
                 os.close(read_fd)
+                os.close(go_write)
                 for pipe in children.values():
                     pipe.close()
                 os.sched_setaffinity(0, {cpus[worker % len(cpus)]})
-                _worker_main(config, cells, share, blocks, worker, write_fd)
+                _worker_main(config, seed, cells, share, blocks,
+                             (worker, len(shares)), go_read, write_fd)
             os.close(write_fd)
             children[pid] = open(read_fd, "rb")
+        go_read.close()
         # left to itself, the kernel may keep a short-lived child on its
         # parent's CPU: each worker keeps to its own CPU instead
         os.sched_setaffinity(0, {cpus[0]})
         entry["fork_seconds"] = time.perf_counter() - started
+        _seed_normals(config, seed, blocks, 0, len(shares))
+        for worker, pid in enumerate(list(children), 1):
+            if not children[pid].read(1):  # its slice is in, or it died
+                raise _lost(worker, pid, _reap(children, pid))
+        os.write(go_write, bytes(len(children)))
+        entry["draw_seconds"] = time.perf_counter() - started
         done = [(0, record)
                 for record in _run_share(config, cells, shares[0], blocks)]
         started = time.perf_counter()
         for worker, pid in enumerate(list(children), 1):
             payload = children[pid].read()
-            children[pid].close()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
+            status = _reap(children, pid)
             if status != 0 or not payload:
-                ended = (f"exited with status {status}" if status >= 0
-                         else f"was killed by signal {-status}")
-                raise RuntimeError(f"sweep worker {worker} (pid {pid}) "
-                                   f"{ended} without sending its result")
+                raise _lost(worker, pid, status)
             records, caught = pickle.loads(payload)
             done += [(worker, record) for record in records]
             _reissue(caught)
         entry["collect_seconds"] = time.perf_counter() - started
     finally:
+        go_read.close()
+        os.close(go_write)
         os.sched_setaffinity(0, cpus)
         for pid, pipe in children.items():
             pipe.close()
@@ -488,9 +573,11 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     is reachable.
 
     Each seed's cells fan out over the CPUs this process may use, on
-    forked workers that inherit the seed's normals blocks, but only when
-    the process runs a single OS thread: pin BLAS (`OPENBLAS_NUM_THREADS=1`,
-    as perfbench does), or the sweep runs serially.  `taskset -c 0` also
+    forked workers that share the seed's normals blocks: each process
+    draws a slice of them and then runs whole schedules.  This happens
+    only when the process runs a single OS thread: pin BLAS
+    (`OPENBLAS_NUM_THREADS=1`, as perfbench does), or the sweep runs
+    serially.  `taskset -c 0` also
     runs it serially.  The rows, `results.csv` and `results.json` are
     byte-identical for any number of workers; cell warnings reach the
     caller, and a cell's programming error is re-raised here.
@@ -501,19 +588,19 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     for seed, group in itertools.groupby(range(len(cells)),
                                          key=lambda i: cells[i][0]):
         indices = list(group)  # the grid is seed-major
-        started = time.perf_counter()
-        blocks = _seed_normals(config, seed)
         workers = min(available, len(indices))
-        entry = {"seed": seed, "draw_seconds": time.perf_counter() - started,
-                 "workers": workers, "fork_seconds": 0.0,
-                 "collect_seconds": 0.0}
+        entry = {"seed": seed, "draw_seconds": 0.0, "workers": workers,
+                 "fork_seconds": 0.0, "collect_seconds": 0.0}
         timings.append(entry)
         if workers == 1:
+            started = time.perf_counter()
+            blocks = _seed_normals(config, seed)
+            entry["draw_seconds"] = time.perf_counter() - started
             done = [(0, record)
                     for record in _run_share(config, cells, indices, blocks)]
         else:
-            done = _fan_out(config, cells,
-                            _shares(cells, indices, workers), blocks, entry)
+            done = _fan_out(config, seed, cells,
+                            _shares(cells, indices, workers), entry)
         # grid order, up to the first cell that raised
         for worker, (index, row, seconds) in sorted(
                 done, key=lambda item: item[1][0]):

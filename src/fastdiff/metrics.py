@@ -86,9 +86,11 @@ def inception_score(probs: np.ndarray) -> float:
     probs = _validate_probs(probs)
     marginal = probs.mean(axis=0)
     support = probs > 0.0
-    ratios = np.zeros_like(probs)
-    ratios[support] = np.log(probs[support]) \
-        - np.log(np.broadcast_to(marginal, probs.shape)[support])
+    # logs only where they are finite: log 0 would raise under errstate
+    ratios = np.log(probs, out=np.zeros_like(probs), where=support)
+    log_marginal = np.log(marginal, out=np.zeros_like(marginal),
+                          where=marginal > 0.0)
+    np.subtract(ratios, log_marginal, out=ratios, where=support)
     kl = np.sum(probs * ratios, axis=1)
     return float(np.exp(kl.mean()))
 

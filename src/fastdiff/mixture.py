@@ -173,14 +173,14 @@ class GaussianMixture:
         diff = np.ascontiguousarray(x.T) - means
         solved = precisions @ diff
         diff *= solved  # the summands of the Mahalanobis terms
-        logs = diff.sum(axis=1)
+        logs = np.add.reduce(diff, axis=1)
         logs += norms
         logs *= -0.5
         logs += self._log_weights
-        peak = logs.max(axis=0)
+        peak = np.maximum.reduce(logs, axis=0)
         logs -= peak
         resp = np.exp(logs, out=logs)
-        total = resp.sum(axis=0)
+        total = np.add.reduce(resp, axis=0)
         resp /= total
         return peak, total, resp, solved
 

@@ -18,8 +18,13 @@ takes about 2.5 times as long.  Row i equals
 each chain's noise from it.  So a row's first k normals do not depend on
 `count`: `chain_normals(seed, n, k)` is `chain_normals(seed, n, K)[:, :k]`
 for k <= K, and a sweep draws each seed's block once, at the widest count
-any of its cells reads, for every cell to read a prefix.  Consumers that draw lazily (the regressor,
-`forward_jump`) take a `numpy.random.Generator` directly:
+any of its cells reads, for every cell to read a prefix.  Nor does a row
+depend on the rows drawn beside it: `chain_normals(seed, n, k, out,
+start)` fills only rows start..n-1 of `out` and derives only their keys,
+so a sweep's processes each draw a contiguous slice of chains into one
+shared block (the sweep's own process the first slice, worker k the
+k-th) and meet the full draw bit for bit.  Consumers that draw lazily
+(the regressor, `forward_jump`) take a `numpy.random.Generator` directly:
 `substream`, `chain_streams`, or `Generator(Philox(seed))` for the root
 stream of a seed.
 """
@@ -52,9 +57,10 @@ def chain_streams(seed: int, num_chains: int) -> list[Generator]:
     return [substream(seed, i) for i in range(num_chains)]
 
 
-def _chain_keys(seed: int, num_chains: int) -> np.ndarray:
-    """Philox keys of chains 0..num_chains-1, shape (num_chains, 2): row i
-    is `SeedSequence(seed).spawn(num_chains)[i].generate_state(2, uint64)`.
+def _chain_keys(seed: int, num_chains: int, start: int = 0) -> np.ndarray:
+    """Philox keys of chains start..num_chains-1, shape
+    (num_chains - start, 2): the row of chain i is
+    `SeedSequence(seed).spawn(num_chains)[i].generate_state(2, uint64)`.
 
     A child's entropy is the parent's (zero-padded to the pool size) plus
     one spawn word i < 2**32, so its pool is the parent's pool with i
@@ -71,7 +77,7 @@ def _chain_keys(seed: int, num_chains: int) -> np.ndarray:
         + _POOL_SIZE * max(0, entropy_words - _POOL_SIZE)
     hash_a = _INIT_A * pow(_MULT_A, hashes_before, 1 << 32) & _MASK32
     hash_b = _INIT_B
-    index = np.arange(num_chains, dtype=np.uint64)
+    index = np.arange(start, num_chains, dtype=np.uint64)
     words = []
     for pool_word in SeedSequence(seed).pool:
         next_a = hash_a * _MULT_A & _MASK32
@@ -90,15 +96,21 @@ def _chain_keys(seed: int, num_chains: int) -> np.ndarray:
                     axis=1)
 
 
-def chain_normals(seed: int, num_chains: int, count: int) -> np.ndarray:
+def chain_normals(seed: int, num_chains: int, count: int,
+                  out: np.ndarray | None = None,
+                  start: int = 0) -> np.ndarray:
     """Standard normals of shape (num_chains, count) whose row i equals
     `substream(seed, i).standard_normal(count)` bit for bit.
 
+    With `out`, a C-contiguous float64 array of that shape, rows
+    start..num_chains-1 are drawn into it, the rows before `start` are
+    left as they are, and `out` is returned; only the drawn chains' keys
+    are derived.
     One Philox generator is re-keyed per chain (counter 0, empty buffer),
-    so no per-chain `SeedSequence` or generator is built.  Chain 0's
-    derived key is checked against numpy's own spawning on every call, so
-    a numpy whose `SeedSequence` differs fails here instead of drawing
-    other streams.  A block beyond numpy's index range raises the
+    so no per-chain `SeedSequence` or generator is built.  The first drawn
+    chain's derived key is checked against numpy's own spawning on every
+    call, so a numpy whose `SeedSequence` differs fails here instead of
+    drawing other streams.  A block beyond numpy's index range raises the
     `MemoryError` of an unallocatable one.
     """
     seed = operator.index(seed)
@@ -106,14 +118,18 @@ def chain_normals(seed: int, num_chains: int, count: int) -> np.ndarray:
     if 8 * num_chains * max(count, 2) > np.iinfo(np.intp).max:
         raise MemoryError(
             f"{num_chains} x {count} normals are too many for an array")
-    keys = _chain_keys(seed, num_chains)
-    if num_chains and not np.array_equal(
-            keys[0], SeedSequence(seed, spawn_key=(0,))
+    keys = _chain_keys(seed, num_chains, start)
+    if len(keys) and not np.array_equal(
+            keys[0], SeedSequence(seed, spawn_key=(start,))
             .generate_state(2, np.uint64)):
         raise RuntimeError(
-            "derived Philox key of chain 0 differs from numpy's "
+            f"derived Philox key of chain {start} differs from numpy's "
             "SeedSequence; chain_normals does not support this numpy")
-    out = np.empty((num_chains, count))
+    if out is None:
+        out = np.empty((num_chains, count))
+    elif out.shape != (num_chains, count):
+        raise ValueError(f"out has shape {out.shape}, "
+                         f"need {(num_chains, count)}")
     if count == 0:
         return out
     bit_generator = Philox(0)
@@ -123,7 +139,7 @@ def chain_normals(seed: int, num_chains: int, count: int) -> np.ndarray:
     state = {"bit_generator": "Philox", "state": key_state,
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for row, key in zip(out, keys):
+    for row, key in zip(out[start:], keys):
         key_state["key"] = key.tolist()
         bit_generator.state = state
         standard_normal(out=row)

@@ -202,7 +202,9 @@ def reverse_tables(fast: FastSchedule, sampler: str, kappa: float,
 def _reverse_chain(fast, model, config, initial, tables, normals=None):
     """Shared driver: the update of the module docstring with the tables and
     counts of `tables`; `normals` is as for `run_sampler`."""
-    b, c, d, noisy_steps = tables.b, tables.c, tables.d, tables.noisy_steps
+    # Python floats: each step reads four scalars
+    b, c, d = tables.b.tolist(), tables.c.tolist(), tables.d.tolist()
+    steps, noisy_steps = fast.cont_steps.tolist(), tables.noisy_steps
     if initial is not None:
         initial = np.asarray(initial, dtype=float)
         if initial.shape != (config.batch, config.dim):
@@ -235,7 +237,7 @@ def _reverse_chain(fast, model, config, initial, tables, normals=None):
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k, i in enumerate(range(fast.num_steps - 1, -1, -1)):
-            x = x - b[i] * model.predict(x, float(fast.cont_steps[i]))
+            x = x - b[i] * model.predict(x, steps[i])
             x /= d[i]
             if k < noisy_steps:
                 x += c[i] * noise[:, k, :]

@@ -304,14 +304,16 @@ class TestSweep:
 @pytest.fixture
 def draws(monkeypatch):
     """(seed, chains, columns) of every `chain_normals` call, in the sweep's
-    block draw or in the reverse driver."""
+    block draw or in the reverse driver.  Sweeps run serially here, so
+    every draw is this process's own, of whole blocks."""
     import fastdiff.experiment as exp
+    monkeypatch.setattr(exp, "_available_workers", lambda: 1)
     calls = []
 
     def counting(real):
-        def draw(seed, num_chains, count):
+        def draw(seed, num_chains, count, **into):
             calls.append((seed, num_chains, count))
-            return real(seed, num_chains, count)
+            return real(seed, num_chains, count, **into)
         return draw
 
     for module in (exp, samplers):
@@ -352,6 +354,8 @@ class TestSeedBlocks:
     def test_undersized_block_is_not_a_failed_cell(self, monkeypatch):
         import fastdiff.experiment as exp
         real = exp._seed_normals
+        # the serial sweep's blocks, drawn whole in this process
+        monkeypatch.setattr(exp, "_available_workers", lambda: 1)
         monkeypatch.setattr(exp, "_seed_normals", lambda config, seed: [
             block[:, :-1] for block in real(config, seed)])
         with pytest.raises(TypeError, match="normals block"):

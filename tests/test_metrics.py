@@ -83,6 +83,26 @@ class TestInceptionScore:
             score = inception_score(probs)
             assert 1.0 - 1e-12 <= score <= k + 1e-12
 
+    # Scores pinned bit for bit: rows with zeros, and a class no row has.
+    _index = np.arange(60.0)
+    _mixed = np.stack([_index % 7 + 1.0, _index * 3 % 5, _index % 2 * 2.5,
+                       np.full(60, 0.125)], axis=1)
+    PINNED = [
+        ([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.25, 0.25, 0.5],
+          [0.0, 0.0, 1.0]], "0x1.d736f8455349ap+0"),
+        ([[0.7, 0.0, 0.3], [0.1, 0.0, 0.9], [0.5, 0.0, 0.5]],
+         "0x1.26d2e15c033d4p+0"),
+        ([[0.0, 1.0], [0.0, 1.0]], "0x1.0000000000000p+0"),
+        (_mixed / _mixed.sum(axis=1, keepdims=True), "0x1.4b9b7c0d6de4ap+0"),
+    ]
+
+    @pytest.mark.parametrize("probs, score", PINNED,
+                             ids=["zeros", "empty_class", "one_class", "mixed"])
+    def test_pinned_scores(self, probs, score):
+        # no floating-point error either: the zeros take no logarithm
+        with np.errstate(all="raise"):
+            assert inception_score(np.array(probs)) == float.fromhex(score)
+
     def test_rejects_invalid_rows(self):
         with pytest.raises(ValueError):
             inception_score(np.array([[0.5, 0.6]]))

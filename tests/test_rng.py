@@ -50,14 +50,24 @@ SEEDS = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(SEEDS, st.integers(0, 40), st.integers(0, 50))
-def test_chain_normals_rows_equal_substreams(seed, num_chains, count):
+@given(SEEDS, st.integers(0, 40), st.integers(0, 50), st.data())
+def test_chain_normals_rows_equal_substreams(seed, num_chains, count, data):
     got = chain_normals(seed, num_chains, count)
     assert got.shape == (num_chains, count)
     assert got.dtype == np.float64
     assert got.flags.c_contiguous
     for i, row in enumerate(got):
         assert np.array_equal(row, substream(seed, i).standard_normal(count))
+    # a sweep process fills its own slice of chains of a shared block
+    start = data.draw(st.integers(0, num_chains), label="start")
+    out = np.full((num_chains, count), np.nan)
+    assert chain_normals(seed, num_chains, count, out=out, start=start) \
+        is out
+    assert np.isnan(out[:start]).all()
+    assert np.array_equal(out[start:], got[start:])
+    with pytest.raises(ValueError, match="out has shape"):
+        chain_normals(seed, num_chains, count,
+                      out=np.empty((num_chains, count + 1)), start=start)
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,14 +103,16 @@ def test_derived_keys_equal_numpy_spawn_keys(seed, num_chains):
 def test_key_mismatch_raises(monkeypatch):
     derive = rng._chain_keys
 
-    def flipped(seed, num_chains):
-        keys = derive(seed, num_chains)
+    def flipped(seed, num_chains, start):
+        keys = derive(seed, num_chains, start)
         keys[0, 0] ^= np.uint64(1)
         return keys
 
     monkeypatch.setattr(rng, "_chain_keys", flipped)
-    with pytest.raises(RuntimeError, match="chain 0"):
-        chain_normals(3, 2, 4)
+    # the first chain drawn is the one checked
+    for start in (0, 3):
+        with pytest.raises(RuntimeError, match=f"chain {start} "):
+            chain_normals(3, 5, 4, start=start)
 
 
 def test_public_names_resolve_once():

@@ -2,6 +2,7 @@
 warnings and errors as in one process, and nothing left behind."""
 
 import copy
+import gc
 import json
 import os
 import signal
@@ -59,15 +60,29 @@ def _pipes():
     return pipes
 
 
+def _shared_mappings():
+    """The shared anonymous mappings of this process, as lines of its
+    memory map: a sweep's normals blocks, while they are mapped."""
+    with open("/proc/self/maps") as maps:
+        return sorted(line for line in maps
+                      if line.rstrip().endswith("/dev/zero (deleted)"))
+
+
 @pytest.fixture(autouse=True)
 def no_stray_workers():
-    """Fails a test that leaves a child process, a pipe or a changed CPU
-    affinity behind."""
-    pipes, cpus = _pipes(), os.sched_getaffinity(0)
+    """Fails a test that leaves a child process, a pipe, a shared mapping
+    or a changed CPU affinity behind."""
+    pipes, mappings, cpus = (_pipes(), _shared_mappings(),
+                             os.sched_getaffinity(0))
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert _pipes() - pipes == set()
+    # A block is unmapped with the last array on it.  An error a test keeps
+    # (`pytest.raises(...) as raised`) holds the frames that read it, in a
+    # cycle through the test's own frame, until it is collected.
+    gc.collect()
+    assert _shared_mappings() == mappings
     assert os.sched_getaffinity(0) == cpus
 
 
@@ -129,6 +144,23 @@ def test_shares_are_balanced_on_S():
     assert all(share == sorted(share) for share in shares)
     assert [sum(cells[i][3] for i in share) for share in shares] \
         == [260, 260]
+    # each schedule is built by one process, once
+    schedules = [[cells[i][1:4] for i in share] for share in shares]
+    assert not set(schedules[0]) & set(schedules[1])
+    # and DDPM and DDIM cells run on both
+    assert all({cells[i][4] for i in share} == {"ddpm", "ddim"}
+               for share in shares)
+
+
+def test_one_schedule_still_uses_every_worker(tmp_path):
+    # fewer schedules than workers: the cells are split one by one
+    raw = copy.deepcopy(BASE)
+    raw["sweep"] = dict(raw["sweep"], kinds=["var"], variants=["linear"],
+                        num_steps=[10])
+    fanned = sweep(raw, 2, str(tmp_path))
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert [entry["worker"] for entry in timings[1:]] == [0, 1]
+    assert fields(fanned) == fields(sweep(raw, 1))
 
 
 def test_library_error_in_a_worker_is_one_failed_row(monkeypatch):
@@ -200,6 +232,46 @@ def test_worker_that_sends_nothing_raises(monkeypatch, death, ended):
         sweep(BASE, 2)
 
 
+@pytest.mark.parametrize("death, ended", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     f"was killed by signal {int(signal.SIGKILL)}")])
+def test_worker_that_dies_in_its_slice_raises(monkeypatch, death, ended):
+    # before the barrier, while worker 2 waits there for the cells to start
+    parent, real = os.getpid(), exp.chain_normals
+
+    def dying(seed, num_chains, count, out, start):
+        # of 50 chains, worker 1 of 3 draws chains 16 to 32
+        if in_worker(parent) and num_chains < BASE["samples_per_cell"]:
+            death()
+        return real(seed, num_chains, count, out, start)
+
+    monkeypatch.setattr(exp, "chain_normals", dying)
+    with pytest.raises(RuntimeError, match=f"sweep worker 1 .*{ended} "
+                                           "without sending its result"):
+        sweep(BASE, 3)
+
+
+def test_unmappable_block_is_one_memory_error():
+    # as `chain_normals` reports a block beyond numpy's index range
+    raw = dict(copy.deepcopy(BASE), samples_per_cell=10**20)
+    with pytest.raises(MemoryError, match="too many for an array"):
+        sweep(raw, 2)
+
+
+def test_interrupt_in_own_slice_stops_every_worker(monkeypatch):
+    parent, real = os.getpid(), exp.chain_normals
+
+    def interrupted(*args, **kwargs):
+        if not in_worker(parent):
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exp, "chain_normals", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        sweep(BASE, 3)
+
+
 def test_interrupt_in_own_share_stops_every_worker(monkeypatch):
     parent, real = os.getpid(), exp.build_fast_schedule
 
@@ -245,12 +317,14 @@ def test_default_filter_shows_a_worker_warning_once():
     assert len(shown[1]) == 1 and shown[2] == shown[1]
 
 
-def test_perfbench_grid_still_warns_twice():
-    # perfbench records every warning of a call and counts the collapses
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sweep(BASE, 2)
-    assert sum(COLLAPSE in str(w.message) for w in caught) == 2
+def test_perfbench_grid_warns_once_per_collapsed_schedule():
+    # perfbench records every warning of a call and counts the collapses:
+    # one schedule collapses, and it is built once, by one process
+    for count in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep(BASE, count)
+        assert sum(COLLAPSE in str(w.message) for w in caught) == 1
 
 
 def inject_failure(patch, target):
