@@ -22,20 +22,21 @@ holds the bits its own draw would, so the rows do not change.  A seed's
 blocks are its peak memory: 2000 chains of a full T = 1000 chain in 2
 dimensions take 32 MB.
 
-A seed's cells run on w = min(CPUs this process may use, cells)
-processes, one per CPU: this one and w - 1 forked workers.  Then the
-blocks are shared mappings: this process draws the first of w slices of
-each block's chains and worker k the k-th, and no cell starts before
-every slice is in (a pipe barrier).  Each share holds whole schedules
-(kind, variant, S), longest S first onto the least-loaded share, so each
-is built, and warned about, once; a seed with fewer schedules than
-processes is shared out cell by cell.  A worker sends its rows, timings,
-recorded warnings and any programming error back over a pipe.  The rows
-return in grid order and do not depend on w.  A process with more than
-one OS thread (an unpinned BLAS pool) cannot fork safely, so it runs
-w = 1, the plain loop, drawing whole blocks in private memory.
-`timings.json` names each seed's `workers` and each cell's `worker`;
-`draw_seconds` runs to the barrier.
+A sweep builds each schedule (kind, variant, S) of its grid once, in grid
+order, in its own process, before any cell runs: its warnings reach the
+caller once.  A seed's cells run on w = min(CPUs this process may use,
+cells) processes, one per CPU: this one and w - 1 forked workers.  Then
+the blocks are shared mappings: this process draws the first of w slices
+of each block's chains and worker k the k-th, and no cell starts before
+every slice is in (a pipe barrier).  Each share holds whole schedules,
+longest S first onto the least-loaded share; a seed with fewer schedules
+than processes is shared out cell by cell.  A worker sends its rows,
+timings and any programming error back over a pipe.  The rows return in
+grid order and do not depend on w.  A process with more than one OS
+thread (an unpinned BLAS pool) cannot fork safely, so it runs w = 1, the
+plain loop, drawing whole blocks in private memory.  `timings.json` opens
+with the builds, then names each seed's `workers` and each cell's
+`worker`; `draw_seconds` runs to the barrier.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ import signal
 import sys
 import time
 import traceback
-import warnings
 
 import numpy as np
 
@@ -78,6 +78,9 @@ CSV_COLUMNS = ("seed", "kind", "variant", "S", "sampler", "kappa", "frechet",
 
 _RUN_DEFAULTS = {"kind": "step", "variant": "linear", "sampler": "ddpm",
                  "batch": 1000, "seed": 0}
+
+# The errors that mark a sweep cell failed; any other exception is a bug.
+_LIBRARY_ERRORS = (ValueError, ArithmeticError, ConvergenceError)
 
 
 def builtin_presets() -> dict[str, GaussianMixture]:
@@ -380,8 +383,9 @@ def _shares(cells, indices, workers):
     """`indices` in `workers` shares of about equal cost, each in grid
     order.  Each schedule (kind, variant, S) goes whole to one share, the
     longest S first, onto the share with the least S summed over its
-    cells.  A seed with fewer schedules than shares splits its cells the
-    same way, one by one, so that no share is empty."""
+    cells: so each sampler's cells spread over the shares, where cell by
+    cell they would bunch.  A seed with fewer schedules than shares splits
+    its cells the same way, one by one, so that no share is empty."""
     groups = {}
     for index in indices:
         groups.setdefault(cells[index][1:4], []).append(index)
@@ -395,41 +399,52 @@ def _shares(cells, indices, workers):
     return [sorted(share) for share in shares]
 
 
+def _build_schedules(config, cells):
+    """(kind, variant, S) -> its schedule, or the library error its build
+    raised, for each schedule of `cells`, built once each in grid order;
+    any other exception propagates."""
+    schedules = {}
+    for kind, variant, s in dict.fromkeys(cell[1:4] for cell in cells):
+        try:
+            schedules[kind, variant, s] = build_fast_schedule(
+                config.schedule, config.level_map, kind, variant, s)
+        except _LIBRARY_ERRORS as err:
+            schedules[kind, variant, s] = err
+    return schedules
+
+
 def _run_cell(config, cell, blocks, fast):
-    """The row of one cell, reading the seed's `blocks`, and the cell's
-    schedule: `fast` if given, else built (None if the build failed).  A
-    library error marks the row failed; any other exception propagates."""
-    seed, kind, variant, s, sampler, kappa = cell
+    """The row of one cell, reading the seed's `blocks`, with its schedule
+    `fast` or the library error its build raised.  A library error marks
+    the row failed; any other exception propagates."""
+    seed, *_, sampler, kappa = cell
     row = {**dict.fromkeys(CSV_COLUMNS), **dict(zip(CSV_COLUMNS, cell)),
            "status": "ok", "error": ""}
+    error = fast if isinstance(fast, _LIBRARY_ERRORS) else None
     try:
-        if fast is None:
-            fast = build_fast_schedule(config.schedule, config.level_map,
-                                       kind, variant, s)
-        samples, label_idx, provenance = _generate(config, fast, sampler,
-                                                   kappa, seed, blocks)
-        row["model_calls_per_chain"] = provenance["model_calls_per_chain"]
-        row["normals_per_chain"] = provenance["normals_per_chain"]
-        row.update(score_samples(config.mixture, samples, label_idx))
-    except (ValueError, ArithmeticError, ConvergenceError) as err:
-        row["status"] = "failed"
-        row["error"] = f"{type(err).__name__}: {err}"
-    return row, fast
+        if error is None:
+            samples, label_idx, provenance = _generate(
+                config, fast, sampler, kappa, seed, blocks)
+            row["model_calls_per_chain"] = provenance["model_calls_per_chain"]
+            row["normals_per_chain"] = provenance["normals_per_chain"]
+            row.update(score_samples(config.mixture, samples, label_idx))
+    except _LIBRARY_ERRORS as err:
+        error = err
+    if error is not None:
+        row.update(status="failed", error=f"{type(error).__name__}: {error}")
+    return row
 
 
-def _run_share(config, cells, share, blocks):
-    """(index, row, seconds) of each cell of `share` in turn; a cell that
-    raises has its exception in place of the row and ends the share.  A
-    schedule's cells are adjacent in grid order, so each schedule is built
-    once, by its first cell, unless that build failed."""
-    records, built, fast = [], None, None
+def _run_share(config, schedules, cells, share, blocks):
+    """(index, row, seconds) of each cell of `share` in turn, each with its
+    schedule from `schedules`; a cell that raises has its exception in
+    place of the row and ends the share."""
+    records = []
     for index in share:
         started = time.perf_counter()
-        schedule = cells[index][1:4]
         try:
-            row, fast = _run_cell(config, cells[index], blocks,
-                                  fast if schedule == built else None)
-            built = schedule
+            row = _run_cell(config, cells[index], blocks,
+                            schedules[cells[index][1:4]])
         except Exception as err:  # re-raised by the parent, in grid order
             row = err
         records.append((index, row, time.perf_counter() - started))
@@ -438,27 +453,26 @@ def _run_share(config, cells, share, blocks):
     return records
 
 
-def _worker_main(config, seed, cells, share, blocks, part, go, write_fd):
+def _worker_main(config, schedules, seed, cells, share, blocks, part, go,
+                 write_fd):
     """Forked worker k of w, `part` = (k, w): draws slice k of the seed's
     normals into the shared `blocks`, sends one byte down `write_fd`, waits
     for its byte from `go` (the barrier: every slice is in), then runs its
-    share with its warnings recorded, sends (records, warnings) down
-    `write_fd` and leaves without unwinding."""
+    share, sends its records down `write_fd` and leaves without
+    unwinding."""
     worker, status = part[0], 1
     try:
         _seed_normals(config, seed, blocks, *part)
         os.write(write_fd, b"\0")
         if not go.read(1):  # the sweep stopped before every slice was in
             return
-        with warnings.catch_warnings(record=True) as caught:
-            records = _run_share(config, cells, share, blocks)
+        records = _run_share(config, schedules, cells, share, blocks)
         error = records[-1][1]
         if isinstance(error, Exception) and hasattr(error, "add_note"):
             # the traceback itself does not pickle
             error.add_note(f"raised in sweep worker {worker}:\n"
                            + "".join(traceback.format_exception(error)))
-        payload = memoryview(pickle.dumps(
-            (records, [(w.message, w.filename, w.lineno) for w in caught])))
+        payload = memoryview(pickle.dumps(records))
         while payload:
             payload = payload[os.write(write_fd, payload):]
         status = 0
@@ -467,21 +481,6 @@ def _worker_main(config, seed, cells, share, blocks, part, go, write_fd):
         sys.stderr.flush()
     finally:
         os._exit(status)
-
-
-def _reissue(caught):
-    """Issue warnings that a worker recorded as `warnings.warn` would have
-    issued them here, in the registry of the module that raised each."""
-    if not caught:
-        return
-    modules = {getattr(m, "__file__", None): m
-               for m in list(sys.modules.values())}
-    for message, filename, lineno in caught:
-        scope = vars(modules[filename]) if filename in modules else {}
-        warnings.warn_explicit(
-            message, type(message), filename, lineno,
-            module=scope.get("__name__"),
-            registry=scope.setdefault("__warningregistry__", {}))
 
 
 def _reap(children, pid):
@@ -497,13 +496,12 @@ def _lost(worker, pid, status):
                         "without sending its result")
 
 
-def _fan_out(config, seed, cells, shares, entry):
+def _fan_out(config, schedules, seed, cells, shares, entry):
     """(worker, record) of each `_run_share` record of `shares`, at `seed`.
     The seed's normals blocks are shared mappings; share k > 0 runs on
     forked worker k, share 0 here.  Each process first draws its slice of
-    the blocks, and no cell starts before every slice is in.  The workers'
-    warnings are re-issued.  Every worker is reaped on every exit, and
-    killed first unless it was collected."""
+    the blocks, and no cell starts before every slice is in.  Every worker
+    is reaped on every exit, and killed first unless it was collected."""
     started = time.perf_counter()
     blocks = _shared_blocks(config)
     cpus = sorted(os.sched_getaffinity(0))
@@ -525,7 +523,7 @@ def _fan_out(config, seed, cells, shares, entry):
                 for pipe in children.values():
                     pipe.close()
                 os.sched_setaffinity(0, {cpus[worker % len(cpus)]})
-                _worker_main(config, seed, cells, share, blocks,
+                _worker_main(config, schedules, seed, cells, share, blocks,
                              (worker, len(shares)), go_read, write_fd)
             os.close(write_fd)
             children[pid] = open(read_fd, "rb")
@@ -540,17 +538,15 @@ def _fan_out(config, seed, cells, shares, entry):
                 raise _lost(worker, pid, _reap(children, pid))
         os.write(go_write, bytes(len(children)))
         entry["draw_seconds"] = time.perf_counter() - started
-        done = [(0, record)
-                for record in _run_share(config, cells, shares[0], blocks)]
+        done = [(0, record) for record in
+                _run_share(config, schedules, cells, shares[0], blocks)]
         started = time.perf_counter()
         for worker, pid in enumerate(list(children), 1):
             payload = children[pid].read()
             status = _reap(children, pid)
             if status != 0 or not payload:
                 raise _lost(worker, pid, status)
-            records, caught = pickle.loads(payload)
-            done += [(worker, record) for record in records]
-            _reissue(caught)
+            done += [(worker, record) for record in pickle.loads(payload)]
         entry["collect_seconds"] = time.perf_counter() - started
     finally:
         go_read.close()
@@ -572,18 +568,21 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     a bug and propagates.  Config validation happens before this function
     is reachable.
 
-    Each seed's cells fan out over the CPUs this process may use, on
-    forked workers that share the seed's normals blocks: each process
+    Each schedule is built once, here, before any cell runs or any worker
+    forks.  Each seed's cells fan out over the CPUs this process may use,
+    on forked workers that share the seed's normals blocks: each process
     draws a slice of them and then runs whole schedules.  This happens
     only when the process runs a single OS thread: pin BLAS
     (`OPENBLAS_NUM_THREADS=1`, as perfbench does), or the sweep runs
-    serially.  `taskset -c 0` also
-    runs it serially.  The rows, `results.csv` and `results.json` are
-    byte-identical for any number of workers; cell warnings reach the
-    caller, and a cell's programming error is re-raised here.
+    serially.  `taskset -c 0` also runs it serially.  The rows,
+    `results.csv` and `results.json` are byte-identical for any number of
+    workers, and a cell's programming error is re-raised here.
     """
     cells = config.grid()
-    rows, timings = [], []
+    started = time.perf_counter()
+    schedules = _build_schedules(config, cells)
+    rows, timings = [], [{"schedules": len(schedules),
+                          "build_seconds": time.perf_counter() - started}]
     available = _available_workers()
     for seed, group in itertools.groupby(range(len(cells)),
                                          key=lambda i: cells[i][0]):
@@ -596,10 +595,10 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
             started = time.perf_counter()
             blocks = _seed_normals(config, seed)
             entry["draw_seconds"] = time.perf_counter() - started
-            done = [(0, record)
-                    for record in _run_share(config, cells, indices, blocks)]
+            done = [(0, record) for record in
+                    _run_share(config, schedules, cells, indices, blocks)]
         else:
-            done = _fan_out(config, seed, cells,
+            done = _fan_out(config, schedules, seed, cells,
                             _shares(cells, indices, workers), entry)
         # grid order, up to the first cell that raised
         for worker, (index, row, seconds) in sorted(

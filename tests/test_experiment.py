@@ -392,8 +392,9 @@ class TestSeedBlocks:
         draws = [entry for entry in timings if "seed" in entry]
         assert [entry["seed"] for entry in draws] == [4, 1]
         assert all(entry["draw_seconds"] >= 0.0 for entry in draws)
-        # each draw comes before its seed's 12 cells
-        assert [timings.index(entry) for entry in draws] == [0, 13]
+        # the builds come first; each draw comes before its seed's 12 cells
+        assert timings[0]["schedules"] == 6
+        assert [timings.index(entry) for entry in draws] == [1, 14]
         assert [entry["cell"] for entry in timings if "cell" in entry] \
             == list(range(24))
 

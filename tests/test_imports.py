@@ -6,8 +6,10 @@ underscore-prefixed names; only `storage` reads input files or writes
 files; only the reverse driver and the training loop silence numpy's
 overflow warnings; only the reverse driver and the sweep's per-seed block
 draw draw chain normals; only `samplers` compares a value with a sampler name
-or lists one; and the library runs on numpy alone, with scipy left to the
-tests."""
+or lists one; only `fast_schedule` issues warnings (a sweep builds its
+schedules before it forks, and nothing relays a forked worker's warnings
+to the caller); and the library runs on numpy alone, with scipy left to
+the tests."""
 
 import ast
 import importlib.util
@@ -275,6 +277,36 @@ def test_sampler_name_checker():
 def test_only_samplers_compares_sampler_names(path):
     assert bool(sampler_name_uses(path.read_text())) == (
         path.name == "samplers.py")
+
+
+def warning_calls(source: str) -> list[str]:
+    """`line call` for each call in `source` of `warn` or `warn_explicit`,
+    as an attribute (`warnings.warn`) or by a bare name."""
+    return [f"{node.lineno} {ast.unparse(node.func)}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and ast.unparse(node.func)
+            .split(".")[-1] in ("warn", "warn_explicit")]
+
+
+def test_warning_call_checker():
+    source = ("import warnings\n"
+              "from warnings import warn\n"
+              "warnings.warn('a', stacklevel=2)\n"
+              "def f():\n"
+              "    warn('b')\n"
+              "    warnings.warn_explicit('c', UserWarning, 'f.py', 1)\n"
+              "warnings.simplefilter('ignore'), warnings.catch_warnings()\n")
+    assert sorted(warning_calls(source)) == [
+        "3 warnings.warn", "5 warn", "6 warnings.warn_explicit"]
+
+
+# A sweep builds every schedule in its own process before it forks, and a
+# forked worker's warnings would never reach the caller: so only the
+# schedule builds may warn.
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_fast_schedule_warns(path):
+    assert bool(warning_calls(path.read_text())) == (
+        path.name == "fast_schedule.py")
 
 
 def load_tracing() -> ModuleType:

@@ -3,6 +3,7 @@ warnings and errors as in one process, and nothing left behind."""
 
 import copy
 import gc
+import itertools
 import json
 import os
 import signal
@@ -124,16 +125,18 @@ def test_timings_name_each_cell_s_worker(tmp_path):
     cells = [entry for entry in timings if "cell" in entry]
     assert [entry["cell"] for entry in cells] == list(range(2 * GRID_CELLS))
     assert {entry["worker"] for entry in cells} == {0, 1}
-    assert [timings.index(entry) for entry in seeds] == [0, GRID_CELLS + 1]
+    # the builds come first, once for both seeds
+    assert timings[0]["schedules"] == 12 and timings[0]["build_seconds"] >= 0
+    assert [timings.index(entry) for entry in seeds] == [1, GRID_CELLS + 2]
 
 
 def test_serial_timings_name_worker_zero(tmp_path):
     sweep(BASE, 1, str(tmp_path))
     timings = json.loads((tmp_path / "timings.json").read_text())
-    assert {key: timings[0][key] for key in
+    assert {key: timings[1][key] for key in
             ("workers", "fork_seconds", "collect_seconds")} \
         == {"workers": 1, "fork_seconds": 0.0, "collect_seconds": 0.0}
-    assert {entry["worker"] for entry in timings[1:]} == {0}
+    assert {entry["worker"] for entry in timings[2:]} == {0}
 
 
 def test_shares_are_balanced_on_S():
@@ -159,19 +162,20 @@ def test_one_schedule_still_uses_every_worker(tmp_path):
                         num_steps=[10])
     fanned = sweep(raw, 2, str(tmp_path))
     timings = json.loads((tmp_path / "timings.json").read_text())
-    assert [entry["worker"] for entry in timings[1:]] == [0, 1]
+    assert [entry["worker"] for entry in timings[2:]] == [0, 1]
     assert fields(fanned) == fields(sweep(raw, 1))
 
 
 def test_library_error_in_a_worker_is_one_failed_row(monkeypatch):
-    parent, real = os.getpid(), exp.build_fast_schedule
+    parent, real = os.getpid(), exp._generate
 
-    def flaky(schedule, level_map, kind, variant, num_steps):
-        if in_worker(parent) and (kind, num_steps) == ("var", 10):
+    def flaky(config, fast, sampler, kappa, seed, blocks):
+        if in_worker(parent) and fast.kind.startswith("var") \
+                and fast.num_steps == 10:
             raise ConvergenceError("synthetic cell failure")
-        return real(schedule, level_map, kind, variant, num_steps)
+        return real(config, fast, sampler, kappa, seed, blocks)
 
-    monkeypatch.setattr(exp, "build_fast_schedule", flaky)
+    monkeypatch.setattr(exp, "_generate", flaky)
     rows = sweep(BASE, 2)
     failed = [row for row in rows if row["status"] == "failed"]
     assert failed and all(row["error"] == "ConvergenceError: synthetic "
@@ -183,14 +187,14 @@ def test_library_error_in_a_worker_is_one_failed_row(monkeypatch):
 @pytest.mark.parametrize("where", ["every cell", "workers only"])
 def test_programming_error_is_re_raised(monkeypatch, where):
     parent = os.getpid()
-    real = exp.build_fast_schedule
+    real = exp._generate
 
     def broken(*args):
         if where == "every cell" or in_worker(parent):
             raise TypeError("synthetic bug")
         return real(*args)
 
-    monkeypatch.setattr(exp, "build_fast_schedule", broken)
+    monkeypatch.setattr(exp, "_generate", broken)
     with pytest.raises(TypeError) as raised:
         sweep(BASE, 2)
     assert str(raised.value) == "synthetic bug"
@@ -213,20 +217,63 @@ def test_first_error_in_grid_order_is_raised(monkeypatch):
         assert str(raised.value) == "bug at step linear"
 
 
+def test_each_schedule_is_built_once_before_the_fork(monkeypatch):
+    parent, real, built = os.getpid(), exp.build_fast_schedule, []
+
+    def build(schedule, level_map, kind, variant, num_steps):
+        if in_worker(parent):
+            raise TypeError("built in a worker")
+        built.append((kind, variant, num_steps))
+        return real(schedule, level_map, kind, variant, num_steps)
+
+    monkeypatch.setattr(exp, "build_fast_schedule", build)
+    for count in (1, 2):
+        built.clear()
+        sweep(dict(copy.deepcopy(BASE), seeds=[0, 1]), count)
+        # each (kind, variant, S) once, in grid order, for both seeds
+        assert built == list(itertools.product(
+            ["step", "var"], ["linear", "quadratic"], [5, 10, 50]))
+
+
+def test_failed_build_is_built_once_and_fails_each_of_its_cells(
+        monkeypatch):
+    real, built = exp.build_fast_schedule, []
+    failing = ("var", "quadratic", 10)
+
+    def build(schedule, level_map, kind, variant, num_steps):
+        built.append((kind, variant, num_steps))
+        if (kind, variant, num_steps) == failing:
+            raise ConvergenceError("synthetic build failure")
+        return real(schedule, level_map, kind, variant, num_steps)
+
+    monkeypatch.setattr(exp, "build_fast_schedule", build)
+    for count in (1, 2):
+        built.clear()
+        rows = sweep(dict(copy.deepcopy(BASE), seeds=[0, 1]), count)
+        assert built.count(failing) == 1
+        failed = [row for row in rows if row["status"] == "failed"]
+        assert [(row["seed"], row["kind"], row["variant"], row["S"],
+                 row["sampler"]) for row in failed] \
+            == [(seed, *failing, sampler) for seed in (0, 1)
+                for sampler in ("ddpm", "ddim")]
+        assert {row["error"] for row in failed} \
+            == {"ConvergenceError: synthetic build failure"}
+
+
 @pytest.mark.parametrize("death, ended", [
     (lambda: os._exit(3), "exited with status 3"),
     (lambda: os._exit(0), "exited with status 0"),
     (lambda: os.kill(os.getpid(), signal.SIGKILL),
      f"was killed by signal {int(signal.SIGKILL)}")])
 def test_worker_that_sends_nothing_raises(monkeypatch, death, ended):
-    parent, real = os.getpid(), exp.build_fast_schedule
+    parent, real = os.getpid(), exp._generate
 
     def dying(*args):
         if in_worker(parent):
             death()
         return real(*args)
 
-    monkeypatch.setattr(exp, "build_fast_schedule", dying)
+    monkeypatch.setattr(exp, "_generate", dying)
     with pytest.raises(RuntimeError, match=f"sweep worker 1 .*{ended} "
                                            "without sending its result"):
         sweep(BASE, 2)
@@ -273,14 +320,14 @@ def test_interrupt_in_own_slice_stops_every_worker(monkeypatch):
 
 
 def test_interrupt_in_own_share_stops_every_worker(monkeypatch):
-    parent, real = os.getpid(), exp.build_fast_schedule
+    parent, real = os.getpid(), exp._generate
 
     def interrupted(*args):
         if not in_worker(parent):
             raise KeyboardInterrupt
         return real(*args)
 
-    monkeypatch.setattr(exp, "build_fast_schedule", interrupted)
+    monkeypatch.setattr(exp, "_generate", interrupted)
     with pytest.raises(KeyboardInterrupt):
         sweep(BASE, 3)
 
@@ -288,7 +335,7 @@ def test_interrupt_in_own_share_stops_every_worker(monkeypatch):
 def collapsing(seeds):
     """Two cells of S = 10 per seed at T = 40: VAR, then a quadratic STEP
     subset that collapses to 9.  Shares are filled in grid order, so the
-    collapse is worker 1's."""
+    collapsed schedule's cell is worker 1's."""
     raw = dict(copy.deepcopy(BASE), seeds=seeds, samples_per_cell=10)
     raw["schedule"] = dict(raw["schedule"], T=40)
     raw["sweep"] = dict(raw["sweep"], kinds=["var", "step"],
@@ -297,17 +344,27 @@ def collapsing(seeds):
     return raw
 
 
-def test_collapse_warning_reaches_the_caller_from_a_worker(tmp_path):
+def test_collapse_warning_reaches_the_caller_from_the_sweep(tmp_path):
+    # the sweep's own process builds the schedule that worker 1 samples
     with pytest.warns(UserWarning, match="collapsed from 10 to 9"):
         rows = sweep(collapsing([0]), 2, str(tmp_path))
     timings = json.loads((tmp_path / "timings.json").read_text())
-    assert [(entry["cell"], entry["worker"]) for entry in timings[1:]] \
+    assert [(entry["cell"], entry["worker"]) for entry in timings[2:]] \
         == [(0, 0), (1, 1)]
     assert [row["model_calls_per_chain"] for row in rows] == [10, 9]
 
 
+def test_always_filter_warns_once_per_collapsed_schedule():
+    # two seeds, one collapsed schedule: it is built, and warns, once
+    for count in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep(collapsing([0, 1]), count)
+        assert [COLLAPSE in str(w.message) for w in caught] == [True]
+
+
 def test_default_filter_shows_a_worker_warning_once():
-    # each seed's collapse comes from a worker: shown once, as serially
+    # the one build of the collapsed schedule warns: shown once, as serially
     shown = {}
     for count in (1, 2):
         with warnings.catch_warnings(record=True) as caught:
@@ -319,7 +376,7 @@ def test_default_filter_shows_a_worker_warning_once():
 
 def test_perfbench_grid_warns_once_per_collapsed_schedule():
     # perfbench records every warning of a call and counts the collapses:
-    # one schedule collapses, and it is built once, by one process
+    # one schedule collapses, and it is built once, by the sweep's process
     for count in (1, 2):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -329,16 +386,19 @@ def test_perfbench_grid_warns_once_per_collapsed_schedule():
 
 def inject_failure(patch, target):
     """Make the cell `target` = (seed, kind, variant, S, sampler, kappa)
-    fail with a library error, in whichever process runs it."""
-    real_build, real_generate, requested = (exp.build_fast_schedule,
-                                            exp._generate, [])
+    fail with a library error, in whichever process runs it.  Every
+    schedule is built before the fork, so each process can look up the
+    (kind, variant, S) of a built schedule by its id."""
+    real_build, real_generate, built = (exp.build_fast_schedule,
+                                        exp._generate, {})
 
     def build(schedule, level_map, kind, variant, num_steps):
-        requested[:] = [(kind, variant, num_steps)]
-        return real_build(schedule, level_map, kind, variant, num_steps)
+        fast = real_build(schedule, level_map, kind, variant, num_steps)
+        built[id(fast)] = (kind, variant, num_steps)
+        return fast
 
     def generate(config, fast, sampler, kappa, seed, blocks):
-        if (seed, *requested[0], sampler, kappa) == target:
+        if (seed, *built[id(fast)], sampler, kappa) == target:
             raise ConvergenceError("injected cell failure")
         return real_generate(config, fast, sampler, kappa, seed, blocks)
 
