@@ -13,6 +13,8 @@ The package is organized around one pipeline:
 ``metrics``       Frechet distance, inception-style score, accuracy
 ``experiment``    config-driven sweeps over the above (also via the
                   ``fastdiff`` command-line tool)
+``forking``       when sweeps and training fork, and the memory their
+                  forked processes share
 """
 
 from .errors import (ConstructionError, ConvergenceError,

@@ -34,7 +34,8 @@ than processes is shared out cell by cell.  A worker sends its rows,
 timings and any programming error back over a pipe.  The rows return in
 grid order and do not depend on w.  A process with more than one OS
 thread (an unpinned BLAS pool) cannot fork safely, so it runs w = 1, the
-plain loop, drawing whole blocks in private memory.  `timings.json` opens
+plain loop, drawing whole blocks in private memory: `forking.forkable_cpus`
+states that rule for sweeps and training alike.  `timings.json` opens
 with the builds, then names each seed's `workers` and each cell's
 `worker`; `draw_seconds` runs to the barrier.
 """
@@ -44,7 +45,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import mmap
 import os
 import pickle
 import signal
@@ -54,6 +54,7 @@ import traceback
 
 import numpy as np
 
+from . import forking
 from .errors import (NUMBER, ConvergenceError, ValidationError, checked,
                      int_at_least, typed)
 from .fast_schedule import (CONSTRUCTIONS, VARIANTS, build_fast_schedule,
@@ -292,19 +293,16 @@ def _block_columns(config: ExperimentConfig) -> int:
 
 def _shared_blocks(config: ExperimentConfig) -> list[np.ndarray]:
     """Empty normals blocks of `config.runs`, each in its own shared
-    anonymous mapping, so that what a forked worker writes there every
-    process reads.  A mapping is unmapped with the last array on it."""
-    # MAP_POPULATE faults each page in here, once, and not in whichever
-    # process first writes it
-    flags = mmap.MAP_SHARED | getattr(mmap, "MAP_POPULATE", 0)
+    mapping (`forking.shared_floats`), so that what a forked worker writes
+    there every process reads."""
     columns, blocks = _block_columns(config), []
     for _, batch, _ in config.runs:
         try:
-            mapping = mmap.mmap(-1, 8 * batch * columns, flags=flags)
+            block = forking.shared_floats(batch * columns)
         except OverflowError:  # as `chain_normals` reports it
             raise MemoryError(f"{batch} x {columns} normals are too many "
                               "for an array") from None
-        blocks.append(np.frombuffer(mapping).reshape(batch, columns))
+        blocks.append(block.reshape(batch, columns))
     return blocks
 
 
@@ -362,21 +360,6 @@ def score_samples(mixture: GaussianMixture, samples: np.ndarray,
             if label_idx is not None:
                 scores["accuracy"] = accuracy(probs, label_idx)
     return scores
-
-
-def _available_workers() -> int:
-    """Processes a sweep may run a seed's cells on: the CPUs this process
-    may use, or 1 where forking is unsupported or unsafe.  Forking a
-    process that runs more than one OS thread (an unpinned BLAS pool, say)
-    can deadlock the child, so such a process, and one whose thread count
-    cannot be read, stays on one."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        return 1
-    return len(os.sched_getaffinity(0)) if threads == 1 else 1
 
 
 def _shares(cells, indices, workers):
@@ -490,10 +473,8 @@ def _reap(children, pid):
 
 
 def _lost(worker, pid, status):
-    ended = (f"exited with status {status}" if status >= 0
-             else f"was killed by signal {-status}")
-    return RuntimeError(f"sweep worker {worker} (pid {pid}) {ended} "
-                        "without sending its result")
+    return RuntimeError(f"sweep worker {worker} (pid {pid}) "
+                        f"{forking.ended(status)} without sending its result")
 
 
 def _fan_out(config, schedules, seed, cells, shares, entry):
@@ -583,7 +564,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
     schedules = _build_schedules(config, cells)
     rows, timings = [], [{"schedules": len(schedules),
                           "build_seconds": time.perf_counter() - started}]
-    available = _available_workers()
+    available = forking.forkable_cpus()
     for seed, group in itertools.groupby(range(len(cells)),
                                          key=lambda i: cells[i][0]):
         indices = list(group)  # the grid is seed-major

@@ -1,3 +1,6 @@
+import gc
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -44,13 +47,54 @@ def two_blob_2d():
 
 
 @pytest.fixture(autouse=True)
-def serial_sweeps(monkeypatch):
-    """Sweeps run in this process unless a test sets the worker count.
+def no_forks(monkeypatch):
+    """Sweeps and training run in this process unless a test sets the CPU
+    count that `forking.forkable_cpus` reports.
 
-    Whether a sweep forks depends on the process's thread count, and an
+    Whether they fork depends on the process's thread count, and an
     OpenBLAS pool shuts down at a fork and restarts on a later call; a test
-    that records calls inside the cells would see only this process's
-    share.  tests/test_sweep_workers.py sets the count itself."""
-    import fastdiff.experiment as exp
-    monkeypatch.setattr(exp, "_available_workers", lambda: 1)
+    that records calls inside the cells or the batch draws would see only
+    this process's share.  tests/test_sweep_workers.py and the producer
+    tests in tests/test_regressor.py set the count themselves."""
+    import fastdiff.forking as forking
+    monkeypatch.setattr(forking, "forkable_cpus", lambda: 1)
 
+
+def _pipes():
+    """The pipes this process holds open, as (fd, pipe inode) pairs."""
+    pipes = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own fd, closed by now
+            continue
+        if target.startswith("pipe:"):
+            pipes.add((int(fd), target))
+    return pipes
+
+
+def _shared_mappings():
+    """The shared anonymous mappings of this process, as lines of its
+    memory map: a sweep's normals blocks or training's batch ring, while
+    they are mapped."""
+    with open("/proc/self/maps") as maps:
+        return sorted(line for line in maps
+                      if line.rstrip().endswith("/dev/zero (deleted)"))
+
+
+@pytest.fixture
+def no_stray_workers():
+    """Fails a test that leaves a child process, a pipe, a shared mapping
+    or a changed CPU affinity behind."""
+    pipes, mappings, cpus = (_pipes(), _shared_mappings(),
+                             os.sched_getaffinity(0))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _pipes() - pipes == set()
+    # A mapping is unmapped with the last array on it.  An error a test
+    # keeps (`pytest.raises(...) as raised`) holds the frames that read it,
+    # in a cycle through the test's own frame, until it is collected.
+    gc.collect()
+    assert _shared_mappings() == mappings
+    assert os.sched_getaffinity(0) == cpus

@@ -307,7 +307,8 @@ def draws(monkeypatch):
     block draw or in the reverse driver.  Sweeps run serially here, so
     every draw is this process's own, of whole blocks."""
     import fastdiff.experiment as exp
-    monkeypatch.setattr(exp, "_available_workers", lambda: 1)
+    import fastdiff.forking as forking
+    monkeypatch.setattr(forking, "forkable_cpus", lambda: 1)
     calls = []
 
     def counting(real):
@@ -353,9 +354,10 @@ class TestSeedBlocks:
 
     def test_undersized_block_is_not_a_failed_cell(self, monkeypatch):
         import fastdiff.experiment as exp
+        import fastdiff.forking as forking
         real = exp._seed_normals
         # the serial sweep's blocks, drawn whole in this process
-        monkeypatch.setattr(exp, "_available_workers", lambda: 1)
+        monkeypatch.setattr(forking, "forkable_cpus", lambda: 1)
         monkeypatch.setattr(exp, "_seed_normals", lambda config, seed: [
             block[:, :-1] for block in real(config, seed)])
         with pytest.raises(TypeError, match="normals block"):

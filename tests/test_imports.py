@@ -8,8 +8,9 @@ overflow warnings; only the reverse driver and the sweep's per-seed block
 draw draw chain normals; only `samplers` compares a value with a sampler name
 or lists one; only `fast_schedule` issues warnings (a sweep builds its
 schedules before it forks, and nothing relays a forked worker's warnings
-to the caller); and the library runs on numpy alone, with scipy left to
-the tests."""
+to the caller); only `experiment` and `regressor` call `os.fork`, both
+under the one rule of `forking.forkable_cpus`; and the library runs on
+numpy alone, with scipy left to the tests."""
 
 import ast
 import importlib.util
@@ -307,6 +308,35 @@ def test_warning_call_checker():
 def test_only_fast_schedule_warns(path):
     assert bool(warning_calls(path.read_text())) == (
         path.name == "fast_schedule.py")
+
+
+def fork_calls(source: str) -> list[str]:
+    """`line call` for each call in `source` of `fork`, as an attribute
+    (`os.fork`) or by a bare name."""
+    return [f"{node.lineno} {ast.unparse(node.func)}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == "fork"]
+
+
+def test_fork_call_checker():
+    source = ("import os\n"
+              "from os import fork\n"
+              "pid = os.fork()\n"
+              "def f():\n"
+              "    return fork(), os.forkpty(), os.fork\n")
+    assert fork_calls(source) == ["3 os.fork", "5 fork"]
+
+
+# A sweep's workers and training's batch producer are the only forked
+# processes; each forks only where `forking.forkable_cpus` allows it, and
+# each kills and reaps its children on every exit.
+FORKS_IN = ("experiment.py", "regressor.py")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_sweep_and_training_fork(path):
+    assert bool(fork_calls(path.read_text())) == (path.name in FORKS_IN)
 
 
 def load_tracing() -> ModuleType:

@@ -1,18 +1,42 @@
+import os
+import re
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+import fastdiff.forking as forking
 import fastdiff.regressor
 from fastdiff import (GaussianMixture, NoiseLevelMap, ToyRegressor,
-                      TrainingError, TrainingParams, VarianceSchedule,
-                      denoising_objective, train_toy_regressor)
+                      TrainingError, TrainingParams, ValidationError,
+                      VarianceSchedule, denoising_objective,
+                      train_toy_regressor)
 from fastdiff.regressor import _arrays, _denoising_batch
 from fastdiff.rng import chain_streams
 
 QUICK = TrainingParams(hidden=(24, 24), num_updates=400, batch_size=128,
                        holdout_size=512, seed=3)
+
+FORKS = pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+    reason="training forks only where os.fork and os.sched_getaffinity "
+           "exist")
+
+
+def trained(gm, level_map, params, cpus):
+    """`train_toy_regressor` with `forking.forkable_cpus` reporting `cpus`:
+    at 2 a forked producer draws the update batches, at 1 this process."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forking, "forkable_cpus", lambda: cpus)
+        return train_toy_regressor(gm, level_map, params)
+
+
+def bits(model):
+    """The loss trace, the parameters and the holdout loss, as bytes."""
+    return (np.asarray(model.loss_trace).tobytes(), model.params.tobytes(),
+            np.float64(model.holdout_loss).tobytes())
 
 
 @pytest.fixture(scope="module")
@@ -126,13 +150,16 @@ class TestTraining:
         assert a.loss_trace == b.loss_trace
         assert a.holdout_loss == b.holdout_loss
 
-    def test_pinned_loss_values(self, blob_and_map):
+    @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=FORKS)])
+    def test_pinned_loss_values(self, blob_and_map, cpus, request):
         # Update 2 is the first that the momentum reaches and update 38
         # the first after the learning-rate decay at 0.75 * 50 updates.
+        if cpus > 1:
+            request.getfixturevalue("no_stray_workers")
         gm, level_map = blob_and_map
         params = TrainingParams(hidden=(8,), num_updates=50, batch_size=64,
                                 holdout_size=256, seed=0)
-        model = train_toy_regressor(gm, level_map, params)
+        model = trained(gm, level_map, params, cpus)
         trace = model.loss_trace
         assert [trace[i] for i in (0, 2, 37, 38, 49)] == [
             1.8836658382816376, 1.7730531653134012, 1.1836413684106915,
@@ -263,3 +290,109 @@ def test_trains_on_a_short_schedule(two_blob_2d):
     assert len(model.loss_trace) == 200
     assert np.isfinite(model.loss_trace).all()
     assert model.holdout_loss < two_blob_2d.dim
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("batch_size", -3, "batch_size must be >= 1, got -3"),
+    ("holdout_size", 0, "holdout_size must be >= 1, got 0"),
+    ("num_updates", -1, "num_updates must be >= 0, got -1"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("hidden", (0,), "hidden entry must be >= 1, got 0"),
+    ("hidden", (8, True), "hidden entry must be an integer, got True"),
+    ("batch_size", True, "batch_size must be an integer, got True"),
+    ("num_updates", 2.0, "num_updates must be an integer, got 2.0")])
+def test_training_params_reject_bad_sizes(field, value, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        TrainingParams(**{field: value})
+
+
+@FORKS
+@pytest.mark.usefixtures("no_stray_workers")
+class TestBatchProducer:
+    """With the CPU count at 2, a forked producer draws the update batches:
+    the same bits as in one process, and no child, pipe, shared mapping or
+    changed CPU affinity left behind on any exit."""
+
+    SMALL = TrainingParams(hidden=(8,), num_updates=20, batch_size=32,
+                           holdout_size=64, seed=1)
+
+    @pytest.mark.parametrize("num_updates", [0, 1, 2, 3, 50])
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    @pytest.mark.parametrize("hidden", [(8,), (16, 16)])
+    def test_outputs_match_one_process(self, blob_and_map, num_updates,
+                                       batch_size, hidden):
+        params = TrainingParams(hidden=hidden, num_updates=num_updates,
+                                batch_size=batch_size, holdout_size=100,
+                                seed=2)
+        assert bits(trained(*blob_and_map, params, 2)) \
+            == bits(trained(*blob_and_map, params, 1))
+
+    def test_trainer_draws_only_the_holdout(self, blob_and_map,
+                                            monkeypatch):
+        # the producer's draws happen in its own memory, not in `sizes`
+        real, sizes = fastdiff.regressor._denoising_batch, []
+
+        def counting(gm, level_map, stream, n):
+            sizes.append(n)
+            return real(gm, level_map, stream, n)
+
+        monkeypatch.setattr(fastdiff.regressor, "_denoising_batch", counting)
+        model = trained(*blob_and_map, self.SMALL, 2)
+        assert sizes == [self.SMALL.holdout_size]
+        assert len(model.loss_trace) == self.SMALL.num_updates
+
+    @pytest.mark.parametrize("drawn", [0, 1, 7])
+    @pytest.mark.parametrize("death, ended", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+         f"was killed by signal {int(signal.SIGKILL)}")])
+    def test_producer_that_dies_raises(self, blob_and_map, monkeypatch,
+                                       drawn, death, ended):
+        parent, real = os.getpid(), fastdiff.regressor._denoising_batch
+        real_forward, counts, forwards = ToyRegressor._forward, [], []
+
+        def dying(*args):
+            if os.getpid() != parent:
+                if len(counts) == drawn:
+                    death()
+                counts.append(1)
+            return real(*args)
+
+        def forward(model, activations):
+            # on the last batch drawn, wait for the producer to exit (not
+            # reaping it), so that the batch's release finds no reader
+            forwards.append(1)
+            if len(forwards) == drawn:
+                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+            return real_forward(model, activations)
+
+        monkeypatch.setattr(fastdiff.regressor, "_denoising_batch", dying)
+        monkeypatch.setattr(ToyRegressor, "_forward", forward)
+        with pytest.raises(RuntimeError, match=(
+                rf"training batch producer \(pid \d+\) {ended} after "
+                rf"{drawn} of {self.SMALL.num_updates} batches")):
+            trained(*blob_and_map, self.SMALL, 2)
+
+    def test_divergence_stops_the_producer(self, blob_and_map, monkeypatch):
+        monkeypatch.setattr(fastdiff.regressor, "_LEARNING_RATE", 1e9)
+        params = TrainingParams(hidden=(8,), num_updates=200, batch_size=32,
+                                holdout_size=64, seed=0)
+        with pytest.raises(TrainingError) as err:
+            trained(*blob_and_map, params, 2)
+        # the producer was still drawing: more than its two slots remained
+        assert len(err.value.loss_trace) < params.num_updates - 2
+
+    def test_interrupt_stops_the_producer(self, blob_and_map, monkeypatch):
+        real, updates = ToyRegressor._gradients, []
+
+        def interrupted(model, *args):
+            updates.append(1)
+            if len(updates) == 5:
+                raise KeyboardInterrupt
+            return real(model, *args)
+
+        monkeypatch.setattr(ToyRegressor, "_gradients", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            trained(*blob_and_map, self.SMALL, 2)
+        assert len(updates) == 5

@@ -2,7 +2,6 @@
 warnings and errors as in one process, and nothing left behind."""
 
 import copy
-import gc
 import itertools
 import json
 import os
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fastdiff.experiment as exp
+import fastdiff.forking as forking
 from fastdiff import ConvergenceError
 from fastdiff.experiment import CSV_COLUMNS, ExperimentConfig, run_sweep
 
@@ -28,6 +28,7 @@ pytestmark = [
     # BASE's S = 50 quadratic STEP cells collapse; the tests of that warning
     # set their own filters
     pytest.mark.filterwarnings("ignore:step subset collapsed"),
+    pytest.mark.usefixtures("no_stray_workers"),
 ]
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,45 +49,6 @@ BASE = {
 GRID_CELLS = 24
 
 
-def _pipes():
-    """The pipes this process holds open, as (fd, pipe inode) pairs."""
-    pipes = set()
-    for fd in os.listdir("/proc/self/fd"):
-        try:
-            target = os.readlink(f"/proc/self/fd/{fd}")
-        except OSError:  # the listing's own fd, closed by now
-            continue
-        if target.startswith("pipe:"):
-            pipes.add((int(fd), target))
-    return pipes
-
-
-def _shared_mappings():
-    """The shared anonymous mappings of this process, as lines of its
-    memory map: a sweep's normals blocks, while they are mapped."""
-    with open("/proc/self/maps") as maps:
-        return sorted(line for line in maps
-                      if line.rstrip().endswith("/dev/zero (deleted)"))
-
-
-@pytest.fixture(autouse=True)
-def no_stray_workers():
-    """Fails a test that leaves a child process, a pipe, a shared mapping
-    or a changed CPU affinity behind."""
-    pipes, mappings, cpus = (_pipes(), _shared_mappings(),
-                             os.sched_getaffinity(0))
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert _pipes() - pipes == set()
-    # A block is unmapped with the last array on it.  An error a test keeps
-    # (`pytest.raises(...) as raised`) holds the frames that read it, in a
-    # cycle through the test's own frame, until it is collected.
-    gc.collect()
-    assert _shared_mappings() == mappings
-    assert os.sched_getaffinity(0) == cpus
-
-
 def in_worker(parent):
     return os.getpid() != parent
 
@@ -94,7 +56,7 @@ def in_worker(parent):
 def sweep(raw, count, out_dir=None):
     """The rows of `raw` with `count` workers per seed."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exp, "_available_workers", lambda: count)
+        patch.setattr(forking, "forkable_cpus", lambda: count)
         return run_sweep(ExperimentConfig(copy.deepcopy(raw)), out_dir)
 
 
