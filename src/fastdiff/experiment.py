@@ -25,30 +25,33 @@ dimensions take 32 MB.
 A sweep builds each schedule (kind, variant, S) of its grid once, in grid
 order, in its own process, before any cell runs: its warnings reach the
 caller once.  A seed's cells run on w = min(CPUs this process may use,
-cells) processes, one per CPU: this one and w - 1 forked workers.  Then
-the blocks are shared mappings: this process draws the first of w slices
-of each block's chains and worker k the k-th, and no cell starts before
-every slice is in (a pipe barrier).  Each share holds whole schedules,
-longest S first onto the least-loaded share; a seed with fewer schedules
-than processes is shared out cell by cell.  A worker sends its rows,
-timings and any programming error back over a pipe.  The rows return in
-grid order and do not depend on w.  A process with more than one OS
-thread (an unpinned BLAS pool) cannot fork safely, so it runs w = 1, the
-plain loop, drawing whole blocks in private memory: `forking.forkable_cpus`
-states that rule for sweeps and training alike.  `timings.json` opens
-with the builds, then names each seed's `workers` and each cell's
-`worker`; `draw_seconds` runs to the barrier.
+cells) processes, one per CPU: this one and w - 1 workers forked by
+`forking.Forked`, which pins each to its own CPU and gives it a pipe each
+way.  Then the blocks are shared mappings: this process draws the first
+of w slices of each block's chains and worker k the k-th, and no cell
+starts before every slice is in (the barrier: each worker sends a byte up
+its pipe once its slice is in, and gets one back down it once every
+slice is).  Each share holds whole schedules, longest S first onto the
+least-loaded share; a seed with fewer schedules than processes is shared
+out cell by cell.  A worker sends its rows, timings and any programming
+error up its pipe.  The rows return in grid order and do not depend on
+w.  A process with more than one OS thread (an unpinned BLAS pool)
+cannot fork safely, so it runs w = 1, the plain loop, drawing whole
+blocks in private memory: `forking.forkable_cpus` states that rule for
+sweeps and training alike.  `timings.json` opens with the builds, then
+names each seed's `workers` and each cell's `worker`; `draw_seconds`
+runs to the barrier.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import itertools
 import json
 import os
 import pickle
-import signal
-import sys
 import time
 import traceback
 
@@ -436,42 +439,6 @@ def _run_share(config, schedules, cells, share, blocks):
     return records
 
 
-def _worker_main(config, schedules, seed, cells, share, blocks, part, go,
-                 write_fd):
-    """Forked worker k of w, `part` = (k, w): draws slice k of the seed's
-    normals into the shared `blocks`, sends one byte down `write_fd`, waits
-    for its byte from `go` (the barrier: every slice is in), then runs its
-    share, sends its records down `write_fd` and leaves without
-    unwinding."""
-    worker, status = part[0], 1
-    try:
-        _seed_normals(config, seed, blocks, *part)
-        os.write(write_fd, b"\0")
-        if not go.read(1):  # the sweep stopped before every slice was in
-            return
-        records = _run_share(config, schedules, cells, share, blocks)
-        error = records[-1][1]
-        if isinstance(error, Exception) and hasattr(error, "add_note"):
-            # the traceback itself does not pickle
-            error.add_note(f"raised in sweep worker {worker}:\n"
-                           + "".join(traceback.format_exception(error)))
-        payload = memoryview(pickle.dumps(records))
-        while payload:
-            payload = payload[os.write(write_fd, payload):]
-        status = 0
-    except BaseException:  # reported here: a worker never unwinds into
-        traceback.print_exc()  # the frames it inherited from the sweep
-        sys.stderr.flush()
-    finally:
-        os._exit(status)
-
-
-def _reap(children, pid):
-    """Close child `pid`'s pipe, wait for it and return its exit code."""
-    children.pop(pid).close()
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-
 def _lost(worker, pid, status):
     return RuntimeError(f"sweep worker {worker} (pid {pid}) "
                         f"{forking.ended(status)} without sending its result")
@@ -480,63 +447,47 @@ def _lost(worker, pid, status):
 def _fan_out(config, schedules, seed, cells, shares, entry):
     """(worker, record) of each `_run_share` record of `shares`, at `seed`.
     The seed's normals blocks are shared mappings; share k > 0 runs on
-    forked worker k, share 0 here.  Each process first draws its slice of
-    the blocks, and no cell starts before every slice is in.  Every worker
-    is reaped on every exit, and killed first unless it was collected."""
+    forked worker k (`forking.Forked`), share 0 here.  Each process first
+    draws its slice of the blocks, and no cell starts before every slice
+    is in: a worker sends a byte up its pipe once its slice is in and
+    waits for one back.  A worker then sends its records up its pipe."""
     started = time.perf_counter()
     blocks = _shared_blocks(config)
-    cpus = sorted(os.sched_getaffinity(0))
-    children = {}  # pid -> the read end of its pipe, until reaped
-    go_fd, go_write = os.pipe()  # the barrier: a byte for each worker
-    go_read = open(go_fd, "rb", buffering=0)
-    try:
-        for worker, share in enumerate(shares[1:], 1):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                os.close(read_fd)
-                os.close(go_write)
-                for pipe in children.values():
-                    pipe.close()
-                os.sched_setaffinity(0, {cpus[worker % len(cpus)]})
-                _worker_main(config, schedules, seed, cells, share, blocks,
-                             (worker, len(shares)), go_read, write_fd)
-            os.close(write_fd)
-            children[pid] = open(read_fd, "rb")
-        go_read.close()
-        # left to itself, the kernel may keep a short-lived child on its
-        # parent's CPU: each worker keeps to its own CPU instead
-        os.sched_setaffinity(0, {cpus[0]})
+
+    def work(worker, parent):
+        _seed_normals(config, seed, blocks, worker, len(shares))
+        parent.write(b"\0")
+        if not parent.read(1):  # the sweep stopped before every slice was in
+            return
+        records = _run_share(config, schedules, cells, shares[worker], blocks)
+        error = records[-1][1]
+        if isinstance(error, Exception) and hasattr(error, "add_note"):
+            # the traceback itself does not pickle
+            error.add_note(f"raised in sweep worker {worker}:\n"
+                           + "".join(traceback.format_exception(error)))
+        parent.write(pickle.dumps(records))
+
+    with forking.Forked(functools.partial(work, worker)
+                        for worker in range(1, len(shares))) as children:
         entry["fork_seconds"] = time.perf_counter() - started
         _seed_normals(config, seed, blocks, 0, len(shares))
-        for worker, pid in enumerate(list(children), 1):
-            if not children[pid].read(1):  # its slice is in, or it died
-                raise _lost(worker, pid, _reap(children, pid))
-        os.write(go_write, bytes(len(children)))
+        for worker, child in enumerate(children, 1):
+            if not child.read(1):  # its slice is in, or it died
+                raise _lost(worker, child.pid, child.reap())
+        for child in children:
+            # a worker that died since its slice is reported when collected
+            with contextlib.suppress(BrokenPipeError):
+                child.write(b"\0")
         entry["draw_seconds"] = time.perf_counter() - started
         done = [(0, record) for record in
                 _run_share(config, schedules, cells, shares[0], blocks)]
         started = time.perf_counter()
-        for worker, pid in enumerate(list(children), 1):
-            payload = children[pid].read()
-            status = _reap(children, pid)
-            if status != 0 or not payload:
-                raise _lost(worker, pid, status)
+        for worker, child in enumerate(children, 1):
+            payload = child.read()
+            if child.reap() != 0 or not payload:
+                raise _lost(worker, child.pid, child.status)
             done += [(worker, record) for record in pickle.loads(payload)]
         entry["collect_seconds"] = time.perf_counter() - started
-    finally:
-        go_read.close()
-        os.close(go_write)
-        os.sched_setaffinity(0, cpus)
-        for pid, pipe in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
     return done
 
 

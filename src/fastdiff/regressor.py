@@ -23,23 +23,21 @@ scores the holdout through the same arrays `batch_size` rows at a time, so
 its memory is O(batch_size x width) whatever the holdout size.
 
 Training draws the model's initial weights and the holdout in its own
-process.  Then, where `forking.forkable_cpus` allows a fork onto a second
-CPU (one OS thread, at least two CPUs: the rule sweeps follow), a forked
-producer pinned to the second CPU draws the update batches, the same
-batches in the same order, while this process, pinned to the first, runs
-the updates (`_ProducedBatches`): the batch draw leaves the update's
-critical path.  Elsewhere, or with no updates to make, the batches are
-drawn in this process as they are needed.  Either way the loss trace, the
+process.  The update batches then come from an iterator.  Where
+`forking.forkable_cpus` allows a fork onto a second CPU (one OS thread, at
+least two CPUs: the rule sweeps follow), it is `_produced_batches`: a
+producer forked by `forking.Forked` and pinned to the second CPU draws the
+batches, the same batches in the same order, while this process, pinned
+to the first, runs the updates, so the batch draw leaves the update's
+critical path.  Elsewhere, or with no updates to make, it draws each batch
+in this process as it is taken.  Either way the loss trace, the
 parameters and the holdout loss are bit-identical.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-import os
-import signal
-import sys
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,142 +213,46 @@ def _denoising_batch(gm, level_map, stream: np.random.Generator, n):
     return xt, t, eps
 
 
-class _DrawnBatches:
-    """The update batches of `stream`, each drawn in this process when it
-    is taken."""
+def _produced_batches(gm, level_map, stream, rows, count):
+    """The first `count` update batches of `stream`, as (x, t, eps) views
+    into a shared ring, drawn ahead by a forked producer
+    (`forking.Forked`) on a CPU of its own while this process runs on
+    another.
 
-    def __init__(self, gm, level_map, stream, rows):
-        self._args = (gm, level_map, stream, rows)
+    The producer draws batch i into slot i % 2 of the ring, each slot
+    holding x, t and eps contiguously, and sends a byte up its pipe once it
+    is in.  It draws batch i + 2 only after a byte has come back down for
+    batch i: that byte goes when batch i + 1 is taken, the trainer being
+    done with batch i.  Raises `RuntimeError` if the producer ended before
+    drawing the batch to be taken."""
+    size = rows * gm.dim
+    ring = forking.shared_floats(2 * (2 * size + rows)).reshape(2, -1)
+    slots = [(slot[:size].reshape(rows, gm.dim), slot[size:size + rows],
+              slot[size + rows:].reshape(rows, gm.dim)) for slot in ring]
 
-    def __enter__(self):
-        return self
+    def produce(trainer):
+        for batch in range(count):
+            if batch >= len(slots) and not trainer.read(1):
+                return  # the trainer has gone
+            for into, drawn in zip(slots[batch % len(slots)],
+                                   _denoising_batch(gm, level_map, stream,
+                                                    rows)):
+                into[...] = drawn
+            trainer.write(b"\0")
 
-    def __exit__(self, *exc_info):
-        return None
-
-    def take(self):
-        """The next batch's (x, t, eps)."""
-        return _denoising_batch(*self._args)
-
-    def release(self):
-        """The trainer has stopped reading the batch last taken."""
-
-
-class _ProducedBatches:
-    """The first `count` update batches of `stream`, drawn ahead by a forked
-    producer on a CPU of its own while this process runs on another.
-
-    The producer draws batch i into slot i % 2 of a shared ring, each slot
-    holding x, t and eps contiguously, and sends a byte down the `filled`
-    pipe once it is in.  It draws batch i + 2 only after `release` has sent
-    a byte back up the `free` pipe for batch i.  On every exit the context
-    kills the producer if it is still running, reaps it, closes the pipes
-    and restores this process's CPU mask."""
-
-    def __init__(self, gm, level_map, stream, rows, count):
-        self._args = (gm, level_map, stream, rows)
-        self._count = count
-        size = rows * gm.dim
-        ring = forking.shared_floats(2 * (2 * size + rows)).reshape(2, -1)
-        self._slots = [(slot[:size].reshape(rows, gm.dim),
-                        slot[size:size + rows],
-                        slot[size + rows:].reshape(rows, gm.dim))
-                       for slot in ring]
-        self._taken = 0
-        self._cpus = sorted(os.sched_getaffinity(0))
-        self._pid = None
-        self._fds = []
-
-    def __enter__(self):
-        try:
-            for _ in range(2):
-                self._fds += os.pipe()
-            self._pid = os.fork()
-            if self._pid == 0:
-                self._produce()
-            filled_read, filled_write, free_read, free_write = self._fds
-            self._fds = [filled_read, free_write]
-            os.close(filled_write)
-            os.close(free_read)
-            # left to itself, the kernel may keep a short-lived child on its
-            # parent's CPU: each keeps to its own CPU instead
-            os.sched_setaffinity(0, {self._cpus[0]})
-        except BaseException:
-            self._stop()
-            raise
-        return self
-
-    def __exit__(self, *exc_info):
-        self._stop()
-
-    def _produce(self):
-        """The producer's whole life: draw the batches into the ring, then
-        leave."""
-        filled_read, filled_write, free_read, free_write = self._fds
-        status = 1
-        try:
-            os.close(filled_read)
-            os.close(free_write)
-            os.sched_setaffinity(0, {self._cpus[1 % len(self._cpus)]})
-            for batch in range(self._count):
-                if batch >= len(self._slots) and not os.read(free_read, 1):
-                    break  # the trainer has gone
-                for into, drawn in zip(self._slots[batch % len(self._slots)],
-                                       _denoising_batch(*self._args)):
-                    into[...] = drawn
-                os.write(filled_write, b"\0")
-            else:
-                status = 0
-        except BaseException:  # reported here: the producer never unwinds
-            traceback.print_exc()  # into the frames it inherited
-            sys.stderr.flush()
-        finally:
-            os._exit(status)
-
-    def take(self):
-        """The next batch's (x, t, eps): views of its slot, to be read only
-        until `release`.  Raises `RuntimeError` if the producer ended before
-        drawing it."""
-        if not os.read(self._fds[0], 1):
-            pid, self._pid = self._pid, None
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            raise RuntimeError(
-                f"training batch producer (pid {pid}) {forking.ended(status)}"
-                f" after {self._taken} of {self._count} batches")
-        slot = self._slots[self._taken % len(self._slots)]
-        self._taken += 1
-        return slot
-
-    def release(self):
-        """The trainer has stopped reading the batch last taken: its slot
-        may take the batch two after it, if there is one."""
-        if self._taken + 1 < self._count:
-            try:
-                os.write(self._fds[1], b"\0")
-            except BrokenPipeError:  # the producer has ended: the first
-                pass  # batch it did not draw reports how, in `take`
-
-    def _stop(self):
-        try:
-            if self._pid is not None:
-                # killing a producer that has finished does no harm
-                os.kill(self._pid, signal.SIGKILL)
-                os.waitpid(self._pid, 0)
-        finally:
-            self._pid = None
-            for fd in self._fds:
-                os.close(fd)
-            self._fds = []
-            os.sched_setaffinity(0, self._cpus)
-
-
-def _batches(gm, level_map, stream, rows, count):
-    """The source of the first `count` update batches of `stream`: a forked
-    producer where this process may fork onto a second CPU and there is a
-    batch to draw, this process otherwise."""
-    if count and forking.forkable_cpus() >= 2:
-        return _ProducedBatches(gm, level_map, stream, rows, count)
-    return _DrawnBatches(gm, level_map, stream, rows)
+    with forking.Forked([produce]) as (producer,):
+        for batch in range(count):
+            if 0 < batch < count - 1:
+                # a producer that has ended is reported below, at the
+                # first batch it did not draw
+                with contextlib.suppress(BrokenPipeError):
+                    producer.write(b"\0")
+            if not producer.read(1):
+                raise RuntimeError(
+                    f"training batch producer (pid {producer.pid}) "
+                    f"{forking.ended(producer.reap())} after {batch} of "
+                    f"{count} batches")
+            yield slots[batch % len(slots)]
 
 
 def denoising_objective(model, gm: GaussianMixture, level_map: NoiseLevelMap,
@@ -393,18 +295,24 @@ def train_toy_regressor(gm: GaussianMixture, level_map: NoiseLevelMap,
     decay_at = int(_DECAY_AFTER_FRACTION * params.num_updates)
     lr = _LEARNING_RATE
 
-    with _batches(gm, level_map, data_stream, rows,
-                  params.num_updates) as batches:
-        for update in range(params.num_updates):
+    # The batches come from a forked producer where this process may fork
+    # onto a second CPU and there is a batch to draw, from this process
+    # otherwise.  Closing them stops a producer on every exit.
+    if params.num_updates and forking.forkable_cpus() >= 2:
+        batches = _produced_batches(gm, level_map, data_stream, rows,
+                                    params.num_updates)
+    else:
+        batches = (_denoising_batch(gm, level_map, data_stream, rows)
+                   for _ in range(params.num_updates))
+    with contextlib.closing(batches):
+        for update, (xt, t, eps) in enumerate(batches):
             if update == decay_at:
                 lr *= _DECAY
-            xt, t, eps = batches.take()
             model._features(xt, t, activations[0])
             with np.errstate(over="ignore", invalid="ignore"):
                 out = model._forward(activations)
                 np.subtract(out, eps, out=residual)
                 loss = float(np.mean(np.sum(residual**2, axis=1)))
-            batches.release()
             model.loss_trace.append(loss)
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at update {update}",

@@ -1,3 +1,4 @@
+import errno
 import gc
 import os
 
@@ -51,11 +52,13 @@ def no_forks(monkeypatch):
     """Sweeps and training run in this process unless a test sets the CPU
     count that `forking.forkable_cpus` reports.
 
-    Whether they fork depends on the process's thread count, and an
-    OpenBLAS pool shuts down at a fork and restarts on a later call; a test
-    that records calls inside the cells or the batch draws would see only
-    this process's share.  tests/test_sweep_workers.py and the producer
-    tests in tests/test_regressor.py set the count themselves."""
+    Whether they fork (through `forking.Forked`) depends on the process's
+    thread count, and an OpenBLAS pool shuts down at a fork and restarts
+    on a later call; a test that records calls inside the cells or the
+    batch draws would see only this process's share.
+    tests/test_sweep_workers.py and the producer tests in
+    tests/test_regressor.py set the count themselves, and
+    tests/test_forking.py forks through `forking.Forked` directly."""
     import fastdiff.forking as forking
     monkeypatch.setattr(forking, "forkable_cpus", lambda: 1)
 
@@ -85,10 +88,15 @@ def _shared_mappings():
 @pytest.fixture
 def no_stray_workers():
     """Fails a test that leaves a child process, a pipe, a shared mapping
-    or a changed CPU affinity behind."""
-    pipes, mappings, cpus = (_pipes(), _shared_mappings(),
-                             os.sched_getaffinity(0))
+    or a changed CPU affinity behind.  A forked child that unwound into
+    the test instead of leaving by `os._exit` ends here, with status 99:
+    its parent reports that status, and it never runs the rest of the
+    suite as a second pytest."""
+    pid, pipes, mappings, cpus = (os.getpid(), _pipes(), _shared_mappings(),
+                                  os.sched_getaffinity(0))
     yield
+    if os.getpid() != pid:
+        os._exit(99)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert _pipes() - pipes == set()
@@ -98,3 +106,32 @@ def no_stray_workers():
     gc.collect()
     assert _shared_mappings() == mappings
     assert os.sched_getaffinity(0) == cpus
+
+
+@pytest.fixture(params=["at the fork", "in its pinning"])
+def failing_child(request, monkeypatch):
+    """Makes each forked child raise before its body runs: a
+    `KeyboardInterrupt` as soon as its fork returns (as when a Ctrl-C
+    reaches the whole foreground process group), or an `OSError` from
+    pinning it to its CPU.  Its parent forks and pins as before."""
+    import fastdiff.forking as forking
+    parent = os.getpid()
+    if request.param == "at the fork":
+        real_fork = forking.os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid == 0:
+                raise KeyboardInterrupt
+            return pid
+
+        monkeypatch.setattr(forking.os, "fork", fork)
+    else:
+        real_pin = forking.os.sched_setaffinity
+
+        def pin(pid, cpus):
+            if os.getpid() != parent:
+                raise OSError(errno.EINVAL, "synthetic pinning failure")
+            return real_pin(pid, cpus)
+
+        monkeypatch.setattr(forking.os, "sched_setaffinity", pin)

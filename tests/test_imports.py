@@ -8,8 +8,9 @@ overflow warnings; only the reverse driver and the sweep's per-seed block
 draw draw chain normals; only `samplers` compares a value with a sampler name
 or lists one; only `fast_schedule` issues warnings (a sweep builds its
 schedules before it forks, and nothing relays a forked worker's warnings
-to the caller); only `experiment` and `regressor` call `os.fork`, both
-under the one rule of `forking.forkable_cpus`; and the library runs on
+to the caller); only `forking` forks, makes pipes, pins CPUs, kills,
+reaps or leaves by `os._exit` (its `Forked` owns each forked child's
+life, for the sweep and for training alike); and the library runs on
 numpy alone, with scipy left to the tests."""
 
 import ast
@@ -330,13 +331,47 @@ def test_fork_call_checker():
 
 # A sweep's workers and training's batch producer are the only forked
 # processes; each forks only where `forking.forkable_cpus` allows it, and
-# each kills and reaps its children on every exit.
-FORKS_IN = ("experiment.py", "regressor.py")
+# through `forking.Forked`, which kills and reaps its children on every
+# exit.
+FORKS_IN = ("forking.py",)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_only_the_sweep_and_training_fork(path):
     assert bool(fork_calls(path.read_text())) == (path.name in FORKS_IN)
+
+
+CHILD_CALLS = ("pipe", "sched_setaffinity", "kill", "waitpid", "_exit")
+
+
+def child_calls(source: str) -> list[str]:
+    """`line call` for each call in `source` of a CHILD_CALLS function, as
+    an attribute (`os.kill`) or by a bare name."""
+    calls = sorted((node.lineno, node.col_offset, ast.unparse(node.func))
+                   for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Call)
+                   and ast.unparse(node.func).split(".")[-1] in CHILD_CALLS)
+    return [f"{line} {name}" for line, _, name in calls]
+
+
+def test_child_call_checker():
+    source = ("import os\n"
+              "from os import kill, waitpid\n"
+              "read_fd, write_fd = os.pipe()\n"
+              "def f(pid):\n"
+              "    os.sched_setaffinity(0, {1}), kill(pid, 9)\n"
+              "    waitpid(pid, 0), os._exit, os.sched_getaffinity(0)\n"
+              "    os._exit(1)\n")
+    assert child_calls(source) == ["3 os.pipe", "5 os.sched_setaffinity",
+                                   "5 kill", "6 waitpid", "7 os._exit"]
+
+
+# A forked child's pipes, its CPU, its exit and its kill and reap are
+# `forking.Forked`'s alone: a second copy could let a child unwind into
+# its parent's frames, or signal a pid it never forked.
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_forking_manages_children(path):
+    assert bool(child_calls(path.read_text())) == (path.name in FORKS_IN)
 
 
 def load_tracing() -> ModuleType:

@@ -374,6 +374,15 @@ class TestBatchProducer:
                 rf"{drawn} of {self.SMALL.num_updates} batches")):
             trained(*blob_and_map, self.SMALL, 2)
 
+    def test_producer_that_fails_before_drawing_raises(self, blob_and_map,
+                                                      failing_child):
+        # the producer leaves by its own exit, never through the trainer's
+        # frames
+        with pytest.raises(RuntimeError, match=(
+                rf"training batch producer \(pid \d+\) exited with status 1 "
+                rf"after 0 of {self.SMALL.num_updates} batches")):
+            trained(*blob_and_map, self.SMALL, 2)
+
     def test_divergence_stops_the_producer(self, blob_and_map, monkeypatch):
         monkeypatch.setattr(fastdiff.regressor, "_LEARNING_RATE", 1e9)
         params = TrainingParams(hidden=(8,), num_updates=200, batch_size=32,

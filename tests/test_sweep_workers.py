@@ -261,6 +261,13 @@ def test_worker_that_dies_in_its_slice_raises(monkeypatch, death, ended):
         sweep(BASE, 3)
 
 
+def test_worker_that_fails_before_its_slice_raises(failing_child):
+    # the worker leaves by its own exit, never through the sweep's frames
+    with pytest.raises(RuntimeError, match=r"sweep worker 1 \(pid \d+\) "
+                       "exited with status 1 without sending its result"):
+        sweep(BASE, 2)
+
+
 def test_unmappable_block_is_one_memory_error():
     # as `chain_normals` reports a block beyond numpy's index range
     raw = dict(copy.deepcopy(BASE), samples_per_cell=10**20)
