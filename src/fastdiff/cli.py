@@ -121,7 +121,7 @@ def _cmd_evaluate(args):
            "S": int_at_least(f"{where} fast_schedule S", fast.get("S"), 1)}
     try:
         scores = score_samples(mixture, batch.samples)
-    except (FloatingPointError, InsufficientDataError) as err:
+    except (FloatingPointError, InsufficientDataError, NumericError) as err:
         raise ValidationError(
             f"{args.samples} cannot be scored: {err}") from err
     frechet, score = scores["frechet"], scores["inception_score"]

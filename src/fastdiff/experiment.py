@@ -11,8 +11,8 @@ of the same config.
 Every cell of a seed runs what `fastdiff sample` runs with that seed and
 `batch = samples_per_cell`, so chain i of each cell starts from the same
 latent and meets the same noise rows (a conditional cell keys class j by
-(seed, j)).  A row depends only on its own (seed, kind, variant, S,
-sampler, kappa): adding cells or reordering the grid cannot perturb it.
+(seed, j)).  A row depends only on its own `Cell`, whose fields are its
+first six columns: adding cells or reordering the grid cannot perturb it.
 
 The grid is seed-major, and each seed's normals are drawn once
 (`_seed_normals`): one block per sampler run, as wide as the longest chain
@@ -54,6 +54,7 @@ import os
 import pickle
 import time
 import traceback
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,9 +77,25 @@ from .samplers import fast_ddim_reverse, fast_ddpm_reverse  # noqa: F401
 from .schedule import NoiseLevelMap, VarianceSchedule
 from .storage import write_json, write_report
 
-CSV_COLUMNS = ("seed", "kind", "variant", "S", "sampler", "kappa", "frechet",
-               "inception_score", "accuracy", "model_calls_per_chain",
-               "normals_per_chain", "status", "error")
+
+class Cell(NamedTuple):
+    """One cell of a sweep's grid; its fields lead its row's columns."""
+    seed: int
+    kind: str
+    variant: str
+    S: int
+    sampler: str
+    kappa: float
+
+    @property
+    def schedule(self):
+        """(kind, variant, S), the key its schedule is built by."""
+        return self.kind, self.variant, self.S
+
+
+CSV_COLUMNS = Cell._fields + (
+    "frechet", "inception_score", "accuracy", "model_calls_per_chain",
+    "normals_per_chain", "status", "error")
 
 _RUN_DEFAULTS = {"kind": "step", "variant": "linear", "sampler": "ddpm",
                  "batch": 1000, "seed": 0}
@@ -158,10 +175,9 @@ class ExperimentConfig:
         return hash_config(self.raw)
 
     def grid(self):
-        """(seed, kind, variant, S, sampler, kappa) cells in a fixed,
-        seed-major order; a cell's noise does not depend on its place in
-        it."""
-        return [(*head, *sampler) for *head, sampler in itertools.product(
+        """The `Cell`s in a fixed, seed-major order; a cell's noise does not
+        depend on its place in it."""
+        return [Cell(*head, *sampler) for *head, sampler in itertools.product(
             self.seeds, self.kinds, self.variants, self.num_steps_list,
             self.samplers)]
 
@@ -327,16 +343,16 @@ def _seed_normals(config: ExperimentConfig, seed: int, blocks=None,
     return drawn
 
 
-def _generate(config, fast, sampler, kappa, seed, blocks):
+def _generate(config, fast, cell, blocks):
     """A cell's (samples, class index of each or None, provenance): each of
     `config.runs`, keyed by the cell's seed or by (seed, j) for class j,
     reading its block of `_seed_normals`."""
     chunks, labels = [], []
     for (model, batch, j), block in zip(config.runs, blocks):
         result = run_sampler(fast, model, SamplerConfig(
-            dim=config.mixture.dim, batch=batch, seed=_run_seed(seed, j),
-            kappa=kappa, final_step_noise=config.final_step_noise), sampler,
-            normals=block)
+            dim=config.mixture.dim, batch=batch, seed=_run_seed(cell.seed, j),
+            kappa=cell.kappa, final_step_noise=config.final_step_noise),
+            cell.sampler, normals=block)
         chunks.append(result.samples)
         if j is not None:
             labels.append(np.full(batch, j))
@@ -374,28 +390,28 @@ def _shares(cells, indices, workers):
     its cells the same way, one by one, so that no share is empty."""
     groups = {}
     for index in indices:
-        groups.setdefault(cells[index][1:4], []).append(index)
+        groups.setdefault(cells[index].schedule, []).append(index)
     if len(groups) < workers:
         groups = {index: [index] for index in indices}
     shares, loads = [[] for _ in range(workers)], [0] * workers
-    for group in sorted(groups.values(), key=lambda g: -cells[g[0]][3]):
+    for group in sorted(groups.values(), key=lambda g: -cells[g[0]].S):
         least = loads.index(min(loads))
         shares[least] += group
-        loads[least] += cells[group[0]][3] * len(group)
+        loads[least] += cells[group[0]].S * len(group)
     return [sorted(share) for share in shares]
 
 
 def _build_schedules(config, cells):
-    """(kind, variant, S) -> its schedule, or the library error its build
+    """`Cell.schedule` -> its schedule, or the library error its build
     raised, for each schedule of `cells`, built once each in grid order;
     any other exception propagates."""
     schedules = {}
-    for kind, variant, s in dict.fromkeys(cell[1:4] for cell in cells):
+    for key in dict.fromkeys(cell.schedule for cell in cells):
         try:
-            schedules[kind, variant, s] = build_fast_schedule(
-                config.schedule, config.level_map, kind, variant, s)
+            schedules[key] = build_fast_schedule(
+                config.schedule, config.level_map, *key)
         except _LIBRARY_ERRORS as err:
-            schedules[kind, variant, s] = err
+            schedules[key] = err
     return schedules
 
 
@@ -403,14 +419,13 @@ def _run_cell(config, cell, blocks, fast):
     """The row of one cell, reading the seed's `blocks`, with its schedule
     `fast` or the library error its build raised.  A library error marks
     the row failed; any other exception propagates."""
-    seed, *_, sampler, kappa = cell
-    row = {**dict.fromkeys(CSV_COLUMNS), **dict(zip(CSV_COLUMNS, cell)),
-           "status": "ok", "error": ""}
+    row = {**dict.fromkeys(CSV_COLUMNS), **cell._asdict(), "status": "ok",
+           "error": ""}
     error = fast if isinstance(fast, _LIBRARY_ERRORS) else None
     try:
         if error is None:
-            samples, label_idx, provenance = _generate(
-                config, fast, sampler, kappa, seed, blocks)
+            samples, label_idx, provenance = _generate(config, fast, cell,
+                                                       blocks)
             row["model_calls_per_chain"] = provenance["model_calls_per_chain"]
             row["normals_per_chain"] = provenance["normals_per_chain"]
             row.update(score_samples(config.mixture, samples, label_idx))
@@ -430,7 +445,7 @@ def _run_share(config, schedules, cells, share, blocks):
         started = time.perf_counter()
         try:
             row = _run_cell(config, cells[index], blocks,
-                            schedules[cells[index][1:4]])
+                            schedules[cells[index].schedule])
         except Exception as err:  # re-raised by the parent, in grid order
             row = err
         records.append((index, row, time.perf_counter() - started))
@@ -517,7 +532,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None):
                           "build_seconds": time.perf_counter() - started}]
     available = forking.forkable_cpus()
     for seed, group in itertools.groupby(range(len(cells)),
-                                         key=lambda i: cells[i][0]):
+                                         key=lambda i: cells[i].seed):
         indices = list(group)  # the grid is seed-major
         workers = min(available, len(indices))
         entry = {"seed": seed, "draw_seconds": 0.0, "workers": workers,

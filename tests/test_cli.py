@@ -497,6 +497,11 @@ BAD_SIDECARS["nan_sample"] = (SIDECAR, SIDECAR_SAMPLES[:-8]
 # finite, but the scores overflow
 BAD_SIDECARS["huge_samples"] = (SIDECAR, (np.frombuffer(SIDECAR_SAMPLES)
                                           * 1e200).tobytes())
+# on a line, x = (t, 3t + 1): at this scale the covariance's zero
+# eigenvalue rounds below the matrix square root's clamp
+_t = np.frombuffer(SIDECAR_SAMPLES).reshape(20, 2)[:, 0] * 1e4
+BAD_SIDECARS["rank_deficient"] = (SIDECAR, np.column_stack(
+    [_t, 3 * _t + 1]).tobytes())
 
 
 def trained(prefix):

@@ -13,7 +13,7 @@ from fastdiff import (ConvergenceError, GaussianMixture, SamplerConfig,
                       ValidationError, frechet_gaussian, run_sampler,
                       sample_moments, samplers)
 from fastdiff.cli import main
-from fastdiff.experiment import (CSV_COLUMNS, ExperimentConfig,
+from fastdiff.experiment import (CSV_COLUMNS, Cell, ExperimentConfig,
                                  builtin_presets, format_schedule_dump,
                                  inspect_schedule, load_run, run_sweep,
                                  score_samples)
@@ -290,6 +290,27 @@ class TestSweep:
         # blobs three sigma apart: the Bayes classifier nails conditional draws
         assert row["accuracy"] > 0.95
         assert 1.0 <= row["inception_score"] <= 2.0
+
+    def test_each_row_leads_with_its_cell(self, monkeypatch):
+        # ok and failed rows alike, on a conditional grid
+        import fastdiff.experiment as exp
+        raw = config_with(data={"preset": "two_blob_2d"}, conditional=True,
+                          samples_per_cell=50)
+        config = ExperimentConfig(raw)
+        target, real = config.grid()[3], exp._generate
+
+        def failing(config, fast, cell, blocks):
+            if cell == target:
+                raise ConvergenceError("injected cell failure")
+            return real(config, fast, cell, blocks)
+
+        monkeypatch.setattr(exp, "_generate", failing)
+        rows = run_sweep(config)
+        assert [row["status"] for row in rows] \
+            == ["ok"] * 3 + ["failed"] + ["ok"] * 8
+        assert {type(cell) for cell in config.grid()} == {Cell}
+        assert [Cell(*(row[c] for c in Cell._fields)) for row in rows] \
+            == config.grid()
 
     def test_labelled_unconditional_reports_is_only(self):
         raw = config_with(data={"preset": "two_blob_2d"},

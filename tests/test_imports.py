@@ -10,8 +10,9 @@ or lists one; only `fast_schedule` issues warnings (a sweep builds its
 schedules before it forks, and nothing relays a forked worker's warnings
 to the caller); only `forking` forks, makes pipes, pins CPUs, kills,
 reaps or leaves by `os._exit` (its `Forked` owns each forked child's
-life, for the sweep and for training alike); and the library runs on
-numpy alone, with scipy left to the tests."""
+life, for the sweep and for training alike); no sweep code subscripts a
+cell (`experiment.Cell` names its fields); and the library runs on numpy
+alone, with scipy left to the tests."""
 
 import ast
 import importlib.util
@@ -372,6 +373,39 @@ def test_child_call_checker():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_only_forking_manages_children(path):
     assert bool(child_calls(path.read_text())) == (path.name in FORKS_IN)
+
+
+def cell_subscripts(source: str) -> list[str]:
+    """`line expression` for each subscript in `source` of a sweep cell:
+    `cell[...]`, or `cells[...][...]` of a list of cells."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Subscript):
+            continue
+        value, name = node.value, "cell"
+        if isinstance(value, ast.Subscript):
+            value, name = value.value, "cells"
+        if isinstance(value, ast.Name) and value.id == name:
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"{line} {text}" for line, _, text in sorted(found)]
+
+
+def test_cell_subscript_checker():
+    source = ("seed, kappa = cell[0], cell[-1]\n"
+              "key = cells[i][1:4]\n"
+              "s = cells[g[0]][3] + cell[i]\n"
+              "ok = cells[i].S, cells[1:], cell.schedule, row[0], x[0][1]\n"
+              "nested = cell[0][1]\n")
+    assert cell_subscripts(source) == [
+        "1 cell[0]", "1 cell[-1]", "2 cells[i][1:4]", "3 cells[g[0]][3]",
+        "3 cell[i]", "5 cell[0]"]
+
+
+# A cell's fields are stated once, by `experiment.Cell`, and lead its row's
+# columns: code that read a cell by position would state them again.
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_cell_is_read_by_position(path):
+    assert cell_subscripts(path.read_text()) == []
 
 
 def load_tracing() -> ModuleType:

@@ -107,13 +107,13 @@ def test_shares_are_balanced_on_S():
     assert sorted(i for share in shares for i in share) \
         == list(range(len(cells)))
     assert all(share == sorted(share) for share in shares)
-    assert [sum(cells[i][3] for i in share) for share in shares] \
+    assert [sum(cells[i].S for i in share) for share in shares] \
         == [260, 260]
     # each schedule is built by one process, once
-    schedules = [[cells[i][1:4] for i in share] for share in shares]
+    schedules = [[cells[i].schedule for i in share] for share in shares]
     assert not set(schedules[0]) & set(schedules[1])
     # and DDPM and DDIM cells run on both
-    assert all({cells[i][4] for i in share} == {"ddpm", "ddim"}
+    assert all({cells[i].sampler for i in share} == {"ddpm", "ddim"}
                for share in shares)
 
 
@@ -131,11 +131,11 @@ def test_one_schedule_still_uses_every_worker(tmp_path):
 def test_library_error_in_a_worker_is_one_failed_row(monkeypatch):
     parent, real = os.getpid(), exp._generate
 
-    def flaky(config, fast, sampler, kappa, seed, blocks):
+    def flaky(config, fast, cell, blocks):
         if in_worker(parent) and fast.kind.startswith("var") \
                 and fast.num_steps == 10:
             raise ConvergenceError("synthetic cell failure")
-        return real(config, fast, sampler, kappa, seed, blocks)
+        return real(config, fast, cell, blocks)
 
     monkeypatch.setattr(exp, "_generate", flaky)
     rows = sweep(BASE, 2)
@@ -354,24 +354,15 @@ def test_perfbench_grid_warns_once_per_collapsed_schedule():
 
 
 def inject_failure(patch, target):
-    """Make the cell `target` = (seed, kind, variant, S, sampler, kappa)
-    fail with a library error, in whichever process runs it.  Every
-    schedule is built before the fork, so each process can look up the
-    (kind, variant, S) of a built schedule by its id."""
-    real_build, real_generate, built = (exp.build_fast_schedule,
-                                        exp._generate, {})
+    """Make the `Cell` `target` fail with a library error, in whichever
+    process runs it."""
+    real = exp._generate
 
-    def build(schedule, level_map, kind, variant, num_steps):
-        fast = real_build(schedule, level_map, kind, variant, num_steps)
-        built[id(fast)] = (kind, variant, num_steps)
-        return fast
-
-    def generate(config, fast, sampler, kappa, seed, blocks):
-        if (seed, *built[id(fast)], sampler, kappa) == target:
+    def generate(config, fast, cell, blocks):
+        if cell == target:
             raise ConvergenceError("injected cell failure")
-        return real_generate(config, fast, sampler, kappa, seed, blocks)
+        return real(config, fast, cell, blocks)
 
-    patch.setattr(exp, "build_fast_schedule", build)
     patch.setattr(exp, "_generate", generate)
 
 
