@@ -3,11 +3,11 @@ share.
 
 A sweep runs a seed's cells on forked workers (`experiment`), and training
 draws its batches on a forked producer (`regressor`).  Both fork only as
-far as `forkable_cpus` allows, fork through `Forked`, hand their arrays
-over in `shared_floats` mappings, and name a child that ended early by
-`ended`.  Each keeps only its own protocol over the pipes `Forked` gives a
-child: `Forked` owns the fork, the CPU pinning, the child's exit and the
-kill and reap.
+far as `forkable_cpus` allows, fork through `Forked`, and name a child
+that ended early by `ended`.  Each keeps only its own protocol over the
+pipes `Forked` gives a child: `Forked` owns the fork, the CPU pinning, the
+child's exit and the kill and reap.  Only the sweep's normals blocks are
+shared memory (`shared_floats`); the producer streams down its pipe.
 """
 
 import mmap
@@ -38,18 +38,18 @@ class Pipes:
     child: what the other process writes it reads, and the other way."""
 
     def __init__(self, read_fd: int, write_fd: int):
-        self._reader = open(read_fd, "rb", buffering=0)
+        self._reader = open(read_fd, "rb")
         self._write_fd = write_fd
 
     def read(self, size: int = -1) -> bytes:
-        """Up to `size` bytes, or every byte until the other process
-        closes its end; b"" at end-of-file."""
+        """Exactly `size` bytes, fewer only at end-of-file, once the other
+        process has closed its end; with no `size`, every byte until then."""
         return self._reader.read(size)
 
     def write(self, data) -> None:
-        """Write all of `data`; raises `BrokenPipeError` once the other
-        process has closed its end."""
-        data = memoryview(data)
+        """Write all of `data`, a C-contiguous buffer of any shape; raises
+        `BrokenPipeError` once the other process has closed its end."""
+        data = memoryview(data).cast("B")
         while data:
             data = data[os.write(self._write_fd, data):]
 

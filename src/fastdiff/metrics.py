@@ -70,8 +70,15 @@ def frechet_distance(x_true: np.ndarray, x_generated: np.ndarray) -> float:
     return frechet_gaussian(mean_t, cov_t, mean_g, cov_g)
 
 
-def _validate_probs(probs: np.ndarray) -> np.ndarray:
+def _probability_rows(probs: np.ndarray) -> np.ndarray:
     probs = np.atleast_2d(np.asarray(probs, dtype=float))
+    if not probs.shape[0]:
+        raise InsufficientDataError("need at least 1 probability row, got 0")
+    return probs
+
+
+def _validate_probs(probs: np.ndarray) -> np.ndarray:
+    probs = _probability_rows(probs)
     if np.any(probs < 0.0):
         raise ValueError("probabilities must be non-negative")
     sums = probs.sum(axis=1)
@@ -97,7 +104,7 @@ def inception_score(probs: np.ndarray) -> float:
 
 def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of rows whose argmax class equals the label."""
-    probs = np.atleast_2d(np.asarray(probs, dtype=float))
+    probs = _probability_rows(probs)
     labels = np.asarray(labels, dtype=int)
     if labels.shape != (probs.shape[0],):
         raise ValueError(

@@ -27,11 +27,11 @@ process.  The update batches then come from an iterator.  Where
 `forking.forkable_cpus` allows a fork onto a second CPU (one OS thread, at
 least two CPUs: the rule sweeps follow), it is `_produced_batches`: a
 producer forked by `forking.Forked` and pinned to the second CPU draws the
-batches, the same batches in the same order, while this process, pinned
-to the first, runs the updates, so the batch draw leaves the update's
-critical path.  Elsewhere, or with no updates to make, it draws each batch
-in this process as it is taken.  Either way the loss trace, the
-parameters and the holdout loss are bit-identical.
+same batches in the same order and writes them down its pipe, while this
+process, pinned to the first, runs the updates: the batch draw leaves the
+update's critical path.  Elsewhere, or with no updates to make, it draws
+each batch in this process as it is taken.  Either way the loss trace,
+the parameters and the holdout loss are bit-identical.
 """
 
 from __future__ import annotations
@@ -215,44 +215,29 @@ def _denoising_batch(gm, level_map, stream: np.random.Generator, n):
 
 def _produced_batches(gm, level_map, stream, rows, count):
     """The first `count` update batches of `stream`, as (x, t, eps) views
-    into a shared ring, drawn ahead by a forked producer
-    (`forking.Forked`) on a CPU of its own while this process runs on
-    another.
-
-    The producer draws batch i into slot i % 2 of the ring, each slot
-    holding x, t and eps contiguously, and sends a byte up its pipe once it
-    is in.  It draws batch i + 2 only after a byte has come back down for
-    batch i: that byte goes when batch i + 1 is taken, the trainer being
-    done with batch i.  Raises `RuntimeError` if the producer ended before
-    drawing the batch to be taken."""
-    size = rows * gm.dim
-    ring = forking.shared_floats(2 * (2 * size + rows)).reshape(2, -1)
-    slots = [(slot[:size].reshape(rows, gm.dim), slot[size:size + rows],
-              slot[size + rows:].reshape(rows, gm.dim)) for slot in ring]
+    of the raw float64 that a producer forked by `forking.Forked` onto a CPU
+    of its own writes down its pipe; the pipe's buffer holds the batches it
+    draws ahead.  Raises `RuntimeError` if the producer ended before
+    writing the whole of the batch to be taken."""
+    size, nbytes = rows * gm.dim, 8 * rows * (2 * gm.dim + 1)
 
     def produce(trainer):
-        for batch in range(count):
-            if batch >= len(slots) and not trainer.read(1):
-                return  # the trainer has gone
-            for into, drawn in zip(slots[batch % len(slots)],
-                                   _denoising_batch(gm, level_map, stream,
-                                                    rows)):
-                into[...] = drawn
-            trainer.write(b"\0")
+        for _ in range(count):
+            for drawn in _denoising_batch(gm, level_map, stream, rows):
+                trainer.write(drawn)
 
     with forking.Forked([produce]) as (producer,):
         for batch in range(count):
-            if 0 < batch < count - 1:
-                # a producer that has ended is reported below, at the
-                # first batch it did not draw
-                with contextlib.suppress(BrokenPipeError):
-                    producer.write(b"\0")
-            if not producer.read(1):
+            data = producer.read(nbytes)
+            if len(data) < nbytes:
                 raise RuntimeError(
                     f"training batch producer (pid {producer.pid}) "
                     f"{forking.ended(producer.reap())} after {batch} of "
                     f"{count} batches")
-            yield slots[batch % len(slots)]
+            floats = np.frombuffer(data)
+            yield (floats[:size].reshape(rows, gm.dim),
+                   floats[size:size + rows],
+                   floats[size + rows:].reshape(rows, gm.dim))
 
 
 def denoising_objective(model, gm: GaussianMixture, level_map: NoiseLevelMap,

@@ -78,8 +78,7 @@ def _pipes():
 
 def _shared_mappings():
     """The shared anonymous mappings of this process, as lines of its
-    memory map: a sweep's normals blocks or training's batch ring, while
-    they are mapped."""
+    memory map: a sweep's normals blocks, while they are mapped."""
     with open("/proc/self/maps") as maps:
         return sorted(line for line in maps
                       if line.rstrip().endswith("/dev/zero (deleted)"))

@@ -1,11 +1,13 @@
 """`forking.Forked`: each child on its own CPU with its own pipes, its exit
-status, and nothing left behind on any exit."""
+status, and nothing left behind on any exit; `forking.Pipes` reads as many
+bytes as asked for and writes an array whole."""
 
 import errno
 import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
 import fastdiff.forking as forking
@@ -19,6 +21,9 @@ pytestmark = [
 
 CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else [0]
+
+# one training batch of 64 rows at d = 2, as the producer writes it
+BATCH = np.random.default_rng(0).standard_normal(64 * 5).tobytes()
 
 
 def report(parent):
@@ -87,3 +92,43 @@ def test_a_failed_fork_kills_the_children_already_forked(monkeypatch):
         with forking.Forked([wait, wait]):
             pytest.fail("entered the context")
     assert len(forks) == 2
+
+
+def in_pieces(*cuts):
+    """A body that writes the first `cuts[-1]` bytes of BATCH, split at
+    `cuts`, pausing after each piece, then returns."""
+    def body(parent):
+        for start, stop in zip((0, *cuts), cuts):
+            parent.write(BATCH[start:stop])
+            time.sleep(0.05)
+    return body
+
+
+def test_a_read_returns_every_byte_asked_for():
+    with forking.Forked([in_pieces(100, 1000, len(BATCH))]) as (child,):
+        assert child.read(len(BATCH)) == BATCH
+        assert child.read(1) == b""
+        assert child.reap() == 0
+
+
+def test_a_child_that_exits_part_way_gives_a_short_read():
+    with forking.Forked([in_pieces(100, 1000)]) as (child,):
+        assert child.read(len(BATCH)) == BATCH[:1000]
+        assert child.reap() == 0
+
+
+@pytest.mark.parametrize("taken", [None, 20])
+def test_a_2d_array_is_written_byte_for_byte(taken):
+    array = np.frombuffer(BATCH).reshape(64, 5)
+
+    def body(parent):
+        if taken:
+            # a write the kernel takes only `taken` bytes of at a time, as
+            # one cut short by a signal
+            write = os.write
+            forking.os.write = lambda fd, data: write(fd, data[:taken])
+        parent.write(array)
+
+    with forking.Forked([body]) as (child,):
+        assert child.read() == BATCH
+        assert child.reap() == 0

@@ -10,9 +10,11 @@ or lists one; only `fast_schedule` issues warnings (a sweep builds its
 schedules before it forks, and nothing relays a forked worker's warnings
 to the caller); only `forking` forks, makes pipes, pins CPUs, kills,
 reaps or leaves by `os._exit` (its `Forked` owns each forked child's
-life, for the sweep and for training alike); no sweep code subscripts a
-cell (`experiment.Cell` names its fields); and the library runs on numpy
-alone, with scipy left to the tests."""
+life, for the sweep and for training alike); only `experiment` maps
+shared memory with `forking.shared_floats` (the sweep's normals blocks;
+training's producer streams its batches down its pipe); no sweep code
+subscripts a cell (`experiment.Cell` names its fields); and the library
+runs on numpy alone, with scipy left to the tests."""
 
 import ast
 import importlib.util
@@ -373,6 +375,34 @@ def test_child_call_checker():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_only_forking_manages_children(path):
     assert bool(child_calls(path.read_text())) == (path.name in FORKS_IN)
+
+
+def shared_float_calls(source: str) -> list[str]:
+    """`line call` for each call in `source` of `shared_floats`, as an
+    attribute (`forking.shared_floats`) or by a bare name."""
+    return [f"{node.lineno} {ast.unparse(node.func)}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == "shared_floats"]
+
+
+def test_shared_float_call_checker():
+    source = ("from . import forking\n"
+              "from .forking import shared_floats\n"
+              "ring = forking.shared_floats(2 * 640)\n"
+              "def blocks(n):\n"
+              "    return shared_floats(n), forking.shared_floats\n")
+    assert shared_float_calls(source) == ["3 forking.shared_floats",
+                                          "5 shared_floats"]
+
+
+# The sweep's normals blocks, which every process draws a slice of, are
+# the library's one shared memory: training's producer writes its batches
+# down its pipe, so nothing there needs a mapping kept in step by hand.
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_sweep_maps_shared_memory(path):
+    assert bool(shared_float_calls(path.read_text())) == (
+        path.name == "experiment.py")
 
 
 def cell_subscripts(source: str) -> list[str]:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,15 @@ class TestAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             accuracy(np.eye(3), np.array([0, 1]))
+
+
+@pytest.mark.parametrize("score", [
+    inception_score, lambda probs: accuracy(probs, np.zeros(0, dtype=int))],
+    ids=["inception_score", "accuracy"])
+def test_an_empty_batch_raises(score):
+    # as `sample_moments` does for too few rows, and before numpy warns of
+    # a mean of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InsufficientDataError, match="got 0"):
+            score(np.zeros((0, 3)))

@@ -310,15 +310,19 @@ def test_training_params_reject_bad_sizes(field, value, message):
 @FORKS
 @pytest.mark.usefixtures("no_stray_workers")
 class TestBatchProducer:
-    """With the CPU count at 2, a forked producer draws the update batches:
-    the same bits as in one process, and no child, pipe, shared mapping or
-    changed CPU affinity left behind on any exit."""
+    """With the CPU count at 2, a forked producer draws the update batches
+    and writes them down its pipe: the same bits as in one process, and no
+    child, pipe, shared mapping or changed CPU affinity left behind on any
+    exit."""
 
     SMALL = TrainingParams(hidden=(8,), num_updates=20, batch_size=32,
                            holdout_size=64, seed=1)
 
+    # A batch of 2048 rows is 80 KiB, more than a 64 KiB pipe buffer: the
+    # producer blocks part-way through writing it, and the trainer reads
+    # it in several pieces.
     @pytest.mark.parametrize("num_updates", [0, 1, 2, 3, 50])
-    @pytest.mark.parametrize("batch_size", [1, 64])
+    @pytest.mark.parametrize("batch_size", [1, 64, 2048])
     @pytest.mark.parametrize("hidden", [(8,), (16, 16)])
     def test_outputs_match_one_process(self, blob_and_map, num_updates,
                                        batch_size, hidden):
@@ -343,36 +347,41 @@ class TestBatchProducer:
         assert len(model.loss_trace) == self.SMALL.num_updates
 
     @pytest.mark.parametrize("drawn", [0, 1, 7])
+    @pytest.mark.parametrize("written", [0, 2], ids=["before_x", "before_eps"])
     @pytest.mark.parametrize("death, ended", [
         (lambda: os._exit(3), "exited with status 3"),
         (lambda: os.kill(os.getpid(), signal.SIGKILL),
          f"was killed by signal {int(signal.SIGKILL)}")])
     def test_producer_that_dies_raises(self, blob_and_map, monkeypatch,
-                                       drawn, death, ended):
-        parent, real = os.getpid(), fastdiff.regressor._denoising_batch
-        real_forward, counts, forwards = ToyRegressor._forward, [], []
+                                       drawn, written, death, ended):
+        # The producer writes x, t and eps of each batch in turn, and dies
+        # with `written` of batch `drawn`'s arrays in the pipe.
+        parent, real = os.getpid(), forking.Pipes.write
+        real_forward, writes, forwards = ToyRegressor._forward, [], []
 
-        def dying(*args):
+        def dying(pipes, data):
             if os.getpid() != parent:
-                if len(counts) == drawn:
+                if len(writes) == 3 * drawn + written:
                     death()
-                counts.append(1)
-            return real(*args)
+                writes.append(1)
+            return real(pipes, data)
 
         def forward(model, activations):
-            # on the last batch drawn, wait for the producer to exit (not
-            # reaping it), so that the batch's release finds no reader
+            # on the first update, wait for the producer to exit (not
+            # reaping it): the batches it wrote whole, 1280 bytes each and
+            # well within the pipe buffer, are still read after it has gone
             forwards.append(1)
-            if len(forwards) == drawn:
+            if len(forwards) == 1:
                 os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
             return real_forward(model, activations)
 
-        monkeypatch.setattr(fastdiff.regressor, "_denoising_batch", dying)
+        monkeypatch.setattr(forking.Pipes, "write", dying)
         monkeypatch.setattr(ToyRegressor, "_forward", forward)
         with pytest.raises(RuntimeError, match=(
                 rf"training batch producer \(pid \d+\) {ended} after "
                 rf"{drawn} of {self.SMALL.num_updates} batches")):
             trained(*blob_and_map, self.SMALL, 2)
+        assert len(forwards) == drawn
 
     def test_producer_that_fails_before_drawing_raises(self, blob_and_map,
                                                       failing_child):
@@ -389,8 +398,10 @@ class TestBatchProducer:
                                 holdout_size=64, seed=0)
         with pytest.raises(TrainingError) as err:
             trained(*blob_and_map, params, 2)
-        # the producer was still drawing: more than its two slots remained
-        assert len(err.value.loss_trace) < params.num_updates - 2
+        # the loss diverged with more batches of 1280 bytes left to draw
+        # than a 64 KiB pipe buffer holds (51): the exit stopped a producer
+        # still blocked in its write
+        assert len(err.value.loss_trace) < params.num_updates - 51
 
     def test_interrupt_stops_the_producer(self, blob_and_map, monkeypatch):
         real, updates = ToyRegressor._gradients, []
